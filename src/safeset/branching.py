@@ -10,7 +10,6 @@ count is fixed to one.
 from __future__ import annotations
 
 import heapq
-import time
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -20,13 +19,12 @@ from .graph import (
     bfs_order,
     check_vertex_set,
     components,
-    induced_subgraph,
     is_connected_safe_set,
     is_safe_set,
     mask_of,
     vertices_of,
 )
-from .oracle import SolveResult
+from .oracle import SolveResult, solve_by_component
 
 
 @dataclass(frozen=True)
@@ -267,9 +265,7 @@ def _search(g: Graph, state: BranchState, total: int, connected: bool) -> frozen
 def _solve_component(g: Graph, k: int, connected: bool) -> frozenset[int] | None:
     for s in range(1, min(k, g.n) + 1):
         if s == g.n:
-            whole = frozenset(g.vertices())
-            assert is_safe_set(g, whole)
-            return whole
+            return frozenset(g.vertices())
         shapes = [(s,)] if connected else list(_partitions(s))
         for shape in shapes:
             state = BranchState(tuple(frozenset() for _ in shape), shape)
@@ -285,22 +281,8 @@ def branch_solve(g: Graph, k: int, connected: bool = False) -> SolveResult:
     Disconnected inputs are solved per component and the best component
     result is returned.  Every returned witness is verifier-checked.
     """
-    t0 = time.perf_counter()
     if k < 1:
         raise InputError("k must be at least 1")
-    best: tuple[int, frozenset[int]] | None = None
-    for comp in components(g, g.vertices()):
-        sub, ids = induced_subgraph(g, comp)
-        got = _solve_component(sub, k, connected)
-        if got is None:
-            continue
-        mapped = frozenset(ids[v] for v in got)
-        cand = (len(mapped), mapped)
-        if best is None or (cand[0], sorted(cand[1])) < (best[0], sorted(best[1])):
-            best = cand
-    elapsed = time.perf_counter() - t0
-    if best is None:
-        return SolveResult(False, None, None, "branch", elapsed)
-    witness = best[1]
-    assert is_connected_safe_set(g, witness) if connected else is_safe_set(g, witness)
-    return SolveResult(True, len(witness), witness, "branch", elapsed)
+    return solve_by_component(
+        g, lambda sub, bound: _solve_component(sub, bound, connected), "branch", connected, k
+    )

@@ -4,7 +4,8 @@ Three subcommands: ``solve`` dispatches a solver and prints a JSON report,
 ``verify`` checks a candidate set, ``gen`` writes hard instances produced
 by the reductions.  JSON goes to stdout only; logs and errors go to stderr
 so output can be piped.  Exit codes: 0 solved/verified, 1 infeasible or
-failed verification, 2 usage or input errors.
+failed verification, 2 usage or input errors, 3 internal error (a crash,
+or a solver witness that fails verification).
 """
 
 from __future__ import annotations
@@ -269,6 +270,9 @@ def main(argv=None) -> int:
     except (InputError, FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -12,7 +12,6 @@ concrete witness selection so answers can be verified directly.
 
 from __future__ import annotations
 
-import logging
 import math
 import time
 from dataclasses import dataclass
@@ -37,14 +36,10 @@ from .graph import (
     InputError,
     check_vertex_set,
     components_mask,
-    is_connected_safe_set,
-    is_safe_set,
     mask_of,
     neighborhood_mask,
 )
-from .oracle import SolveResult
-
-logger = logging.getLogger(__name__)
+from .oracle import SolveResult, verified_result
 
 PairKey = tuple[int, int]
 
@@ -407,11 +402,9 @@ def solve_cw(expr: CExpression, connected: bool = False) -> SolveResult:
     """Minimum safe set of the expression's graph, via the tree program.
 
     A summary is acceptable when something is selected and every adjacent
-    selected/unselected pair has gap >= 0.  For connected solutions,
-    summaries whose selection spans a single label set are candidates;
-    each candidate's witness is then confirmed by the verifier, so a
-    summary that hides a disconnected selection is skipped (with a
-    diagnostic) rather than trusted.
+    selected/unselected pair has gap >= 0.  For connected solutions, a
+    summary qualifies when its selection is one component: a single label
+    set whose smallest component is as large as its total.
     """
     t0 = time.perf_counter()
     check_expression(expr)
@@ -431,22 +424,8 @@ def solve_cw(expr: CExpression, connected: bool = False) -> SolveResult:
             continue
         if any(d < 0 for d in e.adj_diff_min.values()):
             continue
-        if connected and len(e.inside_size) != 1:
+        if connected and (len(e.inside_size) != 1 or e.inside_min != e.inside_size):
             continue
         candidates.append(e)
-    candidates.sort(key=lambda e: (e.selected_total(), sorted(e.witness)))
-
-    for e in candidates:
-        if connected:
-            if not is_connected_safe_set(g, e.witness):
-                logger.warning(
-                    "summary with a single selected label set hides a "
-                    "disconnected selection %s; skipping it",
-                    sorted(e.witness),
-                )
-                continue
-        else:
-            assert is_safe_set(g, e.witness)
-        elapsed = time.perf_counter() - t0
-        return SolveResult(True, len(e.witness), e.witness, "cw", elapsed)
-    return SolveResult(False, None, None, "cw", time.perf_counter() - t0)
+    best = min(candidates, key=lambda e: (e.selected_total(), sorted(e.witness)), default=None)
+    return verified_result(g, None if best is None else best.witness, "cw", connected, t0)

@@ -199,17 +199,21 @@ def bfs_order(g: Graph, start: int, within_mask: int) -> Iterator[int]:
             queue.append(w)
 
 
-def is_safe_mask(g: Graph, smask: int) -> bool:
-    if smask == 0:
-        return False
+def _larger_neighbor(g: Graph, smask: int, s_comps: list[int]) -> tuple[int, int] | None:
+    """First component of the candidate with a strictly larger adjacent
+    component of the rest, as (component, neighbor) masks; None if none."""
     rest_comps = components_mask(g, g.full_mask() & ~smask)
-    for comp in components_mask(g, smask):
+    for comp in s_comps:
         nbr = neighborhood_mask(g, comp)
         size = comp.bit_count()
         for other in rest_comps:
             if nbr & other and other.bit_count() > size:
-                return False
-    return True
+                return comp, other
+    return None
+
+
+def is_safe_mask(g: Graph, smask: int) -> bool:
+    return smask != 0 and _larger_neighbor(g, smask, components_mask(g, smask)) is None
 
 
 def is_safe_set(g: Graph, s: Iterable[int]) -> bool:
@@ -221,11 +225,7 @@ def is_safe_set(g: Graph, s: Iterable[int]) -> bool:
 def is_connected_safe_set(g: Graph, s: Iterable[int]) -> bool:
     """Verifier for connected safe sets."""
     sm = mask_of(check_vertex_set(g, s))
-    if sm == 0:
-        return False
-    if len(components_mask(g, sm)) != 1:
-        return False
-    return is_safe_mask(g, sm)
+    return len(components_mask(g, sm)) == 1 and is_safe_mask(g, sm)
 
 
 @dataclass(frozen=True)
@@ -261,18 +261,11 @@ def explain_safety(g: Graph, s: Iterable[int], connected: bool = False) -> Safet
             tuple(vertices_of(s_comps[0])),
             tuple(vertices_of(s_comps[1])),
         )
-    rest_comps = components_mask(g, g.full_mask() & ~sm)
-    for comp in s_comps:
-        nbr = neighborhood_mask(g, comp)
-        size = comp.bit_count()
-        for other in rest_comps:
-            if nbr & other and other.bit_count() > size:
-                return SafetyViolation(
-                    "larger-neighbor",
-                    tuple(vertices_of(comp)),
-                    tuple(vertices_of(other)),
-                )
-    return None
+    hit = _larger_neighbor(g, sm, s_comps)
+    if hit is None:
+        return None
+    comp, other = hit
+    return SafetyViolation("larger-neighbor", tuple(vertices_of(comp)), tuple(vertices_of(other)))
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, list[int]]:

@@ -10,19 +10,16 @@ then optimizes the per-class counts with a small exact integer program.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass
 from typing import Literal
 
 from .graph import (
     Graph,
     InputError,
-    components,
-    induced_subgraph,
     is_connected_safe_set,
     is_safe_set,
 )
-from .oracle import SolveResult
+from .oracle import SolveResult, WitnessError, solve_by_component
 
 EMPTY = "empty"
 PARTIAL = "partial"
@@ -351,9 +348,7 @@ def solve_ip(ip: IntegerProgram) -> tuple[int, tuple[int, ...]] | None:
     return best
 
 
-def _component_best(
-    sub: Graph, connected: bool
-) -> tuple[int, frozenset[int]] | None:
+def _component_best(sub: Graph, connected: bool) -> frozenset[int] | None:
     tp = twin_partition(sub)
     sizes = [len(c) for c in tp.classes]
     ordered_classes = [sorted(c) for c in tp.classes]
@@ -379,32 +374,23 @@ def _component_best(
             for i in range(tp.width)
             for v in ordered_classes[i][: assignment[i]]
         )
-        assert len(witness) == value
         ok = (
             is_connected_safe_set(sub, witness)
             if connected
             else is_safe_set(sub, witness)
         )
-        assert ok, "integer program accepted an unsafe witness"
+        if len(witness) != value or not ok:
+            raise WitnessError(
+                f"integer program accepted an unsafe witness {sorted(witness)}"
+            )
         if best is None or (value, sorted(witness)) < (best[0], sorted(best[1])):
             best = (value, witness)
-    return best
+    return None if best is None else best[1]
 
 
 def solve_nd(g: Graph, connected: bool = False) -> SolveResult:
     """Exact minimum (connected) safe set via the twin-class program,
     solved per component."""
-    t0 = time.perf_counter()
-    best: tuple[int, frozenset[int]] | None = None
-    for comp in components(g, g.vertices()):
-        sub, ids = induced_subgraph(g, comp)
-        got = _component_best(sub, connected)
-        if got is None:
-            continue
-        mapped = frozenset(ids[v] for v in got[1])
-        if best is None or (got[0], sorted(mapped)) < (best[0], sorted(best[1])):
-            best = (got[0], mapped)
-    elapsed = time.perf_counter() - t0
-    if best is None:
-        return SolveResult(False, None, None, "nd", elapsed)
-    return SolveResult(True, best[0], best[1], "nd", elapsed)
+    return solve_by_component(
+        g, lambda sub, _bound: _component_best(sub, connected), "nd", connected
+    )

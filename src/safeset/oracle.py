@@ -1,21 +1,23 @@
-"""Brute-force reference solvers.
+"""Brute-force reference solvers, and the verified per-component pipeline
+(``solve_by_component``) that every graph solver runs on.
 
-These are deliberately exhaustive: every other solver in the package is
-cross-checked against them on small instances.  Subsets are scanned by
-cardinality and, within a cardinality, by increasing bitmask value, so the
-reported witness is always the same set.
+The brute-force solvers are deliberately exhaustive: every other solver in
+the package is cross-checked against them on small instances.  Subsets are
+scanned by cardinality and, within a cardinality, by increasing bitmask
+value, so the reported witness is always the same set.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Any, Iterator
 
 from .graph import (
     Graph,
     InputError,
     components_mask,
+    explain_safety,
     induced_subgraph,
     is_safe_mask,
     mask_of,
@@ -32,7 +34,7 @@ class SolveResult:
     """Outcome of a solver run.
 
     When ``feasible`` is true, ``witness`` verifies against the problem's
-    verifier and has exactly ``size`` vertices.
+    verifier and has exactly ``size`` vertices (see ``verified_result``).
     """
 
     feasible: bool
@@ -41,9 +43,50 @@ class SolveResult:
     algorithm: str
     elapsed: float
 
-    def __post_init__(self):
-        if self.feasible:
-            assert self.witness is not None and self.size == len(self.witness)
+
+class WitnessError(RuntimeError):
+    """A solver reported a witness that the verifier rejects."""
+
+
+def verified_result(g: Graph, witness, algorithm: str, connected: bool, t0: float) -> SolveResult:
+    """Verify ``witness`` (None: nothing found) and build the result timed
+    from ``t0``.  A rejected witness raises ``WitnessError``, an explicit
+    check that ``python -O`` keeps."""
+    if witness is None:
+        return SolveResult(False, None, None, algorithm, time.perf_counter() - t0)
+    witness = frozenset(witness)
+    violation = explain_safety(g, witness, connected)
+    if violation is not None:
+        raise WitnessError(f"{algorithm} reported {sorted(witness)}: {violation.describe()}")
+    return SolveResult(True, len(witness), witness, algorithm, time.perf_counter() - t0)
+
+
+def solve_by_component(
+    g: Graph, solve, algorithm: str, connected: bool, limit: int | None = None, order=sorted
+) -> SolveResult:
+    """Best (connected) safe set of ``g``, solved one component at a time.
+
+    A minimum safe set never straddles components: restricting a safe set
+    to one component keeps it safe, and sizes add up.  ``solve(sub, bound)``
+    returns a witness in the ids of a component's induced subgraph, or
+    None; ``bound`` = min(sub.n, limit, best size so far) is the largest
+    size still worth finding.  Witnesses are mapped back to ``g``'s ids,
+    ranked by (size, order(witness)), and the winner is verified.
+    """
+    t0 = time.perf_counter()
+    best: tuple[int, Any, frozenset[int]] | None = None
+    for comp in components_mask(g, g.full_mask()):
+        sub, ids = induced_subgraph(g, vertices_of(comp))
+        bound = sub.n if limit is None else min(sub.n, limit)
+        if best is not None:
+            bound = min(bound, best[0])
+        got = solve(sub, bound)
+        if got is not None:
+            witness = frozenset(ids[v] for v in got)
+            cand = (len(witness), order(witness), witness)
+            if best is None or cand[:2] < best[:2]:
+                best = cand
+    return verified_result(g, None if best is None else best[2], algorithm, connected, t0)
 
 
 def subset_masks_by_size(n: int, lo: int = 1, hi: int | None = None) -> Iterator[int]:
@@ -73,32 +116,19 @@ def _check_cap(g: Graph, cap: int, what: str) -> None:
         )
 
 
-def _min_safe_mask_global(
-    g: Graph, connected: bool, max_size: int | None = None
-) -> tuple[int, int] | None:
-    """Smallest (size, global mask) over safe sets, scanning per component.
+def _first_safe(connected: bool):
+    """Component solver scanning subsets in mask order, so the oracle's ties
+    break on the mask, which the sorted-id mapping preserves."""
 
-    A minimum safe set never straddles components: restricting a safe set to
-    one component keeps it safe, and sizes add up.  Scanning each component
-    separately therefore finds the global minimum, and mapping local masks
-    back through sorted vertex ids preserves the mask ordering.
-    """
-    best: tuple[int, int] | None = None
-    for comp in components_mask(g, g.full_mask()):
-        sub, ids = induced_subgraph(g, vertices_of(comp))
-        limit = sub.n if max_size is None else min(sub.n, max_size)
-        if best is not None:
-            limit = min(limit, best[0])
-        for mask in subset_masks_by_size(sub.n, 1, limit):
+    def solve(sub: Graph, bound: int) -> list[int] | None:
+        for mask in subset_masks_by_size(sub.n, 1, bound):
             if connected and len(components_mask(sub, mask)) != 1:
                 continue
             if is_safe_mask(sub, mask):
-                gmask = mask_of(ids[i] for i in vertices_of(mask))
-                cand = (mask.bit_count(), gmask)
-                if best is None or cand < best:
-                    best = cand
-                break
-    return best
+                return vertices_of(mask)
+        return None
+
+    return solve
 
 
 def safe_number_bf(
@@ -109,26 +139,16 @@ def safe_number_bf(
     With ``max_size`` set, only sets of at most that many vertices are
     scanned; an infeasible result then means none of them is safe.
     """
-    t0 = time.perf_counter()
     _check_cap(g, cap, "safe set brute force")
-    best = _min_safe_mask_global(g, connected=False, max_size=max_size)
-    elapsed = time.perf_counter() - t0
-    if best is None:
-        return SolveResult(False, None, None, "oracle", elapsed)
-    return SolveResult(True, best[0], frozenset(vertices_of(best[1])), "oracle", elapsed)
+    return solve_by_component(g, _first_safe(False), "oracle", False, max_size, mask_of)
 
 
 def connected_safe_number_bf(
     g: Graph, cap: int = DEFAULT_SUBSET_CAP, max_size: int | None = None
 ) -> SolveResult:
     """Exhaustive minimum connected safe set."""
-    t0 = time.perf_counter()
     _check_cap(g, cap, "connected safe set brute force")
-    best = _min_safe_mask_global(g, connected=True, max_size=max_size)
-    elapsed = time.perf_counter() - t0
-    if best is None:
-        return SolveResult(False, None, None, "oracle", elapsed)
-    return SolveResult(True, best[0], frozenset(vertices_of(best[1])), "oracle", elapsed)
+    return solve_by_component(g, _first_safe(True), "oracle", True, max_size, mask_of)
 
 
 def treedepth_bf(g: Graph, cap: int = DEFAULT_TREEDEPTH_CAP) -> int:

@@ -8,7 +8,6 @@ says nothing either way.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from .graph import (
@@ -17,14 +16,13 @@ from .graph import (
     bfs_order,
     components_mask,
     degree,
-    induced_subgraph,
     is_safe_set,
     mask_of,
     max_degree,
     neighborhood_mask,
     vertices_of,
 )
-from .oracle import SolveResult
+from .oracle import SolveResult, solve_by_component
 
 
 def _absorb_component(g: Graph, smask: int, comp: int, want: int) -> int:
@@ -41,17 +39,17 @@ def _absorb_component(g: Graph, smask: int, comp: int, want: int) -> int:
     return chunk
 
 
-def _approx_component(g: Graph, comp: int) -> tuple[int, frozenset[int]]:
-    """Best set found over all guesses of the safe number within one component."""
-    size = comp.bit_count()
+def _approx_component(g: Graph) -> frozenset[int]:
+    """Best set found over all guesses of the safe number in the connected
+    graph g."""
+    comp = g.full_mask()
     best: tuple[int, tuple[int, ...]] | None = None
-    root = (comp & -comp).bit_length() - 1
-    for s in range(1, size + 1):
-        if s + 1 >= size:
+    for s in range(1, g.n + 1):
+        if s + 1 >= g.n:
             smask = comp
         else:
             smask = 0
-            for i, v in enumerate(bfs_order(g, root, comp)):
+            for i, v in enumerate(bfs_order(g, 0, comp)):
                 smask |= 1 << v
                 if i == s:
                     break
@@ -69,7 +67,7 @@ def _approx_component(g: Graph, comp: int) -> tuple[int, frozenset[int]]:
         if best is None or cand < best:
             best = cand
     assert best is not None
-    return best[0], frozenset(best[1])
+    return frozenset(best[1])
 
 
 def approx_safe_set(g: Graph) -> SolveResult:
@@ -83,15 +81,7 @@ def approx_safe_set(g: Graph) -> SolveResult:
     guesses.  Each swallowed block must intersect every safe set of size s,
     which is what caps the total at s(s+1).
     """
-    t0 = time.perf_counter()
-    if g.n == 0:
-        return SolveResult(False, None, None, "approx", time.perf_counter() - t0)
-    best: tuple[int, frozenset[int]] | None = None
-    for comp in components_mask(g, g.full_mask()):
-        cand = _approx_component(g, comp)
-        if best is None or (cand[0], sorted(cand[1])) < (best[0], sorted(best[1])):
-            best = cand
-    return SolveResult(True, best[0], best[1], "approx", time.perf_counter() - t0)
+    return solve_by_component(g, lambda sub, _bound: _approx_component(sub), "approx", False)
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from .graph import (
     is_connected_safe_set,
     neighbors_closed,
 )
+from .oracle import WitnessError
 
 
 @dataclass(frozen=True)
@@ -242,7 +243,8 @@ def ds_forward_certificate(g: Graph, K, output: ReductionOutput) -> frozenset[in
                     continue
                 s.add(choice[(b, j, w)])
         s.add(release[(b, j_star, w_star)])
-    assert len(s) == output.target, (len(s), output.target)
+    if len(s) != output.target:
+        raise WitnessError(f"certificate has {len(s)} vertices, target is {output.target}")
     return frozenset(s)
 
 
@@ -422,6 +424,6 @@ def rbds_forward_certificate(bg: Bigraph, D, output: ReductionOutput) -> frozens
         if len(chosen) >= s:
             break
         chosen.add(extra)
-    assert len(chosen) == s, (len(chosen), s)
-    assert is_connected_safe_set(output.graph, chosen)
+    if len(chosen) != s or not is_connected_safe_set(output.graph, chosen):
+        raise WitnessError(f"certificate {sorted(chosen)} is not a connected safe set of size {s}")
     return frozenset(chosen)

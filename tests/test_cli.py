@@ -9,6 +9,7 @@ from safeset.cli import main
 from safeset.generators import cycle_graph, complete_graph, star_graph
 from safeset.graph import is_connected_safe_set, is_safe_set, validate_path_decomposition
 from safeset.io import decomposition_from_json, format_graph, load_graph
+from safeset.oracle import verified_result
 
 
 @pytest.fixture
@@ -229,3 +230,23 @@ def test_bf_cap_environment_and_flag(run, c8_path, monkeypatch):
     monkeypatch.setenv("SAFESET_BF_CAP", "not-a-number")
     code, _, err = run(["solve", "--algo", "oracle", c8_path])
     assert code == 2 and "SAFESET_BF_CAP" in err
+
+
+def test_solver_crash_exits_3(run, c8_path, monkeypatch):
+    def crash(g, connected=False):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("safeset.cli.solve_nd", crash)
+    code, report, err = run(["solve", "--algo", "nd", c8_path])
+    assert code == 3 and report is None
+    assert err.strip() == "internal error: RecursionError: maximum recursion depth exceeded"
+
+
+def test_unsafe_solver_witness_exits_3(run, c8_path, monkeypatch):
+    def unsafe(g, connected=False):
+        return verified_result(g, {0}, "nd", connected, 0.0)
+
+    monkeypatch.setattr("safeset.cli.solve_nd", unsafe)
+    code, report, err = run(["solve", "--algo", "nd", c8_path])
+    assert code == 3 and report is None
+    assert err.startswith("internal error: WitnessError: nd reported [0]")

@@ -325,7 +325,7 @@ def test_connected_scan_skips_disconnected_summary(caplog):
         res = solve_cw(expr, connected=True)
     assert res.size == 2
     assert is_connected_safe_set(g, res.witness)
-    assert any("disconnected selection" in r.message for r in caplog.records)
+    assert not caplog.records
 
 
 def test_plain_scan_accepts_disconnected_optimum(caplog):

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from safeset.branching import branch_solve
 from safeset.generators import (
     complete_graph,
     cycle_graph,
@@ -18,14 +23,19 @@ from safeset.generators import (
     star_graph,
 )
 from safeset.graph import Graph, InputError, is_connected_safe_set, is_safe_set, max_degree
+from safeset.nd import solve_nd
 from safeset.oracle import (
+    WitnessError,
     connected_safe_number_bf,
     dominating_set_bf,
     safe_number_bf,
+    solve_by_component,
     subset_masks_by_size,
     treedepth_bf,
+    verified_result,
     vertex_cover_bf,
 )
+from safeset.preprocess import approx_safe_set
 
 from reference import ref_safe_number
 
@@ -158,3 +168,66 @@ def test_size_bound_via_safe_number(g):
 def test_oracle_matches_reference_enumeration(g):
     assert safe_number_bf(g).size == ref_safe_number(g)
     assert connected_safe_number_bf(g).size == ref_safe_number(g, connected=True)
+
+
+def test_verified_result_rejects_unsafe_witness():
+    with pytest.raises(WitnessError, match="larger neighbor"):
+        verified_result(path_graph(3), [0], "t", False, 0.0)
+    with pytest.raises(WitnessError, match="splits into components"):
+        verified_result(path_graph(3), [0, 2], "t", True, 0.0)
+    res = verified_result(path_graph(3), [1], "t", True, 0.0)
+    assert res.feasible and res.size == 1 and res.witness == frozenset({1})
+    assert not verified_result(path_graph(3), None, "t", False, 0.0).feasible
+
+
+def test_solve_by_component_passes_bound_and_maps_ids():
+    # two triangles and a pendant pair; ids interleave across components
+    g = Graph(8, [(0, 3), (3, 6), (0, 6), (1, 4), (4, 7), (1, 7), (2, 5)])
+    seen = []
+
+    def solve(sub, bound):
+        seen.append((sub.n, bound))
+        return [0] if sub.n == 2 else [0, 1]
+
+    res = solve_by_component(g, solve, "t", False, limit=2)
+    assert seen == [(3, 2), (3, 2), (2, 2)]
+    assert res.witness == frozenset({2})
+
+
+def test_check_survives_optimized_mode():
+    script = (
+        "from safeset.generators import path_graph\n"
+        "from safeset.oracle import WitnessError, solve_by_component\n"
+        "assert False, 'asserts are live'\n"
+        "try:\n"
+        "    solve_by_component(path_graph(3), lambda sub, b: [0], 't', False)\n"
+        "except WitnessError:\n"
+        "    print('raised')\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout == "raised\n"
+
+
+# Two paths on four vertices with interleaved ids: 4-0-6-3 and 2-1-7-5.
+# The oracle breaks ties between components on the global mask, the other
+# routes on the sorted witness, so the winning component differs.  Under
+# sorted order the oracle would answer {0, 3} (plain) and {0, 4} (connected).
+INTERLEAVED_P4S = Graph(8, [(0, 4), (0, 6), (1, 2), (1, 7), (3, 6), (5, 7)])
+
+
+def test_cross_component_tie_breaks():
+    g = INTERLEAVED_P4S
+    assert safe_number_bf(g).witness == {1, 2}
+    assert connected_safe_number_bf(g).witness == {1, 2}
+    assert solve_nd(g).witness == {4, 6}
+    assert solve_nd(g, connected=True).witness == {3, 6}
+    assert branch_solve(g, 8).witness == {0, 4}
+    assert branch_solve(g, 8, connected=True).witness == {0, 4}
+    assert approx_safe_set(g).witness == {0, 4, 6}
