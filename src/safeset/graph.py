@@ -225,7 +225,8 @@ def is_safe_set(g: Graph, s: Iterable[int]) -> bool:
 def is_connected_safe_set(g: Graph, s: Iterable[int]) -> bool:
     """Verifier for connected safe sets."""
     sm = mask_of(check_vertex_set(g, s))
-    return len(components_mask(g, sm)) == 1 and is_safe_mask(g, sm)
+    s_comps = components_mask(g, sm)
+    return len(s_comps) == 1 and _larger_neighbor(g, sm, s_comps) is None
 
 
 @dataclass(frozen=True)

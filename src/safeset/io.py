@@ -4,7 +4,8 @@ Graph format: a header line ``n m`` followed by exactly m lines ``u v``,
 one per edge, 0-indexed, u != v, each edge listed once.  Blank lines and
 lines starting with ``#`` are ignored anywhere.  Bipartite instances use a
 ``r b m`` header followed by m lines ``i j`` meaning red vertex i is
-adjacent to blue vertex j.
+adjacent to blue vertex j.  Headers above ``MAX_VERTICES`` vertices are
+refused before anything is built for them.
 """
 
 from __future__ import annotations
@@ -15,6 +16,10 @@ from typing import Iterable
 
 from .graph import Graph, PathDecomposition
 from .reductions import Bigraph
+
+
+# Largest vertex count a header may announce (r + b for bipartite input).
+MAX_VERTICES = 1 << 20
 
 
 class FormatError(ValueError):
@@ -41,6 +46,13 @@ def _ints(lineno: int, line: str, count: int) -> list[int]:
         raise FormatError(f"line {lineno}: expected integers, got {line!r}") from None
 
 
+def _check_vertex_count(lineno: int, n: int) -> None:
+    if n > MAX_VERTICES:
+        raise FormatError(
+            f"line {lineno}: header announces {n} vertices, more than {MAX_VERTICES}"
+        )
+
+
 def parse_graph(text: str) -> Graph:
     lines = _content_lines(text)
     if not lines:
@@ -49,6 +61,7 @@ def parse_graph(text: str) -> Graph:
     n, m = _ints(lineno, header, 2)
     if n < 0 or m < 0:
         raise FormatError(f"line {lineno}: negative counts in header")
+    _check_vertex_count(lineno, n)
     body = lines[1:]
     if len(body) != m:
         raise FormatError(
@@ -92,6 +105,7 @@ def parse_bigraph(text: str) -> Bigraph:
     r, b, m = _ints(lineno, header, 3)
     if r < 0 or b < 0 or m < 0:
         raise FormatError(f"line {lineno}: negative counts in header")
+    _check_vertex_count(lineno, r + b)
     body = lines[1:]
     if len(body) != m:
         raise FormatError(
@@ -127,9 +141,14 @@ def decomposition_to_json(pd: PathDecomposition) -> str:
 
 
 def decomposition_from_json(text: str) -> PathDecomposition:
-    data = json.loads(text)
-    if not isinstance(data, list) or not all(isinstance(b, list) for b in data):
-        raise FormatError("decomposition JSON must be a list of vertex lists")
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"line {exc.lineno}: bad decomposition JSON: {exc.msg}") from None
+    if not isinstance(data, list) or not all(
+        isinstance(b, list) and all(type(v) is int for v in b) for b in data
+    ):
+        raise FormatError("decomposition JSON must be a list of lists of integers")
     return PathDecomposition(data)
 
 
@@ -159,6 +178,7 @@ def graph_iso_invariants(g: Graph) -> tuple:
 
 
 __all__ = [
+    "MAX_VERTICES",
     "FormatError",
     "parse_graph",
     "format_graph",

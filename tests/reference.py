@@ -69,3 +69,47 @@ def ref_min_steiner(g: Graph, terminals: set[int], forbidden: set[int]) -> int |
             if len(ref_components(g, cand)) == 1:
                 return size
     return None
+
+
+def ref_bfs(g: Graph, start: int, within: set[int]) -> list[int]:
+    """BFS visit order inside ``within``, neighbors taken in ascending id."""
+    order = [start]
+    seen = {start}
+    head = 0
+    while head < len(order):
+        v = order[head]
+        head += 1
+        for w in sorted(g.neighbors(v)):
+            if w in within and w not in seen:
+                seen.add(w)
+                order.append(w)
+    return order
+
+
+def _ref_approx_in(g: Graph, comp: set[int]) -> tuple[int, tuple[int, ...]]:
+    """Best (size, sorted tuple) over every guess s = 1..|comp|."""
+    best = None
+    for s in range(1, len(comp) + 1):
+        if s + 1 >= len(comp):
+            chosen = set(comp)
+        else:
+            chosen = set(ref_bfs(g, min(comp), comp)[: s + 1])
+            while True:
+                big = [c for c in ref_components(g, comp - chosen) if len(c) > s]
+                if not big:
+                    break
+                target = min(big, key=min)
+                start = min(v for v in target if any(w in chosen for w in g.neighbors(v)))
+                chosen |= set(ref_bfs(g, start, target)[: s + 1])
+        cand = (len(chosen), tuple(sorted(chosen)))
+        if best is None or cand < best:
+            best = cand
+    return best
+
+
+def ref_approx_witness(g: Graph) -> frozenset[int] | None:
+    """The approximation's witness, recomputed from its rules with plain sets
+    and without stopping early: the best component's set by (size, sorted
+    tuple), or None for the empty graph."""
+    cands = [_ref_approx_in(g, comp) for comp in ref_components(g, set(g.vertices()))]
+    return frozenset(min(cands)[1]) if cands else None

@@ -126,6 +126,18 @@ def test_solve_missing_file_is_an_error(run, tmp_path):
     assert code == 2 and "error:" in err
 
 
+def test_oversized_header_is_an_input_error(run, tmp_path):
+    path = tmp_path / "huge.gr"
+    path.write_text("1000000000 0\n")
+    code, report, err = run(["solve", "--algo", "approx", str(path)])
+    assert code == 2 and report is None
+    assert "header announces 1000000000 vertices" in err
+    source = tmp_path / "huge.bg"
+    source.write_text("1000000000 1 0\n")
+    code, _, err = run(["gen", "rbds", "-k", "1", str(source), "-o", str(tmp_path / "h.gr")])
+    assert code == 2 and "header announces" in err
+
+
 def test_witness_round_trips_through_verify(run, c8_path):
     _, report, _ = run(["solve", "--algo", "oracle", "--connected", c8_path])
     listed = ",".join(str(v) for v in report["witness"])

@@ -6,6 +6,7 @@ import pytest
 
 from safeset.generators import cycle_graph, random_connected_graph
 from safeset.io import (
+    MAX_VERTICES,
     FormatError,
     decomposition_from_json,
     decomposition_to_json,
@@ -71,6 +72,26 @@ def test_bigraph_round_trip_and_errors():
 def test_decomposition_json_round_trip():
     pd = PathDecomposition([{0, 1}, {1, 2}])
     assert decomposition_from_json(decomposition_to_json(pd)) == pd
+
+
+def test_decomposition_json_rejects_non_integer_members():
+    for text in ['[[0, 1.5]]', '[[0, "1"]]', '[[true, 1]]', '[[0, null]]', '[[[0]]]']:
+        with pytest.raises(FormatError, match="lists of integers"):
+            decomposition_from_json(text)
+    with pytest.raises(FormatError, match="line 2: bad decomposition JSON"):
+        decomposition_from_json("[[0],\n[1,]]")
+
+
+def test_headers_above_vertex_cap_are_refused():
+    with pytest.raises(FormatError, match="line 1: header announces 1000000000 vertices"):
+        parse_graph("1000000000 0\n")
+    with pytest.raises(FormatError, match="more than"):
+        parse_graph(f"{MAX_VERTICES + 1} 0\n")
+    with pytest.raises(FormatError, match="line 2: header announces"):
+        parse_bigraph("# big\n600000000 600000000 0\n")
+    with pytest.raises(FormatError, match="more than"):
+        parse_bigraph(f"{MAX_VERTICES} 1 0\n")
+    assert parse_bigraph(f"{MAX_VERTICES - 1} 1 0\n").r == MAX_VERTICES - 1
 
 
 def test_vertex_set_from_text():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import safeset.preprocess
 from safeset.generators import (
     all_connected_graphs,
     complete_graph,
@@ -12,9 +13,11 @@ from safeset.generators import (
     random_connected_graph,
     star_graph,
 )
-from safeset.graph import Graph, InputError, is_safe_set
+from safeset.graph import Graph, InputError, components, is_safe_set
 from safeset.oracle import safe_number_bf
 from safeset.preprocess import approx_safe_set, degree_bound_check, highdegree_rule
+
+from reference import ref_approx_witness
 
 
 def test_approx_star_is_tiny():
@@ -61,6 +64,43 @@ def test_approx_bound_exhaustive_small():
             r = approx_safe_set(g)
             assert is_safe_set(g, r.witness)
             assert r.size <= s * (s + 1)
+
+
+def _seeded_graphs(count):
+    rng = random.Random(2024)
+    for i in range(count):
+        n = rng.randint(1, 40)
+        if i % 2:
+            yield random_connected_graph(rng, n, rng.choice([0.0, 0.1, 0.4]))
+        else:
+            p = rng.choice([0.03, 0.06, 0.1, 0.2])
+            yield Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
+def test_approx_matches_set_based_reference():
+    disconnected = 0
+    for g in _seeded_graphs(300):
+        assert approx_safe_set(g).witness == ref_approx_witness(g)
+        disconnected += len(components(g, g.vertices())) > 1
+    assert 100 <= disconnected <= 200
+
+
+@pytest.mark.parametrize(
+    "g",
+    [path_graph(9), cycle_graph(12), random_connected_graph(random.Random(5), 30, 0.1)],
+    ids=["path", "cycle", "random"],
+)
+def test_approx_runs_size_minus_one_guesses(g, monkeypatch):
+    calls = []
+
+    def counting(graph, members):
+        calls.append(len(members))
+        return is_safe_set(graph, members)
+
+    monkeypatch.setattr(safeset.preprocess, "is_safe_set", counting)
+    r = approx_safe_set(g)
+    assert r.size >= 2
+    assert len(calls) == r.size - 1
 
 
 @st.composite
