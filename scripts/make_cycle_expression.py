@@ -24,7 +24,9 @@ def main(argv=None) -> int:
 
     expr = cycle_expression(args.n)
     built, _ = eval_graph(expr)
-    assert built.edges == cycle_graph(args.n).edges
+    if built.edges != cycle_graph(args.n).edges:
+        print(f"error: the expression does not build the {args.n}-cycle", file=sys.stderr)
+        return 1
     with open(args.out, "w") as fh:
         fh.write(format_cexpression(expr))
     print(f"wrote {args.out} ({expr.label_count} labels, {args.n} leaves)")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterator, Union
 
 from .graph import Graph, InputError
-from .io import FormatError
+from .io import MAX_VERTICES, FormatError
 
 # Node classes compare by identity: the same subexpression written twice
 # denotes two different parts of the built graph.
@@ -72,37 +72,48 @@ class CExpression:
     label_count: int
 
 
+def _labels_of(node: Node) -> tuple[int, ...]:
+    """The labels one node names, excluding those of its children."""
+    if isinstance(node, Leaf):
+        return (node.label,)
+    if isinstance(node, Relabel):
+        return (node.source, node.target)
+    if isinstance(node, Join):
+        return (node.first, node.second)
+    return ()
+
+
 def iter_nodes(node: Node) -> Iterator[Node]:
-    """Post-order walk; children are yielded before their parent."""
-    if isinstance(node, DisjointUnion):
-        yield from iter_nodes(node.left)
-        yield from iter_nodes(node.right)
-    elif isinstance(node, (Relabel, Join)):
-        yield from iter_nodes(node.child)
-    yield node
+    """Post-order walk; children are yielded before their parent.
 
-
-def leaf_count(node: Node) -> int:
-    return sum(1 for x in iter_nodes(node) if isinstance(x, Leaf))
+    The walk keeps its own stack, so trees of any depth are fine: it lists
+    the nodes parent first, right child before left, and yields that list
+    backwards.
+    """
+    order: list[Node] = []
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        if isinstance(node, DisjointUnion):
+            stack += (node.left, node.right)
+        elif not isinstance(node, Leaf):
+            stack.append(node.child)
+    yield from reversed(order)
 
 
 def leaf_spans(expr: CExpression) -> dict[Node, tuple[int, int]]:
     """Vertex id range [start, end) owned by each node, leftmost leaf = 0."""
     spans: dict[Node, tuple[int, int]] = {}
-
-    def walk(node: Node, base: int) -> int:
+    leaves = 0
+    for node in iter_nodes(expr.root):
         if isinstance(node, Leaf):
-            spans[node] = (base, base + 1)
-            return base + 1
-        if isinstance(node, DisjointUnion):
-            mid = walk(node.left, base)
-            end = walk(node.right, mid)
+            spans[node] = (leaves, leaves + 1)
+            leaves += 1
+        elif isinstance(node, DisjointUnion):
+            spans[node] = (spans[node.left][0], spans[node.right][1])
         else:
-            end = walk(node.child, base)
-        spans[node] = (base, end)
-        return end
-
-    walk(expr.root, 0)
+            spans[node] = spans[node.child]
     return spans
 
 
@@ -111,18 +122,10 @@ def check_expression(expr: CExpression) -> None:
     if expr.label_count < 1:
         raise InputError("label count must be at least 1")
     for node in iter_nodes(expr.root):
-        if isinstance(node, Leaf):
-            used = (node.label,)
-        elif isinstance(node, Relabel):
-            if node.source == node.target:
-                raise InputError("relabel needs two distinct labels")
-            used = (node.source, node.target)
-        elif isinstance(node, Join):
-            if node.first == node.second:
-                raise InputError("join needs two distinct labels")
-            used = (node.first, node.second)
-        else:
-            used = ()
+        used = _labels_of(node)
+        if len(used) == 2 and used[0] == used[1]:
+            kind = "relabel" if isinstance(node, Relabel) else "join"
+            raise InputError(f"{kind} needs two distinct labels")
         for lab in used:
             if not (1 <= lab <= expr.label_count):
                 raise InputError(
@@ -189,48 +192,53 @@ def _parse_label(stream: _TokenStream) -> tuple[int, int, int]:
     value, line, col = stream.next_int("a label")
     if value < 1:
         raise FormatError(f"line {line}, col {col}: labels are positive, got {value}")
+    # a label is one bit of every summary mask the tree solver builds, and
+    # no graph needs more labels than vertices, so labels share the cap
+    if value > MAX_VERTICES:
+        raise FormatError(f"line {line}, col {col}: label {value} exceeds {MAX_VERTICES}")
     return value, line, col
 
 
+# operator word -> (node class, number of child nodes); every node class
+# takes its labels, then its children, then its position
+_OPERATORS = {"v": (Leaf, 0), "u": (DisjointUnion, 2), "r": (Relabel, 1), "e": (Join, 1)}
+
+
 def _parse_node(stream: _TokenStream) -> Node:
-    op_tok = stream.next("(")
-    head = stream.next()
-    kind, line, col = head
-    pos = (line, col)
-    if kind == "v":
-        label, _, _ = _parse_label(stream)
-        node: Node = Leaf(label, pos)
-    elif kind == "u":
-        left = _parse_node(stream)
-        right = _parse_node(stream)
-        node = DisjointUnion(left, right, pos)
-    elif kind in ("r", "e"):
-        i, iline, icol = _parse_label(stream)
-        j, _, _ = _parse_label(stream)
-        if i == j:
+    """One parenthesised node with everything below it.
+
+    Open nodes wait on an explicit stack as (kind, position, labels,
+    children parsed so far), so nesting depth is not limited by recursion.
+    """
+    stack: list[tuple[str, tuple[int, int], tuple[int, ...], list[Node]]] = []
+    while True:
+        stream.next("(")
+        kind, line, col = stream.next()
+        if kind == "v":
+            labels: tuple[int, ...] = (_parse_label(stream)[0],)
+        elif kind == "u":
+            labels = ()
+        elif kind in ("r", "e"):
+            i, iline, icol = _parse_label(stream)
+            j, _, _ = _parse_label(stream)
+            if i == j:
+                raise FormatError(
+                    f"line {iline}, col {icol}: '{kind}' needs two distinct labels"
+                )
+            labels = (i, j)
+        else:
             raise FormatError(
-                f"line {iline}, col {icol}: '{kind}' needs two distinct labels"
+                f"line {line}, col {col}: unknown operator {kind!r} (expected v, u, r, e)"
             )
-        child = _parse_node(stream)
-        node = Relabel(i, j, child, pos) if kind == "r" else Join(i, j, child, pos)
-    else:
-        raise FormatError(
-            f"line {line}, col {col}: unknown operator {kind!r} (expected v, u, r, e)"
-        )
-    stream.next(")")
-    return node
-
-
-def _labels_used(node: Node) -> int:
-    top = 1
-    for x in iter_nodes(node):
-        if isinstance(x, Leaf):
-            top = max(top, x.label)
-        elif isinstance(x, Relabel):
-            top = max(top, x.source, x.target)
-        elif isinstance(x, Join):
-            top = max(top, x.first, x.second)
-    return top
+        stack.append((kind, (line, col), labels, []))
+        # close every node whose children are all parsed
+        while len(stack[-1][3]) == _OPERATORS[stack[-1][0]][1]:
+            kind, pos, labels, children = stack.pop()
+            stream.next(")")
+            node = _OPERATORS[kind][0](*labels, *children, pos)
+            if not stack:
+                return node
+            stack[-1][3].append(node)
 
 
 def parse_cexpression(text: str) -> CExpression:
@@ -254,7 +262,7 @@ def parse_cexpression(text: str) -> CExpression:
         raise FormatError(
             f"line {trailing[1]}, col {trailing[2]}: trailing input after the expression"
         )
-    top = _labels_used(root)
+    top = max(lab for node in iter_nodes(root) for lab in _labels_of(node))
     if declared is not None and top > declared:
         raise FormatError(f"label {top} exceeds the declared count {declared}")
     return CExpression(root, declared if declared is not None else top)
@@ -262,43 +270,60 @@ def parse_cexpression(text: str) -> CExpression:
 
 def format_cexpression(expr: CExpression) -> str:
     """Canonical one-line rendering with a ``c`` header; round-trips."""
-
-    def render(node: Node) -> str:
-        if isinstance(node, Leaf):
-            return f"(v {node.label})"
-        if isinstance(node, DisjointUnion):
-            return f"(u {render(node.left)} {render(node.right)})"
-        if isinstance(node, Relabel):
-            return f"(r {node.source} {node.target} {render(node.child)})"
-        return f"(e {node.first} {node.second} {render(node.child)})"
-
-    return f"c {expr.label_count}\n{render(expr.root)}\n"
+    parts: list[str] = []
+    # pending nodes and closing text, rendered from the top of the stack
+    stack: list[Node | str] = [expr.root]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+        elif isinstance(item, Leaf):
+            parts.append(f"(v {item.label})")
+        elif isinstance(item, DisjointUnion):
+            parts.append("(u ")
+            stack.extend((")", item.right, " ", item.left))
+        else:
+            op = "r" if isinstance(item, Relabel) else "e"
+            i, j = _labels_of(item)
+            parts.append(f"({op} {i} {j} ")
+            stack.extend((")", item.child))
+    return f"c {expr.label_count}\n{''.join(parts)}\n"
 
 
 # ---------------------------------------------------------------------------
 # evaluation
 
 
-def _evaluate(node: Node, edges: set[tuple[int, int]], base: int) -> list[int]:
-    """Labels of the subtree's vertices; vertex base+k gets entry k."""
-    if isinstance(node, Leaf):
-        return [node.label]
-    if isinstance(node, DisjointUnion):
-        left = _evaluate(node.left, edges, base)
-        right = _evaluate(node.right, edges, base + len(left))
-        return left + right
-    labels = _evaluate(node.child, edges, base)
-    if isinstance(node, Relabel):
-        return [node.target if lab == node.source else lab for lab in labels]
-    for k, lab in enumerate(labels):
-        if lab != node.first:
-            continue
-        u = base + k
-        for k2, lab2 in enumerate(labels):
-            if lab2 == node.second:
-                v = base + k2
-                edges.add((u, v) if u < v else (v, u))
-    return labels
+def _build(expr: CExpression) -> tuple[list[int], set[tuple[int, int]], Join | None]:
+    """Final labels, edges, and the first join that re-adds an edge.
+
+    Vertices are numbered by leaf position, leftmost leaf first.  One label
+    array is updated in place: a relabel or join only touches the vertex
+    span of its own subtree.  The offender is the first such join in
+    evaluation order, or None when every edge is introduced exactly once.
+    """
+    spans = leaf_spans(expr)
+    labels = [0] * spans[expr.root][1]
+    edges: set[tuple[int, int]] = set()
+    offender: Join | None = None
+    # spans are listed in post-order, so children come before parents
+    for node, (start, end) in spans.items():
+        if isinstance(node, Leaf):
+            labels[start] = node.label
+        elif isinstance(node, Relabel):
+            for v in range(start, end):
+                if labels[v] == node.source:
+                    labels[v] = node.target
+        elif isinstance(node, Join):
+            firsts = [v for v in range(start, end) if labels[v] == node.first]
+            seconds = [v for v in range(start, end) if labels[v] == node.second]
+            for u in firsts:
+                for v in seconds:
+                    e = (u, v) if u < v else (v, u)
+                    if offender is None and e in edges:
+                        offender = node
+                    edges.add(e)
+    return labels, edges, offender
 
 
 def eval_graph(expr: CExpression) -> tuple[Graph, list[int]]:
@@ -307,9 +332,8 @@ def eval_graph(expr: CExpression) -> tuple[Graph, list[int]]:
     Vertices are numbered by leaf position, leftmost leaf first; the second
     component is the final label of each vertex.
     """
-    edges: set[tuple[int, int]] = set()
-    labels = _evaluate(expr.root, edges, 0)
-    return Graph(len(labels), sorted(edges)), labels
+    labels, edges, _ = _build(expr)
+    return Graph(len(labels), edges), labels
 
 
 def validate_irredundant(expr: CExpression) -> Join | None:
@@ -318,37 +342,7 @@ def validate_irredundant(expr: CExpression) -> Join | None:
     Returns the first offending join in evaluation order, or None when
     every edge of the built graph is introduced exactly once.
     """
-    edges: set[tuple[int, int]] = set()
-
-    def walk(node: Node, base: int) -> tuple[list[int], Join | None]:
-        if isinstance(node, Leaf):
-            return [node.label], None
-        if isinstance(node, DisjointUnion):
-            left, bad = walk(node.left, base)
-            if bad is not None:
-                return [], bad
-            right, bad = walk(node.right, base + len(left))
-            return left + right, bad
-        labels, bad = walk(node.child, base)
-        if bad is not None:
-            return [], bad
-        if isinstance(node, Relabel):
-            return [node.target if lab == node.source else lab for lab in labels], None
-        for k, lab in enumerate(labels):
-            if lab != node.first:
-                continue
-            u = base + k
-            for k2, lab2 in enumerate(labels):
-                if lab2 == node.second:
-                    v = base + k2
-                    e = (u, v) if u < v else (v, u)
-                    if e in edges:
-                        return labels, node
-                    edges.add(e)
-        return labels, None
-
-    _, bad = walk(expr.root, 0)
-    return bad
+    return _build(expr)[2]
 
 
 def cycle_expression(n: int) -> CExpression:

@@ -12,7 +12,6 @@ concrete witness selection so answers can be verified directly.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -21,15 +20,12 @@ from typing import Iterable, Sequence
 from .cexpr import (
     CExpression,
     DisjointUnion,
-    Join,
     Leaf,
     Node,
     Relabel,
+    _build,
     check_expression,
-    eval_graph,
     iter_nodes,
-    leaf_spans,
-    validate_irredundant,
 )
 from .graph import (
     Graph,
@@ -49,31 +45,41 @@ class DpEntry:
     """Summary of one selection within a subtree's graph.
 
     Maps are keyed by label-set bitmask (bit k stands for label k+1) and
-    store only label sets that actually have components; a missing key
-    reads as the empty aggregate, 0 for totals, +inf for minima and -inf
-    for maxima.  ``witness`` is one selection realizing the summary and is
-    ignored by equality and hashing.
+    store only label sets that actually have components:
+
+    - ``inside``: label set -> (total size, smallest component) of the
+      selected components carrying exactly that label set;
+    - ``outside``: label set -> (total size, largest component) of the
+      unselected ones;
+    - ``pairs``: (selected label set, unselected label set) -> (smallest
+      selected, largest unselected, smallest selected-minus-unselected gap)
+      over adjacent component pairs.
+
+    ``witness`` is one selection realizing the summary and is ignored by
+    equality and hashing.
     """
 
-    inside_size: dict[int, int]
-    outside_size: dict[int, int]
-    inside_min: dict[int, int]
-    outside_max: dict[int, int]
-    adj_inside_min: dict[PairKey, int]
-    adj_outside_max: dict[PairKey, int]
-    adj_diff_min: dict[PairKey, int]
+    inside: dict[int, tuple[int, int]]
+    outside: dict[int, tuple[int, int]]
+    pairs: dict[PairKey, tuple[int, int, int]]
     witness: frozenset[int]
 
     @cached_property
     def signature(self) -> tuple:
+        # column by column, every total ahead of any extreme: the family
+        # order decides which witness each summary keeps (see _dedup), and
+        # the tests pin the witnesses this order yields
+        inside = sorted(self.inside.items())
+        outside = sorted(self.outside.items())
+        pairs = sorted(self.pairs.items())
         return (
-            tuple(sorted(self.inside_size.items())),
-            tuple(sorted(self.outside_size.items())),
-            tuple(sorted(self.inside_min.items())),
-            tuple(sorted(self.outside_max.items())),
-            tuple(sorted(self.adj_inside_min.items())),
-            tuple(sorted(self.adj_outside_max.items())),
-            tuple(sorted(self.adj_diff_min.items())),
+            tuple((m, t) for m, (t, _) in inside),
+            tuple((m, t) for m, (t, _) in outside),
+            tuple((m, s) for m, (_, s) in inside),
+            tuple((m, s) for m, (_, s) in outside),
+            tuple((p, a) for p, (a, _, _) in pairs),
+            tuple((p, b) for p, (_, b, _) in pairs),
+            tuple((p, d) for p, (_, _, d) in pairs),
         )
 
     def __eq__(self, other: object) -> bool:
@@ -84,59 +90,29 @@ class DpEntry:
     def __hash__(self) -> int:
         return hash(self.signature)
 
-    # Sentinel-returning accessors; absence in the sparse maps means the
-    # aggregate ranges over nothing.
-    def inside_total(self, label_mask: int) -> int:
-        return self.inside_size.get(label_mask, 0)
-
-    def outside_total(self, label_mask: int) -> int:
-        return self.outside_size.get(label_mask, 0)
-
-    def smallest_inside(self, label_mask: int) -> float:
-        return self.inside_min.get(label_mask, math.inf)
-
-    def largest_outside(self, label_mask: int) -> float:
-        return self.outside_max.get(label_mask, -math.inf)
-
-    def smallest_adjacent_inside(self, pair: PairKey) -> float:
-        return self.adj_inside_min.get(pair, math.inf)
-
-    def largest_adjacent_outside(self, pair: PairKey) -> float:
-        return self.adj_outside_max.get(pair, -math.inf)
-
-    def smallest_adjacent_gap(self, pair: PairKey) -> float:
-        return self.adj_diff_min.get(pair, math.inf)
-
     def selected_total(self) -> int:
-        return sum(self.inside_size.values())
-
-    def assert_coherent(self) -> None:
-        # totals and minima exist for exactly the same label sets, and the
-        # three pair aggregates always appear together
-        assert set(self.inside_size) == set(self.inside_min)
-        assert set(self.outside_size) == set(self.outside_max)
-        assert set(self.adj_inside_min) == set(self.adj_outside_max) == set(self.adj_diff_min)
-        assert all(v > 0 for v in self.inside_size.values())
-        assert all(v > 0 for v in self.outside_size.values())
+        return sum(t for t, _ in self.inside.values())
 
 
-def _build_entry(
-    inside: dict[int, tuple[int, int]],
-    outside: dict[int, tuple[int, int]],
-    pairs: dict[PairKey, tuple[int, int, int]],
-    witness: frozenset[int],
-) -> DpEntry:
-    """Split (total, extreme) and (min, max, gap) buckets into an entry."""
-    return DpEntry(
-        inside_size={m: t for m, (t, _) in inside.items()},
-        outside_size={m: t for m, (t, _) in outside.items()},
-        inside_min={m: s for m, (_, s) in inside.items()},
-        outside_max={m: s for m, (_, s) in outside.items()},
-        adj_inside_min={p: a for p, (a, _, _) in pairs.items()},
-        adj_outside_max={p: b for p, (_, b, _) in pairs.items()},
-        adj_diff_min={p: d for p, (_, _, d) in pairs.items()},
-        witness=witness,
-    )
+# How two buckets under the same key pool, one rule per map.
+def _pool_inside(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    return (x[0] + y[0], min(x[1], y[1]))
+
+
+def _pool_outside(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    return (x[0] + y[0], max(x[1], y[1]))
+
+
+def _pool_pair(x: tuple[int, int, int], y: tuple[int, int, int]) -> tuple[int, int, int]:
+    return (min(x[0], y[0]), max(x[1], y[1]), min(x[2], y[2]))
+
+
+def _pool_into(into: dict, items: Iterable[tuple], rule) -> dict:
+    """Add (key, bucket) items to ``into``, pooling buckets that share a key."""
+    for key, value in items:
+        old = into.get(key)
+        into[key] = value if old is None else rule(old, value)
+    return into
 
 
 def _dedup(entries: Iterable[DpEntry]) -> list[DpEntry]:
@@ -202,7 +178,7 @@ def definitional_entry(
                 pairs[key] = (min(a, csize), max(b, dsize), min(d, csize - dsize))
             else:
                 pairs[key] = (csize, dsize, csize - dsize)
-    return _build_entry(inside, outside, pairs, frozenset(selected))
+    return DpEntry(inside, outside, pairs, frozenset(selected))
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +190,8 @@ def dp_leaf(label: int, vertex: int = 0) -> list[DpEntry]:
     if label < 1:
         raise InputError("labels are positive")
     m = 1 << (label - 1)
-    skipped = _build_entry({}, {m: (1, 1)}, {}, frozenset())
-    taken = _build_entry({m: (1, 1)}, {}, {}, frozenset({vertex}))
+    skipped = DpEntry({}, {m: (1, 1)}, {}, frozenset())
+    taken = DpEntry({m: (1, 1)}, {}, {}, frozenset({vertex}))
     return _dedup([skipped, taken])
 
 
@@ -223,35 +199,10 @@ def dp_union(left: list[DpEntry], right: list[DpEntry]) -> list[DpEntry]:
     """Side-by-side placement: aggregates combine pointwise, nothing merges."""
 
     def combined(a: DpEntry, b: DpEntry) -> DpEntry:
-        inside_size = dict(a.inside_size)
-        for m, t in b.inside_size.items():
-            inside_size[m] = inside_size.get(m, 0) + t
-        outside_size = dict(a.outside_size)
-        for m, t in b.outside_size.items():
-            outside_size[m] = outside_size.get(m, 0) + t
-        inside_min = dict(a.inside_min)
-        for m, s in b.inside_min.items():
-            inside_min[m] = min(inside_min.get(m, s), s)
-        outside_max = dict(a.outside_max)
-        for m, s in b.outside_max.items():
-            outside_max[m] = max(outside_max.get(m, s), s)
-        adj_inside_min = dict(a.adj_inside_min)
-        for p, s in b.adj_inside_min.items():
-            adj_inside_min[p] = min(adj_inside_min.get(p, s), s)
-        adj_outside_max = dict(a.adj_outside_max)
-        for p, s in b.adj_outside_max.items():
-            adj_outside_max[p] = max(adj_outside_max.get(p, s), s)
-        adj_diff_min = dict(a.adj_diff_min)
-        for p, s in b.adj_diff_min.items():
-            adj_diff_min[p] = min(adj_diff_min.get(p, s), s)
         return DpEntry(
-            inside_size,
-            outside_size,
-            inside_min,
-            outside_max,
-            adj_inside_min,
-            adj_outside_max,
-            adj_diff_min,
+            _pool_into(dict(a.inside), b.inside.items(), _pool_inside),
+            _pool_into(dict(a.outside), b.outside.items(), _pool_outside),
+            _pool_into(dict(a.pairs), b.pairs.items(), _pool_pair),
             a.witness | b.witness,
         )
 
@@ -270,93 +221,58 @@ def dp_relabel(source: int, target: int, child: list[DpEntry]) -> list[DpEntry]:
 
     out = []
     for e in child:
-        inside: dict[int, tuple[int, int]] = {}
-        for m, t in e.inside_size.items():
-            key = remap(m)
-            total, mn = inside.get(key, (0, e.inside_min[m]))
-            inside[key] = (total + t, min(mn, e.inside_min[m]))
-        outside: dict[int, tuple[int, int]] = {}
-        for m, t in e.outside_size.items():
-            key = remap(m)
-            total, mx = outside.get(key, (0, e.outside_max[m]))
-            outside[key] = (total + t, max(mx, e.outside_max[m]))
-        pairs: dict[PairKey, tuple[int, int, int]] = {}
-        for p, a in e.adj_inside_min.items():
-            key = (remap(p[0]), remap(p[1]))
-            b, d = e.adj_outside_max[p], e.adj_diff_min[p]
-            if key in pairs:
-                pa, pb, pd = pairs[key]
-                pairs[key] = (min(pa, a), max(pb, b), min(pd, d))
-            else:
-                pairs[key] = (a, b, d)
-        out.append(_build_entry(inside, outside, pairs, e.witness))
+        inside = _pool_into({}, ((remap(m), v) for m, v in e.inside.items()), _pool_inside)
+        outside = _pool_into({}, ((remap(m), v) for m, v in e.outside.items()), _pool_outside)
+        pairs = _pool_into(
+            {}, (((remap(p), remap(q)), v) for (p, q), v in e.pairs.items()), _pool_pair
+        )
+        out.append(DpEntry(inside, outside, pairs, e.witness))
     return _dedup(out)
+
+
+def _fuse(
+    buckets: dict[int, tuple[int, int]], bit_i: int, bit_j: int
+) -> tuple[dict[int, tuple[int, int]], int | None]:
+    """One side of a join: its buckets after the join, and the fused label set.
+
+    Components whose label set meets {i, j} fuse into one on a side exactly
+    when that side holds both an i-vertex and a j-vertex; the fused
+    component is then the only one in its bucket, so its total is also its
+    extreme.  Without fusion the buckets are returned unchanged with None.
+    """
+    touch = bit_i | bit_j
+    touched = [m for m in buckets if m & touch]
+    if not (any(m & bit_i for m in touched) and any(m & bit_j for m in touched)):
+        return buckets, None
+    out = {m: v for m, v in buckets.items() if not m & touch}
+    fused = 0
+    total = 0
+    for m in touched:
+        fused |= m
+        total += buckets[m][0]
+    out[fused] = (total, total)
+    return out, fused
 
 
 def _join_entry(bit_i: int, bit_j: int, e: DpEntry) -> DpEntry:
     touch = bit_i | bit_j
-    # Components whose label set meets {i, j} fuse into one on a side
-    # exactly when that side holds both an i-vertex and a j-vertex.
-    sel_touched = [m for m in e.inside_size if m & touch]
-    merge_sel = any(m & bit_i for m in sel_touched) and any(m & bit_j for m in sel_touched)
-    out_touched = [m for m in e.outside_size if m & touch]
-    merge_out = any(m & bit_i for m in out_touched) and any(m & bit_j for m in out_touched)
+    inside, fused_in = _fuse(e.inside, bit_i, bit_j)
+    outside, fused_out = _fuse(e.outside, bit_i, bit_j)
 
-    inside: dict[int, tuple[int, int]] = {
-        m: (t, e.inside_min[m]) for m, t in e.inside_size.items() if not m & touch
-    }
-    if merge_sel:
-        fused_sel = 0
-        total = 0
-        for m in sel_touched:
-            fused_sel |= m
-            total += e.inside_size[m]
-        assert fused_sel & bit_i and fused_sel & bit_j
-        inside[fused_sel] = (total, total)
-    else:
-        fused_sel = -1
-        for m in sel_touched:
-            inside[m] = (e.inside_size[m], e.inside_min[m])
-
-    outside: dict[int, tuple[int, int]] = {
-        m: (t, e.outside_max[m]) for m, t in e.outside_size.items() if not m & touch
-    }
-    if merge_out:
-        fused_out = 0
-        total = 0
-        for m in out_touched:
-            fused_out |= m
-            total += e.outside_size[m]
-        assert fused_out & bit_i and fused_out & bit_j
-        outside[fused_out] = (total, total)
-    else:
-        fused_out = -1
-        for m in out_touched:
-            outside[m] = (e.outside_size[m], e.outside_max[m])
-
-    def put(pairs, key, a, b, d):
-        if key in pairs:
-            pa, pb, pd = pairs[key]
-            pairs[key] = (min(pa, a), max(pb, b), min(pd, d))
-        else:
-            pairs[key] = (a, b, d)
-
-    pairs: dict[PairKey, tuple[int, int, int]] = {}
+    items: list[tuple[PairKey, tuple[int, int, int]]] = []
     # carry over existing adjacencies; a fused side re-values to the fused
     # component's size, and the gap is then recomputed from the new sizes
-    for (q1, q2), a in e.adj_inside_min.items():
-        b, d = e.adj_outside_max[(q1, q2)], e.adj_diff_min[(q1, q2)]
-        n1, n2 = q1, q2
+    for (q1, q2), (a, b, d) in e.pairs.items():
+        # the fused mask can coincide with q1 or q2, so track the fusion
+        # itself, not a key change
         revalued = False
-        if merge_sel and q1 & touch:
-            # the fused mask can coincide with q1, so track the fusion
-            # itself, not a key change
-            n1, a, revalued = fused_sel, inside[fused_sel][0], True
-        if merge_out and q2 & touch:
-            n2, b, revalued = fused_out, outside[fused_out][0], True
+        if fused_in is not None and q1 & touch:
+            q1, a, revalued = fused_in, inside[fused_in][0], True
+        if fused_out is not None and q2 & touch:
+            q2, b, revalued = fused_out, outside[fused_out][0], True
         if revalued:
             d = a - b
-        put(pairs, (n1, n2), a, b, d)
+        items.append(((q1, q2), (a, b, d)))
     # new adjacencies: every selected component holding an i-vertex now
     # touches every unselected component holding a j-vertex, and vice versa
     for m1, (_, mn) in inside.items():
@@ -364,9 +280,8 @@ def _join_entry(bit_i: int, bit_j: int, e: DpEntry) -> DpEntry:
             continue
         for m2, (_, mx) in outside.items():
             if (m1 & bit_i and m2 & bit_j) or (m1 & bit_j and m2 & bit_i):
-                put(pairs, (m1, m2), mn, mx, mn - mx)
-
-    return _build_entry(inside, outside, pairs, e.witness)
+                items.append(((m1, m2), (mn, mx, mn - mx)))
+    return DpEntry(inside, outside, _pool_into({}, items, _pool_pair), e.witness)
 
 
 def dp_join(first: int, second: int, child: list[DpEntry]) -> list[DpEntry]:
@@ -379,12 +294,17 @@ def dp_join(first: int, second: int, child: list[DpEntry]) -> list[DpEntry]:
 
 
 def dp_evaluate(expr: CExpression) -> dict[Node, list[DpEntry]]:
-    """Run the program bottom-up; returns the summary family at every node."""
-    spans = leaf_spans(expr)
+    """Run the program bottom-up; returns the summary family at every node.
+
+    Leaves come out of the post-order walk left to right, so counting them
+    numbers the vertices as ``eval_graph`` does.
+    """
     tables: dict[Node, list[DpEntry]] = {}
+    vertex = 0
     for node in iter_nodes(expr.root):
         if isinstance(node, Leaf):
-            tables[node] = dp_leaf(node.label, spans[node][0])
+            tables[node] = dp_leaf(node.label, vertex)
+            vertex += 1
         elif isinstance(node, DisjointUnion):
             tables[node] = dp_union(tables[node.left], tables[node.right])
         elif isinstance(node, Relabel):
@@ -408,23 +328,23 @@ def solve_cw(expr: CExpression, connected: bool = False) -> SolveResult:
     """
     t0 = time.perf_counter()
     check_expression(expr)
-    offender = validate_irredundant(expr)
+    labels, edges, offender = _build(expr)
     if offender is not None:
         where = f" at line {offender.pos[0]}, col {offender.pos[1]}" if offender.pos else ""
         raise InputError(
             f"join of labels {offender.first}, {offender.second}{where} "
             "re-adds an existing edge"
         )
-    g, _ = eval_graph(expr)
+    g = Graph(len(labels), edges)
     root_entries = dp_evaluate(expr)[expr.root]
 
     candidates = []
     for e in root_entries:
         if e.selected_total() < 1:
             continue
-        if any(d < 0 for d in e.adj_diff_min.values()):
+        if any(d < 0 for _, _, d in e.pairs.values()):
             continue
-        if connected and (len(e.inside_size) != 1 or e.inside_min != e.inside_size):
+        if connected and (len(e.inside) != 1 or any(t != s for t, s in e.inside.values())):
             continue
         candidates.append(e)
     best = min(candidates, key=lambda e: (e.selected_total(), sorted(e.witness)), default=None)

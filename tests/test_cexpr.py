@@ -1,6 +1,11 @@
 """Parsing, evaluation, and edge-accounting of construction trees."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from safeset.cexpr import (
     CExpression,
@@ -17,8 +22,9 @@ from safeset.cexpr import (
     parse_cexpression,
     validate_irredundant,
 )
+from safeset.generators import cycle_graph, path_graph
 from safeset.graph import Graph, InputError
-from safeset.io import FormatError
+from safeset.io import MAX_VERTICES, FormatError, load_graph
 
 K2_TEXT = "(e 1 2 (u (v 1) (v 2)))"
 
@@ -29,6 +35,27 @@ NESTED_JOIN_TEXT = (
 )
 
 PATH4_TEXT = "(e 2 3 (u (r 3 2 (r 2 1 (e 2 3 (u (e 1 2 (u (v 1) (v 2))) (v 3))))) (v 3)))"
+
+# a single vertex under 1,200 relabels alternating 1 -> 2 and 2 -> 1, deeper
+# than the interpreter's default recursion limit
+DEEP_CHAIN_DEPTH = 1200
+DEEP_CHAIN_TEXT = (
+    "c 2\n"
+    + "".join("(r 1 2 " if k % 2 == 0 else "(r 2 1 " for k in range(DEEP_CHAIN_DEPTH))
+    + "(v 1)"
+    + ")" * DEEP_CHAIN_DEPTH
+    + "\n"
+)
+
+# arbitrary text, and token soups of the format's own words and integers
+EXPR_TEXTS = st.one_of(
+    st.text(max_size=200),
+    st.lists(
+        st.one_of(st.sampled_from("()vurec"), st.integers().map(str)), max_size=40
+    ).map(" ".join),
+)
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "make_cycle_expression.py"
 
 
 def test_parse_single_leaf():
@@ -86,11 +113,28 @@ def test_parse_rejects_label_beyond_header():
         "",
         "c 0 (v 1)",
         "(u (v 1))",
+        f"(v {MAX_VERTICES + 1})",
+        f"(r 1 {MAX_VERTICES + 1} (v 1))",
     ],
 )
 def test_parse_rejects_malformed_input(text):
     with pytest.raises(FormatError):
         parse_cexpression(text)
+
+
+def test_parse_accepts_largest_label():
+    expr = parse_cexpression(f"(r {MAX_VERTICES} 1 (v {MAX_VERTICES}))")
+    assert expr.label_count == MAX_VERTICES
+    assert eval_graph(expr)[1] == [1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(EXPR_TEXTS)
+def test_parse_fuzz_returns_or_raises_input_errors(text):
+    try:
+        parse_cexpression(text)
+    except (FormatError, InputError):
+        pass
 
 
 def test_parse_errors_carry_positions():
@@ -168,6 +212,22 @@ def test_format_round_trip(text):
     assert eval_graph(again)[0] == eval_graph(expr)[0]
 
 
+def test_deep_relabel_chain_parses_and_evaluates():
+    expr = parse_cexpression(DEEP_CHAIN_TEXT)
+    assert expr.label_count == 2
+    assert len(list(iter_nodes(expr.root))) == DEEP_CHAIN_DEPTH + 1
+    check_expression(expr)
+    assert validate_irredundant(expr) is None
+    assert eval_graph(expr) == (Graph(1), [2])
+    assert format_cexpression(expr) == DEEP_CHAIN_TEXT
+
+
+def test_format_round_trip_of_deep_cycle():
+    expr = cycle_expression(400)
+    again = parse_cexpression(format_cexpression(expr))
+    assert eval_graph(again)[0] == eval_graph(expr)[0] == cycle_graph(400)
+
+
 def test_leaf_spans_cover_contiguous_ranges():
     expr = parse_cexpression(PATH4_TEXT)
     spans = leaf_spans(expr)
@@ -218,3 +278,28 @@ def test_cycle_expression_builds_cycles(n):
 def test_cycle_expression_rejects_tiny_cycles():
     with pytest.raises(InputError):
         cycle_expression(2)
+
+
+def load_script():
+    spec = importlib.util.spec_from_file_location("make_cycle_expression", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_cycle_script_writes_deep_cycle(tmp_path):
+    expr_path, graph_path = tmp_path / "c400.expr", tmp_path / "c400.gr"
+    code = load_script().main(["-n", "400", "-o", str(expr_path), "--graph-out", str(graph_path)])
+    assert code == 0
+    assert load_graph(str(graph_path)) == cycle_graph(400)
+    assert eval_graph(parse_cexpression(expr_path.read_text()))[0] == cycle_graph(400)
+
+
+def test_cycle_script_refuses_wrong_graph(tmp_path, monkeypatch, capsys):
+    script = load_script()
+    monkeypatch.setattr(script, "cycle_graph", path_graph)
+    expr_path = tmp_path / "c5.expr"
+    assert script.main(["-n", "5", "-o", str(expr_path)]) == 1
+    assert not expr_path.exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "does not build the 5-cycle" in err

@@ -3,12 +3,21 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
-from safeset.cexpr import cycle_expression, format_cexpression
+from test_cexpr import DEEP_CHAIN_TEXT, EXPR_TEXTS
+
+from safeset.cexpr import cycle_expression, eval_graph, format_cexpression, parse_cexpression
 from safeset.cli import main
 from safeset.generators import cycle_graph, complete_graph, star_graph
-from safeset.graph import is_connected_safe_set, is_safe_set, validate_path_decomposition
-from safeset.io import decomposition_from_json, format_graph, load_graph
+from safeset.graph import (
+    Graph,
+    InputError,
+    is_connected_safe_set,
+    is_safe_set,
+    validate_path_decomposition,
+)
+from safeset.io import FormatError, decomposition_from_json, format_graph, load_graph
 from safeset.oracle import verified_result
 
 
@@ -86,6 +95,47 @@ def test_solve_cw_rejects_mismatched_expression(run, tmp_path, c8_path):
     assert code == 2
     assert payload is None
     assert "different graph" in err
+
+
+def test_solve_cw_on_deep_expression(run, tmp_path):
+    expr_path, graph_path = tmp_path / "deep.expr", tmp_path / "one.gr"
+    expr_path.write_text(DEEP_CHAIN_TEXT)
+    graph_path.write_text(format_graph(Graph(1)))
+    code, report, err = run(["solve", "--algo", "cw", "--expr", str(expr_path), str(graph_path)])
+    assert code == 0, err
+    assert report["size"] == 1 and report["witness"] == [0]
+
+
+@pytest.mark.parametrize("which", ["expr", "graph"])
+def test_solve_cw_rejects_non_utf8_files(run, tmp_path, which):
+    paths = {"expr": tmp_path / "k1.expr", "graph": tmp_path / "k1.gr"}
+    paths["expr"].write_text("(v 1)")
+    paths["graph"].write_text(format_graph(Graph(1)))
+    paths[which].write_bytes(b"\xff" + paths[which].read_bytes())
+    code, payload, err = run(
+        ["solve", "--algo", "cw", "--expr", str(paths["expr"]), str(paths["graph"])]
+    )
+    assert code == 2 and payload is None
+    assert err.startswith("error:")
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(EXPR_TEXTS)
+def test_solve_cw_fuzzed_expressions_never_crash(run, tmp_path, text):
+    # the graph is the one the text builds whenever it parses, so the solver
+    # runs too; lone surrogates become bytes that are not UTF-8
+    expr_path, graph_path = tmp_path / "fuzz.expr", tmp_path / "fuzz.gr"
+    expr_path.write_bytes(text.encode("utf-8", "surrogatepass"))
+    try:
+        g, _ = eval_graph(parse_cexpression(text))
+    except (FormatError, InputError):
+        g = Graph(1)
+    graph_path.write_text(format_graph(g))
+    code, _, err = run(["solve", "--algo", "cw", "--expr", str(expr_path), str(graph_path)])
+    assert code in (0, 1, 2), err
+    assert "internal error" not in err
 
 
 def test_solve_cw_requires_expression(run, c8_path):
