@@ -12,6 +12,7 @@ import sys
 
 from safeset.cexpr import cycle_expression, eval_graph, format_cexpression
 from safeset.generators import cycle_graph
+from safeset.graph import InputError
 from safeset.io import format_graph
 
 
@@ -22,7 +23,11 @@ def main(argv=None) -> int:
     parser.add_argument("--graph-out", help="also write the cycle in graph format")
     args = parser.parse_args(argv)
 
-    expr = cycle_expression(args.n)
+    try:
+        expr = cycle_expression(args.n)
+    except InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     built, _ = eval_graph(expr)
     if built.edges != cycle_graph(args.n).edges:
         print(f"error: the expression does not build the {args.n}-cycle", file=sys.stderr)

@@ -9,7 +9,8 @@ then optimizes the per-class counts with a small exact integer program.
 
 from __future__ import annotations
 
-import itertools
+import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Literal
 
@@ -32,23 +33,26 @@ class TwinPartition:
 
     Each class is entirely a clique or entirely independent, and adjacency
     between two classes is all-or-nothing, so one representative per class
-    carries the whole structure.
+    carries the whole structure.  ``masks[a]`` has bit ``b`` set when
+    classes ``a`` and ``b`` are adjacent (never bit ``a`` itself).
     """
 
     classes: tuple[frozenset[int], ...]
     kinds: tuple[Literal["clique", "independent"], ...]
-    adjacency: frozenset[tuple[int, int]]
+    masks: tuple[int, ...]
 
     @property
     def width(self) -> int:
         return len(self.classes)
 
     def adjacent(self, a: int, b: int) -> bool:
-        return (min(a, b), max(a, b)) in self.adjacency
+        return self.masks[a] >> b & 1 == 1
 
 
 def _twins(g: Graph, u: int, v: int) -> bool:
-    return g.neighbors(u) - {v} == g.neighbors(v) - {u}
+    # equal open neighborhoods, or equal closed ones (then u, v are adjacent)
+    diff = g.adjacency_mask(u) ^ g.adjacency_mask(v)
+    return not diff or diff == 1 << u | 1 << v
 
 
 def twin_partition(g: Graph) -> TwinPartition:
@@ -60,25 +64,28 @@ def twin_partition(g: Graph) -> TwinPartition:
     """
     reps: list[int] = []
     groups: list[list[int]] = []
+    class_of: list[int] = []
     for v in g.vertices():
         for idx, rep in enumerate(reps):
             if _twins(g, rep, v):
                 groups[idx].append(v)
+                class_of.append(idx)
                 break
         else:
+            class_of.append(len(reps))
             reps.append(v)
             groups.append([v])
     kinds = tuple(
         "clique" if len(grp) >= 2 and g.has_edge(grp[0], grp[1]) else "independent"
         for grp in groups
     )
-    adjacency = frozenset(
-        (a, b)
-        for a in range(len(groups))
-        for b in range(a + 1, len(groups))
-        if g.has_edge(reps[a], reps[b])
-    )
-    return TwinPartition(tuple(frozenset(grp) for grp in groups), kinds, adjacency)
+    masks = []
+    for a, rep in enumerate(reps):
+        mask = 0
+        for u in g.neighbors(rep):
+            mask |= 1 << class_of[u]
+        masks.append(mask & ~(1 << a))
+    return TwinPartition(tuple(frozenset(grp) for grp in groups), kinds, tuple(masks))
 
 
 @dataclass(frozen=True)
@@ -94,26 +101,32 @@ class GuessPartition:
                 raise InputError(f"unknown assignment {a!r}")
 
 
-def valid_guess(tp: TwinPartition, guess: GuessPartition) -> bool:
-    """Partial needs 1 <= count <= size-1, impossible for singletons; the
-    all-avoid guess would make the solution empty."""
-    if len(guess.assignment) != tp.width:
-        return False
-    for cls, a in zip(tp.classes, guess.assignment):
-        if a == PARTIAL and len(cls) < 2:
-            return False
-    return any(a != EMPTY for a in guess.assignment)
+def enumerate_guesses(tp: TwinPartition, bound: Callable[[], float] = lambda: math.inf):
+    """Every guess in product order (per class EMPTY, PARTIAL, FULL; the
+    last class varies fastest) that leaves the solution non-empty, never
+    makes a singleton PARTIAL, and whose floor is below ``bound()``.
 
-
-def enumerate_guesses(tp: TwinPartition):
+    The floor -- full-class sizes plus one per partial class -- is the
+    smallest solution a guess allows, and it only grows as a prefix is
+    extended, so a prefix whose floor reaches ``bound()`` is dropped with
+    every guess under it.  ``bound()`` is read again at every step, so a
+    caller may lower it between guesses.
+    """
     options = [
-        (EMPTY, PARTIAL, FULL) if len(cls) >= 2 else (EMPTY, FULL)
+        ((EMPTY, 0), (PARTIAL, 1), (FULL, len(cls))) if len(cls) >= 2
+        else ((EMPTY, 0), (FULL, 1))
         for cls in tp.classes
     ]
-    for combo in itertools.product(*options):
-        g = GuessPartition(combo)
-        if valid_guess(tp, g):
-            yield g
+    stack: list[tuple[tuple[str, ...], int]] = [((), 0)]
+    while stack:
+        prefix, floor = stack.pop()
+        if floor >= bound():
+            continue
+        if len(prefix) == tp.width:
+            if floor:  # only the all-EMPTY guess has floor 0
+                yield GuessPartition(prefix)
+            continue
+        stack.extend((prefix + (a,), floor + f) for a, f in reversed(options[len(prefix)]))
 
 
 def build_families(
@@ -127,29 +140,30 @@ def build_families(
     (its "singleton-type" classes are returned separately).
     """
     if side == "s":
-        present = [i for i, a in enumerate(guess.assignment) if a != EMPTY]
+        absent = EMPTY
     elif side == "complement":
-        present = [i for i, a in enumerate(guess.assignment) if a != FULL]
+        absent = FULL
     else:
         raise InputError(f"unknown side {side!r}")
-    present_set = set(present)
+    rest = 0
+    for i, a in enumerate(guess.assignment):
+        if a != absent:
+            rest |= 1 << i
     families: list[frozenset[int]] = []
     singletons: list[int] = []
-    seen: set[int] = set()
-    for i in present:
-        if i in seen:
-            continue
-        block = {i}
-        queue = [i]
-        while queue:
-            a = queue.pop()
-            for b in present_set:
-                if b not in block and tp.adjacent(a, b):
-                    block.add(b)
-                    queue.append(b)
-        seen |= block
-        if len(block) >= 2 or tp.kinds[i] == "clique":
-            families.append(frozenset(block))
+    while rest:
+        first = rest & -rest
+        block = frontier = first
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            grown = tp.masks[low.bit_length() - 1] & rest & ~block
+            block |= grown
+            frontier |= grown
+        rest &= ~block
+        i = first.bit_length() - 1
+        if block != first or tp.kinds[i] == "clique":
+            families.append(frozenset(j for j in range(i, tp.width) if block >> j & 1))
         else:
             singletons.append(i)
     return families, singletons
@@ -157,10 +171,11 @@ def build_families(
 
 @dataclass(frozen=True)
 class Constraint:
-    """Bounded linear form: lo <= sum(coeffs * vars) <= hi, either side
-    optional."""
+    """Bounded linear form: lo <= sum(c * x[v] for v, c in terms) <= hi,
+    either side optional.  Variables missing from ``terms`` have
+    coefficient 0."""
 
-    coeffs: tuple[int, ...]
+    terms: tuple[tuple[int, int], ...]
     lo: int | None = None
     hi: int | None = None
 
@@ -189,77 +204,55 @@ def assemble_ip(
     single-vertex neighbors.
     """
     k = tp.width
-    sizes = [len(c) for c in tp.classes]
-    if connected:
-        # the solution side must form exactly one component in total
-        if families_s and (len(families_s) > 1 or singletons_s):
-            return None
-        if not families_s and len(singletons_s) != 1:
-            return None
-
-    nvars = k + len(families_s) + len(families_co)
+    # the connected solution side must form exactly one component in total
+    if connected and len(families_s) + len(singletons_s) != 1:
+        return None
     bounds: list[tuple[int, int]] = []
-    for i, a in enumerate(guess.assignment):
-        if a == EMPTY:
-            bounds.append((0, 0))
-        elif a == FULL:
-            bounds.append((sizes[i], sizes[i]))
-        else:
-            bounds.append((1, sizes[i] - 1))
-
-    def blank() -> list[int]:
-        return [0] * nvars
+    for cls, a in zip(tp.classes, guess.assignment):
+        size = len(cls)
+        bounds.append((0, 0) if a == EMPTY else (size, size) if a == FULL else (1, size - 1))
 
     constraints: list[Constraint] = []
-    y_index: dict[int, int] = {}
+    reach_s: list[int] = []  # classes in or next to each solution-side block
     for j, fam in enumerate(families_s):
-        var = k + j
-        y_index[j] = var
-        lo = sum(bounds[i][0] for i in fam)
-        hi = sum(bounds[i][1] for i in fam)
-        bounds.append((lo, hi))
-        coeffs = blank()
-        coeffs[var] = -1
+        lo = hi = reach = 0
+        terms = []
         for i in fam:
-            coeffs[i] = 1
-        constraints.append(Constraint(tuple(coeffs), 0, 0))
-    z_index: dict[int, int] = {}
+            lo += bounds[i][0]
+            hi += bounds[i][1]
+            reach |= tp.masks[i] | 1 << i
+            terms.append((i, 1))
+        terms.append((k + j, -1))
+        reach_s.append(reach)
+        bounds.append((lo, hi))
+        constraints.append(Constraint(tuple(terms), 0, 0))
+    z0 = k + len(families_s)
+    co_masks: list[int] = []
     for h, fam in enumerate(families_co):
-        var = k + len(families_s) + h
-        z_index[h] = var
-        total = sum(sizes[i] for i in fam)
-        lo = total - sum(bounds[i][1] for i in fam)
-        hi = total - sum(bounds[i][0] for i in fam)
-        bounds.append((lo, hi))
-        coeffs = blank()
-        coeffs[var] = 1
+        total = lo = hi = mask = 0
+        terms = []
         for i in fam:
-            coeffs[i] = 1
-        constraints.append(Constraint(tuple(coeffs), total, total))
+            total += len(tp.classes[i])
+            lo += bounds[i][0]
+            hi += bounds[i][1]
+            mask |= 1 << i
+            terms.append((i, 1))
+        terms.append((z0 + h, 1))
+        co_masks.append(mask)
+        bounds.append((total - hi, total - lo))
+        constraints.append(Constraint(tuple(terms), total, total))
 
-    def touching(block_a: frozenset[int], block_b: frozenset[int]) -> bool:
-        if block_a & block_b:
-            return True
-        return any(tp.adjacent(a, b) for a in block_a for b in block_b)
-
-    for j, fam_s in enumerate(families_s):
-        for h, fam_co in enumerate(families_co):
-            if touching(fam_s, fam_co):
-                coeffs = blank()
-                coeffs[y_index[j]] = 1
-                coeffs[z_index[h]] = -1
-                constraints.append(Constraint(tuple(coeffs), 0, None))
+    for j, reach in enumerate(reach_s):
+        for h, mask in enumerate(co_masks):
+            if reach & mask:
+                constraints.append(Constraint(((k + j, 1), (z0 + h, -1)), 0, None))
     for i in singletons_s:
-        for h, fam_co in enumerate(families_co):
-            if touching(frozenset({i}), fam_co):
-                coeffs = blank()
-                coeffs[z_index[h]] = 1
-                constraints.append(Constraint(tuple(coeffs), None, 1))
+        reach = tp.masks[i] | 1 << i
+        for h, mask in enumerate(co_masks):
+            if reach & mask:
+                constraints.append(Constraint(((z0 + h, 1),), None, 1))
     if connected and not families_s:
-        lone = singletons_s[0]
-        coeffs = blank()
-        coeffs[lone] = 1
-        constraints.append(Constraint(tuple(coeffs), 1, 1))
+        constraints.append(Constraint(((singletons_s[0], 1),), 1, 1))
 
     objective = tuple([1] * k + [0] * (len(families_s) + len(families_co)))
     return IntegerProgram(tuple(bounds), tuple(constraints), objective)
@@ -274,34 +267,38 @@ def _propagate(
     while changed:
         changed = False
         for con in constraints:
+            c_lo, c_hi = con.lo, con.hi
             lo_sum = 0
             hi_sum = 0
-            for c, (lo, hi) in zip(con.coeffs, bounds):
+            for v, c in con.terms:
+                lo, hi = bounds[v]
                 if c >= 0:
                     lo_sum += c * lo
                     hi_sum += c * hi
                 else:
                     lo_sum += c * hi
                     hi_sum += c * lo
-            if con.lo is not None and hi_sum < con.lo:
+            if c_lo is not None and hi_sum < c_lo:
                 return False
-            if con.hi is not None and lo_sum > con.hi:
+            if c_hi is not None and lo_sum > c_hi:
                 return False
-            for v, c in enumerate(con.coeffs):
+            if (c_hi is None or hi_sum <= c_hi) and (c_lo is None or lo_sum >= c_lo):
+                continue  # holds everywhere in the box, so it narrows nothing
+            for v, c in con.terms:
                 if c == 0:
                     continue
                 lo, hi = bounds[v]
                 rest_lo = lo_sum - (c * lo if c > 0 else c * hi)
                 rest_hi = hi_sum - (c * hi if c > 0 else c * lo)
                 new_lo, new_hi = lo, hi
-                if con.hi is not None:
-                    room = con.hi - rest_lo  # c*x <= room
+                if c_hi is not None:
+                    room = c_hi - rest_lo  # c*x <= room
                     if c > 0:
                         new_hi = min(new_hi, room // c)
                     else:
                         new_lo = max(new_lo, -((-room) // c))
-                if con.lo is not None:
-                    need = con.lo - rest_hi  # c*x >= need
+                if c_lo is not None:
+                    need = c_lo - rest_hi  # c*x >= need
                     if c > 0:
                         new_lo = max(new_lo, -((-need) // c))
                     else:
@@ -350,17 +347,12 @@ def solve_ip(ip: IntegerProgram) -> tuple[int, tuple[int, ...]] | None:
 
 def _component_best(sub: Graph, connected: bool) -> frozenset[int] | None:
     tp = twin_partition(sub)
-    sizes = [len(c) for c in tp.classes]
     ordered_classes = [sorted(c) for c in tp.classes]
     best: tuple[int, frozenset[int]] | None = None
-    for guess in enumerate_guesses(tp):
-        floor = sum(
-            sizes[i] if a == FULL else (1 if a == PARTIAL else 0)
-            for i, a in enumerate(guess.assignment)
-        )
-        if best is not None and floor >= best[0]:
-            continue
+    for guess in enumerate_guesses(tp, lambda: math.inf if best is None else best[0]):
         fam_s, single_s = build_families(tp, guess, "s")
+        if connected and len(fam_s) + len(single_s) != 1:
+            continue  # assemble_ip would reject it
         fam_co, single_co = build_families(tp, guess, "complement")
         ip = assemble_ip(tp, guess, fam_s, fam_co, single_s, single_co, connected)
         if ip is None:

@@ -303,3 +303,12 @@ def test_cycle_script_refuses_wrong_graph(tmp_path, monkeypatch, capsys):
     assert not expr_path.exists()
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "does not build the 5-cycle" in err
+
+
+@pytest.mark.parametrize("n", [-1, 0, 2])
+def test_cycle_script_refuses_short_cycles(tmp_path, capsys, n):
+    expr_path = tmp_path / "short.expr"
+    assert load_script().main(["-n", str(n), "-o", str(expr_path)]) == 1
+    assert not expr_path.exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and "at least 3" in err

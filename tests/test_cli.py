@@ -4,6 +4,7 @@ import json
 
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from test_cexpr import DEEP_CHAIN_TEXT, EXPR_TEXTS
 
@@ -17,7 +18,13 @@ from safeset.graph import (
     is_safe_set,
     validate_path_decomposition,
 )
-from safeset.io import FormatError, decomposition_from_json, format_graph, load_graph
+from safeset.io import (
+    MAX_VERTICES,
+    FormatError,
+    decomposition_from_json,
+    format_graph,
+    load_graph,
+)
 from safeset.oracle import verified_result
 
 
@@ -134,6 +141,47 @@ def test_solve_cw_fuzzed_expressions_never_crash(run, tmp_path, text):
         g = Graph(1)
     graph_path.write_text(format_graph(g))
     code, _, err = run(["solve", "--algo", "cw", "--expr", str(expr_path), str(graph_path)])
+    assert code in (0, 1, 2), err
+    assert "internal error" not in err
+
+
+# arbitrary text, and token soups of header and edge lines: mostly small
+# integers, so that many soups parse and reach the solver, mixed with
+# tokens the format refuses or that int() reads in unexpected ways
+GRAPH_TOKENS = st.one_of(
+    st.integers(min_value=-2, max_value=12).map(str),
+    st.sampled_from(["#", "x", "1.5", "0x3", "1_0", "\u0663", "-0", str(MAX_VERTICES + 1), str(2**70)]),
+)
+EDGES = st.lists(
+    st.tuples(st.integers(0, 11), st.integers(0, 11)).filter(lambda e: e[0] != e[1]),
+    max_size=14,
+    unique_by=frozenset,
+)
+
+
+@st.composite
+def graph_soups(draw):
+    body = [f"{u} {v}" for u, v in draw(EDGES)]
+    if draw(st.booleans()):
+        junk = draw(st.lists(GRAPH_TOKENS, max_size=4).map(" ".join))
+        body.insert(draw(st.integers(0, len(body))), junk)
+    n = draw(st.one_of(st.just("12"), GRAPH_TOKENS))
+    m = draw(st.one_of(st.just(str(len(body))), GRAPH_TOKENS))
+    return "\n".join([f"{n} {m}", *body])
+
+
+GRAPH_TEXTS = st.one_of(st.text(max_size=200), graph_soups())
+
+
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(GRAPH_TEXTS, st.booleans())
+def test_solve_nd_fuzzed_graphs_never_crash(run, tmp_path, text, connected):
+    graph_path = tmp_path / "fuzz.gr"
+    graph_path.write_bytes(text.encode("utf-8", "surrogatepass"))
+    argv = ["solve", "--algo", "nd", str(graph_path)]
+    code, _, err = run(argv + ["--connected"] if connected else argv)
     assert code in (0, 1, 2), err
     assert "internal error" not in err
 

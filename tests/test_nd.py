@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -14,7 +15,13 @@ from safeset.generators import (
     random_connected_graph,
     star_graph,
 )
-from safeset.graph import Graph, InputError, is_connected_safe_set, is_safe_set
+from safeset.branching import branch_solve
+from safeset.graph import (
+    Graph,
+    InputError,
+    explain_safety,
+    is_safe_set,
+)
 from safeset.nd import (
     EMPTY,
     FULL,
@@ -28,7 +35,6 @@ from safeset.nd import (
     solve_ip,
     solve_nd,
     twin_partition,
-    valid_guess,
 )
 from safeset.oracle import (
     connected_safe_number_bf,
@@ -106,9 +112,61 @@ def test_guess_enumeration_skips_impossible():
     guesses = list(enumerate_guesses(tp))
     assert [g.assignment for g in guesses] == [(PARTIAL,), (FULL,)]
     tp2 = twin_partition(path_graph(2))  # one clique class of size 2
-    assert all(valid_guess(tp2, g) for g in enumerate_guesses(tp2))
+    assert [g.assignment for g in enumerate_guesses(tp2)] == [(PARTIAL,), (FULL,)]
     with pytest.raises(InputError):
         GuessPartition(("nonsense",))
+
+
+def _floor(tp, assignment):
+    return sum(
+        len(cls) if a == FULL else int(a == PARTIAL)
+        for cls, a in zip(tp.classes, assignment)
+    )
+
+
+def _product_walk(tp):
+    """The unpruned walk: every valid guess in itertools.product order."""
+    options = [
+        (EMPTY, PARTIAL, FULL) if len(cls) >= 2 else (EMPTY, FULL)
+        for cls in tp.classes
+    ]
+    return [c for c in itertools.product(*options) if any(a != EMPTY for a in c)]
+
+
+WALK_GRAPHS = [
+    complete_bipartite_graph(2, 3),
+    path_graph(5),
+    star_graph(4),
+    Graph(6, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 5), (4, 5)]),
+    random_connected_graph(random.Random(3), 8, 0.4),
+]
+
+
+@pytest.mark.parametrize("g", WALK_GRAPHS)
+def test_pruned_walk_is_the_product_order_subsequence(g):
+    tp = twin_partition(g)
+    walk = _product_walk(tp)
+    assert [x.assignment for x in enumerate_guesses(tp)] == walk
+    for bound in range(g.n + 2):
+        got = [x.assignment for x in enumerate_guesses(tp, lambda b=bound: b)]
+        assert got == [c for c in walk if _floor(tp, c) < bound]
+
+
+@pytest.mark.parametrize("g", WALK_GRAPHS)
+def test_pruned_walk_rereads_a_falling_bound(g):
+    # lower the bound after each guess, as _component_best does
+    tp = twin_partition(g)
+    limit = math.inf
+    got = []
+    for guess in enumerate_guesses(tp, lambda: limit):
+        got.append(guess.assignment)
+        limit = min(limit, _floor(tp, guess.assignment) + 1)
+    want, limit = [], math.inf
+    for c in _product_walk(tp):
+        if _floor(tp, c) < limit:
+            want.append(c)
+            limit = min(limit, _floor(tp, c) + 1)
+    assert got == want
 
 
 def test_build_families_bipartite_both_partial():
@@ -149,7 +207,7 @@ def test_solve_ip_unconstrained():
 def test_solve_ip_detects_infeasibility():
     ip = IntegerProgram(
         ((0, 3), (0, 3)),
-        (Constraint((1, 1), 5, None), Constraint((1, 0), None, 1)),
+        (Constraint(((0, 1), (1, 1)), 5, None), Constraint(((0, 1),), None, 1)),
         (1, 1),
     )
     assert solve_ip(ip) is None
@@ -159,7 +217,10 @@ def test_solve_ip_equalities():
     # y tied to x + z, minimize x + z subject to y >= 4
     ip = IntegerProgram(
         ((0, 5), (0, 10), (0, 5)),
-        (Constraint((1, -1, 1), 0, 0), Constraint((0, 1, 0), 4, None)),
+        (
+            Constraint(((0, 1), (1, -1), (2, 1)), 0, 0),
+            Constraint(((1, 1),), 4, None),
+        ),
         (1, 0, 1),
     )
     got = solve_ip(ip)
@@ -255,3 +316,106 @@ def test_nd_bounded_by_vertex_cover(n, seed):
     nd = twin_partition(g).width
     vc = vertex_cover_bf(g)
     assert nd <= 2**vc + vc
+
+
+def _multipartite(parts):
+    """Complete multipartite graph with the given part sizes."""
+    blocks, edges, off = [], [], 0
+    for p in parts:
+        blocks.append(range(off, off + p))
+        off += p
+    for a, b in itertools.combinations(blocks, 2):
+        edges += [(u, v) for u in a for v in b]
+    return Graph(off, edges)
+
+
+def _split(clique, attach):
+    """Clique 0..clique-1 plus one independent vertex per entry of
+    ``attach``, joined to the listed clique vertices."""
+    edges = list(itertools.combinations(range(clique), 2))
+    for i, nbrs in enumerate(attach):
+        edges += [(clique + i, u) for u in nbrs]
+    return Graph(clique + len(attach), edges)
+
+
+# solve_nd witnesses, (plain, connected).  Ties between equally small sets
+# are broken by the guess order, so these pin that order too.
+PINNED_RANDOM = {  # (seed, n, extra) of random_connected_graph
+    (0, 10, 0.15): ([6, 7, 8, 9], [6, 7, 8, 9]),
+    (1, 11, 0.4): ([2, 5, 6, 7, 10], [2, 5, 6, 7, 10]),
+    (2, 12, 0.4): ([0, 2, 3, 7], [0, 2, 3, 7]),
+    (3, 10, 0.15): ([1, 3, 5, 9], [1, 3, 5, 9]),
+    (4, 11, 0.7): ([0, 3, 5, 7, 9], [0, 3, 5, 7, 9]),
+    (5, 12, 0.7): ([6, 7, 8, 9, 10, 11], [6, 7, 8, 9, 10, 11]),
+    (6, 10, 0.15): ([2, 8, 9], [2, 8, 9]),
+    (7, 11, 0.4): ([5, 6, 8, 9, 10], [5, 6, 8, 9, 10]),
+    (8, 12, 0.4): ([1, 5, 7, 8, 11], [1, 5, 7, 8, 11]),
+    (9, 10, 0.15): ([3, 7, 8, 9], [3, 7, 8, 9]),
+    (10, 11, 0.7): ([3, 6, 7, 8, 9], [3, 6, 7, 8, 9]),
+    (11, 12, 0.7): ([6, 7, 8, 9, 10, 11], [6, 7, 8, 9, 10, 11]),
+    (12, 10, 0.15): ([6, 7, 8, 9], [6, 7, 8, 9]),
+    (13, 11, 0.4): ([3, 6, 7, 8, 9], [3, 6, 7, 8, 9]),
+    (14, 12, 0.4): ([0, 2, 4, 5, 7], [0, 2, 4, 5, 7]),
+    (15, 10, 0.15): ([6, 7, 8, 9], [6, 7, 8, 9]),
+    (16, 11, 0.7): ([1, 3, 5, 7, 9], [1, 3, 5, 7, 9]),
+    (17, 12, 0.7): ([6, 7, 8, 9, 10, 11], [6, 7, 8, 9, 10, 11]),
+    (18, 10, 0.15): ([4, 6], [4, 6]),
+    (19, 11, 0.4): ([3, 6, 7, 9, 10], [3, 6, 7, 9, 10]),
+}
+PINNED_BIPARTITE = {  # (a, b) of complete_bipartite_graph
+    (1, 3): ([0], [0]),
+    (2, 2): ([2, 3], [0, 2]),
+    (2, 3): ([0, 1], [0, 2, 3]),
+    (3, 3): ([0, 3, 4], [0, 3, 4]),
+    (2, 5): ([0, 1], [0, 1, 2]),
+    (4, 4): ([0, 4, 5, 6], [0, 4, 5, 6]),
+    (3, 6): ([0, 1, 2], [0, 1, 2, 3]),
+}
+PINNED_MULTIPARTITE = {  # part sizes
+    (2, 2, 2): ([2, 4, 5], [2, 4, 5]),
+    (1, 2, 3): ([0, 3, 4], [0, 3, 4]),
+    (3, 3, 1): ([0, 1, 3, 4], [0, 1, 3, 4]),
+    (2, 3, 4): ([0, 1, 2, 5, 6], [0, 1, 2, 5, 6]),
+    (1, 1, 4, 4): ([0, 1, 2, 3, 4], [0, 1, 2, 3, 4]),
+}
+PINNED_SPLIT = {  # (clique, attach) of _split
+    (3, ((0,), (0,), (1, 2), (1, 2))): ([1, 2, 5], [1, 2, 5]),
+    (4, ((0, 1), (0, 1), (0, 1), (2,), (3,))): ([0, 1, 3], [0, 1, 3]),
+    (2, ((0,), (0,), (0,), (1,), (1,))): ([0, 1], [0, 1]),
+    (5, ((0, 1, 2), (0, 1, 2), (3, 4), (3, 4), (4,))): ([0, 1, 3, 4], [0, 1, 3, 4]),
+}
+
+
+def test_nd_witnesses_are_pinned():
+    cases = [
+        (random_connected_graph(random.Random(seed), n, extra), want)
+        for (seed, n, extra), want in PINNED_RANDOM.items()
+    ]
+    cases += [(complete_bipartite_graph(*ab), w) for ab, w in PINNED_BIPARTITE.items()]
+    cases += [(_multipartite(p), w) for p, w in PINNED_MULTIPARTITE.items()]
+    cases += [(_split(*key), w) for key, w in PINNED_SPLIT.items()]
+    for g, (plain, conn) in cases:
+        assert sorted(solve_nd(g).witness) == plain
+        assert sorted(solve_nd(g, connected=True).witness) == conn
+
+
+# Beyond the n <= 8 corpora: (seed, n, extra) of random_connected_graph.
+# branch's cost grows steeply with the optimum (an n=12 graph at extra 0.7
+# has optimum 6 and takes about 2 s), so n=12 stops at extra 0.4.
+BEYOND_EIGHT = [
+    (1000, 10, 0.15), (1001, 10, 0.4), (1002, 10, 0.7), (1003, 10, 0.7),
+    (1004, 11, 0.15), (1005, 11, 0.4), (1006, 11, 0.7), (1007, 11, 0.4),
+    (1008, 12, 0.15), (1009, 12, 0.4), (1010, 12, 0.15), (1011, 12, 0.4),
+]
+
+
+@pytest.mark.parametrize("seed,n,extra", BEYOND_EIGHT)
+@pytest.mark.parametrize("connected", [False, True])
+def test_nd_and_branch_match_oracle_beyond_eight(seed, n, extra, connected):
+    g = random_connected_graph(random.Random(seed), n, extra)
+    oracle = connected_safe_number_bf(g) if connected else safe_number_bf(g)
+    nd = solve_nd(g, connected=connected)
+    branch = branch_solve(g, oracle.size, connected=connected)
+    assert nd.size == branch.size == oracle.size
+    assert explain_safety(g, nd.witness, connected) is None
+    assert explain_safety(g, branch.witness, connected) is None
