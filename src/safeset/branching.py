@@ -34,7 +34,6 @@ class BranchState:
 
     sets: tuple[frozenset[int], ...]
     targets: tuple[int, ...]
-    depth: int = 0
 
     def union(self) -> frozenset[int]:
         out: frozenset[int] = frozenset()
@@ -46,7 +45,7 @@ class BranchState:
         new_sets = tuple(
             s | {w} if j == i else s for j, s in enumerate(self.sets)
         )
-        return BranchState(new_sets, self.targets, self.depth + 1)
+        return BranchState(new_sets, self.targets)
 
 
 def _shortest_path_sets(g: Graph, allowed: frozenset[int]) -> dict[int, dict[int, frozenset[int]]]:
@@ -247,18 +246,38 @@ def _partitions(s: int, cap: int | None = None) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def _search(g: Graph, state: BranchState, total: int, connected: bool) -> frozenset[int] | None:
+def _search(
+    g: Graph, state: BranchState, total: int, connected: bool, failed: set
+) -> frozenset[int] | None:
+    """First solution under ``state`` in depth-first order, or None.
+
+    The outcome depends on ``g``, ``connected`` and the state's targets and
+    sets alone (``total`` is the sum of the targets), and the targets are
+    those of the search's root, so a state whose sets are recorded in
+    ``failed`` fails again and is skipped; skipping it keeps the order in
+    which the remaining states are searched, and with it the witness.
+    A state is recorded as one int holding the mask of each set in turn.
+    """
+    key = 0
+    for s in state.sets:
+        key = key << g.n | mask_of(s)
+    if key in failed:
+        return None
     prob = find_problematic(g, state, total)
     if prob is None:
-        return _complete_leaf(g, state, connected)
-    u, m = prob
-    for w in _expand_ordered(g, u, m, state.union()):
-        for i in range(len(state.sets)):
-            if len(state.sets[i]) + 1 > state.targets[i]:
-                continue
-            got = _search(g, state.place(w, i), total, connected)
-            if got is not None:
-                return got
+        got = _complete_leaf(g, state, connected)
+        if got is not None:
+            return got
+    else:
+        u, m = prob
+        for w in _expand_ordered(g, u, m, state.union()):
+            for i in range(len(state.sets)):
+                if len(state.sets[i]) + 1 > state.targets[i]:
+                    continue
+                got = _search(g, state.place(w, i), total, connected, failed)
+                if got is not None:
+                    return got
+    failed.add(key)
     return None
 
 
@@ -269,7 +288,8 @@ def _solve_component(g: Graph, k: int, connected: bool) -> frozenset[int] | None
         shapes = [(s,)] if connected else list(_partitions(s))
         for shape in shapes:
             state = BranchState(tuple(frozenset() for _ in shape), shape)
-            got = _search(g, state, s, connected)
+            # failed states of this g and these targets only
+            got = _search(g, state, s, connected, set())
             if got is not None:
                 return got
     return None

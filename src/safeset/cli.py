@@ -11,6 +11,7 @@ or a solver witness that fails verification).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import logging
@@ -201,7 +202,7 @@ def cmd_gen(args) -> int:
         if args.decomp:
             raise InputError("--decomp applies to the ds family only")
         if args.cert:
-            dom = rbds_has_dominating_set(bg, args.k)
+            dom = rbds_has_dominating_set(bg, args.k, cap)
             if dom is None:
                 raise InputError(
                     f"no red-blue dominating set of size at most {args.k}; "
@@ -225,7 +226,10 @@ def cmd_gen(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parsing does not change it, and each
+    new one would leave a few hundred objects in reference cycles behind."""
     parser = argparse.ArgumentParser(
         prog="safeset",
         description="Exact and approximate solvers for safe sets in graphs.",

@@ -15,6 +15,11 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
 
+# Largest vertex count of a graph the package reads or writes: graph and
+# bigraph headers (r + b), expression labels and generated instances.
+MAX_VERTICES = 1 << 20
+
+
 class InputError(ValueError):
     """An argument violates an operation's contract."""
 
@@ -222,11 +227,14 @@ def is_safe_set(g: Graph, s: Iterable[int]) -> bool:
     return is_safe_mask(g, sm)
 
 
+def is_connected_safe_mask(g: Graph, smask: int) -> bool:
+    s_comps = components_mask(g, smask)
+    return len(s_comps) == 1 and _larger_neighbor(g, smask, s_comps) is None
+
+
 def is_connected_safe_set(g: Graph, s: Iterable[int]) -> bool:
     """Verifier for connected safe sets."""
-    sm = mask_of(check_vertex_set(g, s))
-    s_comps = components_mask(g, sm)
-    return len(s_comps) == 1 and _larger_neighbor(g, sm, s_comps) is None
+    return is_connected_safe_mask(g, mask_of(check_vertex_set(g, s)))
 
 
 @dataclass(frozen=True)

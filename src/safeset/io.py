@@ -14,12 +14,8 @@ import json
 from pathlib import Path
 from typing import Iterable
 
-from .graph import Graph, PathDecomposition
+from .graph import MAX_VERTICES, Graph, PathDecomposition
 from .reductions import Bigraph
-
-
-# Largest vertex count a header may announce (r + b for bipartite input).
-MAX_VERTICES = 1 << 20
 
 
 class FormatError(ValueError):

@@ -17,8 +17,10 @@ from typing import Literal
 from .graph import (
     Graph,
     InputError,
-    is_connected_safe_set,
-    is_safe_set,
+    is_connected_safe_mask,
+    is_safe_mask,
+    mask_of,
+    vertices_of,
 )
 from .oracle import SolveResult, WitnessError, solve_by_component
 
@@ -345,44 +347,57 @@ def solve_ip(ip: IntegerProgram) -> tuple[int, tuple[int, ...]] | None:
     return best
 
 
-def _component_best(sub: Graph, connected: bool) -> frozenset[int] | None:
+def _component_best(sub: Graph, connected: bool, bound: int) -> frozenset[int] | None:
+    """Best solution of the connected graph ``sub`` in guess order, looking
+    only at guesses whose floor is at most ``bound``: a larger solution
+    loses anyway, one of equal size may still win on its sorted ids."""
+    verify = is_connected_safe_mask if connected else is_safe_mask
     tp = twin_partition(sub)
     ordered_classes = [sorted(c) for c in tp.classes]
-    best: tuple[int, frozenset[int]] | None = None
-    for guess in enumerate_guesses(tp, lambda: math.inf if best is None else best[0]):
-        fam_s, single_s = build_families(tp, guess, "s")
-        if connected and len(fam_s) + len(single_s) != 1:
-            continue  # assemble_ip would reject it
-        fam_co, single_co = build_families(tp, guess, "complement")
-        ip = assemble_ip(tp, guess, fam_s, fam_co, single_s, single_co, connected)
-        if ip is None:
-            continue
-        got = solve_ip(ip)
-        if got is None:
-            continue
-        value, assignment = got
-        witness = frozenset(
-            v
-            for i in range(tp.width)
-            for v in ordered_classes[i][: assignment[i]]
-        )
-        ok = (
-            is_connected_safe_set(sub, witness)
-            if connected
-            else is_safe_set(sub, witness)
-        )
-        if len(witness) != value or not ok:
-            raise WitnessError(
-                f"integer program accepted an unsafe witness {sorted(witness)}"
+    class_masks = [mask_of(c) for c in tp.classes]
+    best: frozenset[int] | None = None
+
+    def ceiling() -> int:
+        return bound + 1 if best is None else min(bound + 1, len(best))
+
+    for guess in enumerate_guesses(tp, ceiling):
+        if PARTIAL not in guess.assignment:
+            # every class count is fixed, so the program would only repeat
+            # what the verifier says about the union of the full classes
+            smask = 0
+            for cmask, a in zip(class_masks, guess.assignment):
+                if a == FULL:
+                    smask |= cmask
+            if not verify(sub, smask):
+                continue
+            witness = frozenset(vertices_of(smask))
+        else:
+            fam_s, single_s = build_families(tp, guess, "s")
+            if connected and len(fam_s) + len(single_s) != 1:
+                continue  # assemble_ip would reject it
+            fam_co, single_co = build_families(tp, guess, "complement")
+            ip = assemble_ip(tp, guess, fam_s, fam_co, single_s, single_co, connected)
+            if ip is None:
+                continue
+            got = solve_ip(ip)
+            if got is None:
+                continue
+            value, assignment = got
+            witness = frozenset(
+                v for i in range(tp.width) for v in ordered_classes[i][: assignment[i]]
             )
-        if best is None or (value, sorted(witness)) < (best[0], sorted(best[1])):
-            best = (value, witness)
-    return None if best is None else best[1]
+            if len(witness) != value or not verify(sub, mask_of(witness)):
+                raise WitnessError(
+                    f"integer program accepted an unsafe witness {sorted(witness)}"
+                )
+        if best is None or (len(witness), sorted(witness)) < (len(best), sorted(best)):
+            best = witness
+    return best
 
 
 def solve_nd(g: Graph, connected: bool = False) -> SolveResult:
     """Exact minimum (connected) safe set via the twin-class program,
     solved per component."""
     return solve_by_component(
-        g, lambda sub, _bound: _component_best(sub, connected), "nd", connected
+        g, lambda sub, bound: _component_best(sub, connected, bound), "nd", connected
     )

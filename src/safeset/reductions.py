@@ -21,6 +21,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .graph import (
+    MAX_VERTICES,
     Graph,
     InputError,
     PathDecomposition,
@@ -28,7 +29,7 @@ from .graph import (
     is_connected_safe_set,
     neighbors_closed,
 )
-from .oracle import WitnessError
+from .oracle import DEFAULT_SUBSET_CAP, WitnessError
 
 
 @dataclass(frozen=True)
@@ -62,10 +63,19 @@ class ReductionOutput:
     source: dict = field(repr=False)
 
 
-def rbds_has_dominating_set(bg: Bigraph, k: int) -> frozenset[int] | None:
-    """Smallest blue set dominating all reds, if one of size <= k exists."""
+def rbds_has_dominating_set(
+    bg: Bigraph, k: int, cap: int = DEFAULT_SUBSET_CAP
+) -> frozenset[int] | None:
+    """Smallest blue set dominating all reds, if one of size <= k exists.
+    Blue subsets are scanned exhaustively, so more than ``cap`` blues are
+    refused."""
     if k < 0:
         raise InputError("k must be nonnegative")
+    if bg.b > cap:
+        raise InputError(
+            f"red-blue domination brute force refused: b={bg.b} exceeds cap={cap}; "
+            "raise the cap explicitly"
+        )
     reds = [bg.blues_of(i) for i in range(bg.r)]
     if not reds:
         return frozenset()
@@ -80,6 +90,12 @@ def rbds_has_dominating_set(bg: Bigraph, k: int) -> frozenset[int] | None:
 # --------------------------------------------------------------------------
 # dominating set -> connected safe set
 # --------------------------------------------------------------------------
+
+
+def _check_output_size(count: int) -> None:
+    """Refuse, before building it, an instance no graph file may hold."""
+    if count > MAX_VERTICES:
+        raise InputError(f"the instance would have {count} vertices, more than {MAX_VERTICES}")
 
 
 def ds_target(g: Graph, k: int) -> int:
@@ -103,6 +119,10 @@ def ds_to_ss(g: Graph, k: int) -> ReductionOutput:
     kp = ds_target(g, k)
     nsq = n * n
     guard_count = kp - n + 1
+    closed_sizes = 2 * g.m + n  # sum of |N[b]| over the columns b
+    # lines, guards, per column a center with pads and per (line, member)
+    # a choice with kp - 1 pads and a release, and the universal vertex
+    _check_output_size(k * nsq + k * n * guard_count + n * (1 + kp) + k * closed_sizes * kp + 1)
 
     role_map: dict[int, dict] = {}
     counter = 0
@@ -345,6 +365,9 @@ def rbds_to_ss(bg: Bigraph, k: int) -> ReductionOutput:
     if bg.r < 1:
         raise InputError("need at least one red vertex")
     s = rbds_target(bg, k)
+    # reds, blues, the hub with 2s pendants, and per red 2s pendants plus a
+    # star of s vertices
+    _check_output_size(bg.r + bg.b + 1 + 2 * s + 3 * bg.r * s)
 
     role_map: dict[int, dict] = {}
     counter = 0

@@ -108,3 +108,44 @@ def expression_corpus(
 ) -> list[CExpression]:
     rng = random.Random(seed)
     return [random_expression(rng, label_count, max_leaves) for _ in range(count)]
+
+
+def disjoint_union(*graphs: Graph) -> Graph:
+    """Side-by-side copies, the vertices of each graph shifted past the
+    ones before it."""
+    edges, offset = [], 0
+    for g in graphs:
+        edges += [(u + offset, v + offset) for u, v in g.edges]
+        offset += g.n
+    return Graph(offset, edges)
+
+
+def shuffled(g: Graph, seed: int) -> Graph:
+    """``g`` with its vertex ids permuted by a seeded shuffle, so that the
+    components of a disjoint union interleave."""
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def union_corpus() -> list[Graph]:
+    """Disjoint unions of small graphs, the i-th shuffled with seed i so that
+    ties between components are broken across interleaved ids."""
+
+    def rand(seed: int, n: int, extra: float) -> Graph:
+        return random_connected_graph(random.Random(seed), n, extra)
+
+    parts = [
+        (path_graph(5), cycle_graph(6)),
+        (cycle_graph(6), path_graph(5)),
+        (complete_bipartite_graph(2, 3), star_graph(4)),
+        (path_graph(4), path_graph(4)),
+        (path_graph(3), path_graph(3), path_graph(3)),
+        (cycle_graph(8), path_graph(2)),
+        (cycle_graph(5), complete_bipartite_graph(3, 3), cycle_graph(5)),
+        (rand(200, 7, 0.3), rand(201, 8, 0.2)),
+        (rand(202, 9, 0.1), rand(203, 6, 0.5)),
+        (complete_graph(4), path_graph(6), path_graph(2)),
+        (rand(204, 8, 0.3), cycle_graph(4), rand(205, 8, 0.3)),
+    ]
+    return [shuffled(disjoint_union(*p), seed) for seed, p in enumerate(parts)]

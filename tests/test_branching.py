@@ -22,6 +22,7 @@ from safeset.generators import (
 from safeset.graph import Graph, InputError, is_connected_safe_set, is_safe_set
 from safeset.oracle import connected_safe_number_bf, safe_number_bf
 
+from corpus import union_corpus
 from reference import ref_min_steiner
 
 
@@ -190,3 +191,57 @@ def test_branch_matches_oracle_random(n, seed, extra):
     # an undersized budget is a definitive no
     if s > 1:
         assert not branch_solve(g, s - 1).feasible
+
+
+# branch_solve witnesses, (plain, connected), each the same at k = optimum
+# and k = optimum + 2 because sizes are tried in ascending order.  Ties
+# between equally small sets are broken by the search order, so these pin
+# that order too.
+PINNED_RANDOM = {  # (seed, n, extra) of random_connected_graph
+    (100, 8, 0.0): ([0, 7], [0, 7]),
+    (101, 9, 0.1): ([0, 2, 7, 8], [0, 2, 7, 8]),
+    (102, 10, 0.2): ([0, 2, 3], [0, 2, 3]),
+    (103, 11, 0.3): ([0, 1, 2, 3, 10], [0, 1, 2, 3, 10]),
+    (104, 12, 0.0): ([4, 7, 9], [4, 7, 9]),
+    (105, 8, 0.1): ([0, 1, 5], [0, 1, 5]),
+    (106, 9, 0.2): ([2, 6, 8], [2, 6, 8]),
+    (107, 10, 0.3): ([0, 1, 2, 5], [0, 1, 2, 5]),
+    (108, 11, 0.0): ([0, 5, 8], [0, 5, 8]),
+    (109, 12, 0.1): ([0, 1, 5, 6], [0, 1, 5, 6]),
+    (110, 8, 0.2): ([0, 2, 5], [0, 2, 5]),
+    (111, 9, 0.3): ([0, 1, 2, 4], [0, 1, 2, 4]),
+    (112, 10, 0.0): ([0, 2, 3], [0, 2, 3]),
+    (113, 11, 0.1): ([2, 3, 8, 9], [2, 3, 8, 9]),
+    (114, 12, 0.2): ([2, 5, 6, 10], [2, 5, 6, 10]),
+    (115, 8, 0.3): ([0, 1, 2], [0, 1, 2]),
+    (116, 9, 0.0): ([1, 2], [1, 2]),
+    (117, 10, 0.1): ([0, 5, 7], [0, 5, 7]),
+    (118, 11, 0.2): ([2, 6, 8, 9], [2, 6, 8, 9]),
+    (119, 12, 0.3): ([0, 1, 3, 5, 10], [0, 1, 3, 5, 10]),
+}
+PINNED_UNIONS = [  # in union_corpus() order
+    ([1, 2], [1, 2]),
+    ([1, 4], [1, 4]),
+    ([7], [7]),
+    ([0, 5], [0, 5]),
+    ([2], [2]),
+    ([4], [4]),
+    ([0, 2, 4], [0, 2, 4]),
+    ([0, 1, 2], [0, 1, 2]),
+    ([0, 2, 5], [0, 2, 5]),
+    ([7], [7]),
+    ([2, 10], [2, 10]),
+]
+
+
+def test_branch_witnesses_are_pinned():
+    cases = [
+        (random_connected_graph(random.Random(seed), n, extra), want)
+        for (seed, n, extra), want in PINNED_RANDOM.items()
+    ]
+    cases += list(zip(union_corpus(), PINNED_UNIONS, strict=True))
+    for g, wants in cases:
+        for connected, want in zip((False, True), wants):
+            opt = len(want)
+            for k in (opt, opt + 2):
+                assert sorted(branch_solve(g, k, connected).witness) == want

@@ -186,6 +186,124 @@ def test_solve_nd_fuzzed_graphs_never_crash(run, tmp_path, text, connected):
     assert "internal error" not in err
 
 
+# vertex lists: comma-joined integers, mixed with tokens int() refuses or
+# reads in unexpected ways
+SET_TOKENS = st.one_of(
+    st.integers(min_value=-2, max_value=9).map(str),
+    st.sampled_from(["", " ", "x", "1.5", "0x3", "1_0", "\u0663", "-0", "+3", " 4 ", str(2**70)]),
+)
+SET_TEXTS = st.one_of(
+    st.lists(st.integers(0, 7).map(str), min_size=1, max_size=8).map(",".join),
+    st.lists(SET_TOKENS, max_size=8).map(",".join),
+    st.text(max_size=40),
+)
+# well-formed graphs, so that many inputs get past the parser
+SMALL_GRAPH_TEXTS = st.sampled_from(
+    [format_graph(g) for g in (cycle_graph(8), complete_graph(3), star_graph(3), Graph(2))]
+)
+
+
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(st.one_of(st.just(format_graph(cycle_graph(8))), GRAPH_TEXTS), SET_TEXTS, st.booleans())
+def test_verify_fuzzed_inputs_never_crash(run, tmp_path, graph_text, set_text, connected):
+    graph_path = tmp_path / "fuzz.gr"
+    graph_path.write_bytes(graph_text.encode("utf-8", "surrogatepass"))
+    argv = ["verify", f"--set={set_text}", str(graph_path)]
+    code, _, err = run(argv + ["--connected"] if connected else argv)
+    assert code in (0, 1, 2), err
+    assert "internal error" not in err
+
+
+# budgets: small ones build real instances; the rest lie beyond any instance
+# a graph file may hold (mid-sized budgets build legitimate instances of
+# 10^5-10^6 vertices, seconds each, which is not what this test looks for)
+BUDGETS = st.one_of(
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=-2, max_value=3),
+    st.integers(max_value=-3),
+    st.integers(min_value=MAX_VERTICES),
+).map(str)
+BIGRAPH_EDGES = st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=10, unique=True)
+
+
+@st.composite
+def bigraph_soups(draw):
+    body = [f"{i} {j}" for i, j in draw(BIGRAPH_EDGES)]
+    if draw(st.booleans()):
+        junk = draw(st.lists(GRAPH_TOKENS, max_size=4).map(" ".join))
+        body.insert(draw(st.integers(0, len(body))), junk)
+    r = draw(st.one_of(st.just("6"), GRAPH_TOKENS))
+    b = draw(st.one_of(st.just("6"), GRAPH_TOKENS))
+    m = draw(st.one_of(st.just(str(len(body))), GRAPH_TOKENS))
+    return "\n".join([f"{r} {b} {m}", *body])
+
+
+def _check_gen_outputs(code, report, tmp_path):
+    """On success every file gen wrote reads back and fits the instance."""
+    if code != 0:
+        return
+    produced = load_graph(tmp_path / "out.gr")
+    assert (produced.n, produced.m) == (report["n"], report["m"])
+    cert = tmp_path / "cert.txt"
+    if cert.exists():
+        witness = [int(p) for p in cert.read_text().split(",")]
+        assert len(witness) == report["target"]
+        assert is_connected_safe_set(produced, witness)
+    decomp = tmp_path / "pd.json"
+    if decomp.exists():
+        width = validate_path_decomposition(produced, decomposition_from_json(decomp.read_text()))
+        assert isinstance(width, int)
+
+
+def _gen_argv(family, k, source, tmp_path, cert, decomp):
+    argv = ["gen", family, f"-k={k}", str(source), "-o", str(tmp_path / "out.gr")]
+    if cert:
+        argv += ["--cert", str(tmp_path / "cert.txt")]
+    if decomp:
+        argv += ["--decomp", str(tmp_path / "pd.json")]
+    return argv
+
+
+def _clear(tmp_path):
+    for name in ("out.gr", "out.gr.json", "cert.txt", "pd.json"):
+        (tmp_path / name).unlink(missing_ok=True)
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(st.one_of(SMALL_GRAPH_TEXTS, GRAPH_TEXTS), BUDGETS, st.booleans(), st.booleans())
+def test_gen_ds_fuzzed_inputs_never_crash(run, tmp_path, text, k, cert, decomp):
+    _clear(tmp_path)
+    source = tmp_path / "fuzz.gr"
+    source.write_bytes(text.encode("utf-8", "surrogatepass"))
+    code, report, err = run(_gen_argv("ds", k, source, tmp_path, cert, decomp))
+    assert code in (0, 2), err
+    assert "internal error" not in err
+    _check_gen_outputs(code, report, tmp_path)
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    st.one_of(st.just("3 2 3\n0 0\n1 1\n2 1\n"), st.text(max_size=200), bigraph_soups()),
+    BUDGETS,
+    st.booleans(),
+    st.booleans(),
+)
+def test_gen_rbds_fuzzed_inputs_never_crash(run, tmp_path, text, k, cert, decomp):
+    _clear(tmp_path)
+    source = tmp_path / "fuzz.bg"
+    source.write_bytes(text.encode("utf-8", "surrogatepass"))
+    code, report, err = run(_gen_argv("rbds", k, source, tmp_path, cert, decomp))
+    assert code in (0, 2), err
+    assert "internal error" not in err
+    _check_gen_outputs(code, report, tmp_path)
+
+
 def test_solve_cw_requires_expression(run, c8_path):
     code, _, err = run(["solve", "--algo", "cw", c8_path])
     assert code == 2 and "--expr" in err
@@ -329,6 +447,27 @@ def test_gen_rbds_has_no_decomposition(run, tmp_path):
         ]
     )
     assert code == 2 and "ds family" in err
+
+
+@pytest.mark.parametrize("family,source", [("ds", "2 1\n0 1\n"), ("rbds", "1 1 1\n0 0\n")])
+def test_gen_refuses_instances_no_graph_file_may_hold(run, tmp_path, family, source):
+    path = tmp_path / "base.txt"
+    path.write_text(source)
+    out = tmp_path / "out.gr"
+    code, _, err = run(["gen", family, "-k", str(10**12), str(path), "-o", str(out)])
+    assert code == 2 and f"more than {MAX_VERTICES}" in err
+    assert not out.exists()
+
+
+def test_gen_rbds_certificate_respects_bf_cap(run, tmp_path):
+    source = tmp_path / "wide.bg"
+    source.write_text("1 21 1\n0 20\n")
+    argv = ["gen", "rbds", "-k", "1", str(source), "-o", str(tmp_path / "h.gr")]
+    argv += ["--cert", str(tmp_path / "cert.txt")]
+    code, _, err = run(argv)
+    assert code == 2 and "cap=20" in err
+    code, _, _ = run(argv + ["--bf-cap", "21"])
+    assert code == 0
 
 
 def test_bf_cap_environment_and_flag(run, c8_path, monkeypatch):

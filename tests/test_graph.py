@@ -24,8 +24,10 @@ from safeset.graph import (
     components,
     explain_safety,
     induced_subgraph,
+    is_connected_safe_mask,
     is_connected_safe_set,
     is_safe_set,
+    mask_of,
     max_degree,
     sets_adjacent,
     validate_path_decomposition,
@@ -163,6 +165,24 @@ def test_verifier_matches_reference(g, data):
     subset = data.draw(st.sets(st.integers(min_value=0, max_value=g.n - 1), max_size=g.n))
     assert is_safe_set(g, subset) == ref_is_safe(g, subset)
     assert is_connected_safe_set(g, subset) == ref_is_safe(g, subset, connected=True)
+
+
+def test_connected_safe_mask_examples():
+    g = cycle_graph(8)
+    assert is_connected_safe_mask(g, 0b1111) is True
+    assert is_connected_safe_mask(g, 0b110011) is False  # two components
+    assert is_connected_safe_mask(g, 0b11) is False  # next to a path of six
+    assert is_connected_safe_mask(g, 0) is False
+    assert is_connected_safe_mask(Graph(1), 1) is True
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_graphs(), st.data())
+def test_connected_safe_mask_agrees_with_explain_safety(g, data):
+    subset = data.draw(st.sets(st.integers(min_value=0, max_value=g.n - 1), max_size=g.n))
+    expect = explain_safety(g, subset, connected=True) is None
+    assert is_connected_safe_mask(g, mask_of(subset)) is expect
+    assert is_connected_safe_set(g, subset) is expect
 
 
 @settings(max_examples=80, deadline=None)

@@ -20,8 +20,10 @@ from safeset.graph import (
     Graph,
     InputError,
     explain_safety,
+    is_connected_safe_set,
     is_safe_set,
 )
+from safeset import nd
 from safeset.nd import (
     EMPTY,
     FULL,
@@ -41,6 +43,8 @@ from safeset.oracle import (
     safe_number_bf,
     vertex_cover_bf,
 )
+
+from corpus import disjoint_union, union_corpus
 
 
 def test_twin_partition_complete_graph():
@@ -238,6 +242,63 @@ def test_k4_program_reaches_two():
     assert got is not None and got[0] == 2
 
 
+def _fixed_count_graphs():
+    rand = [
+        random_connected_graph(random.Random(seed), 1 + seed % 9, (0.0, 0.2, 0.4, 0.7)[seed % 4])
+        for seed in range(300, 324)
+    ]
+    bipartite = [complete_bipartite_graph(a, b) for a in range(1, 4) for b in range(a, 5)]
+    multipartite = [_multipartite(p) for p in [(2, 2, 2), (1, 2, 3), (3, 3, 1), (1, 1, 4), (2, 3)]]
+    split = [
+        _split(3, ((0,), (0,), (1, 2), (1, 2))),
+        _split(4, ((0, 1), (0, 1), (2,), (3,))),
+        _split(2, ((0,), (0,), (0,), (1,), (1,))),
+    ]
+    unions = [
+        disjoint_union(path_graph(3), cycle_graph(4)),
+        disjoint_union(Graph(1), Graph(1), path_graph(2)),
+        disjoint_union(complete_bipartite_graph(2, 2), star_graph(3)),
+        disjoint_union(complete_graph(3), complete_graph(3), Graph(1)),
+    ]
+    return rand + bipartite + multipartite + split + unions
+
+
+@pytest.mark.parametrize("connected", [False, True])
+def test_fixed_count_guess_program_agrees_with_verifier(connected):
+    # a guess with no PARTIAL class fixes every class count, and solve_nd
+    # then asks the verifier about the union of the FULL classes instead of
+    # building the program; both must accept exactly the same guesses
+    verify = is_connected_safe_set if connected else is_safe_set
+    checked = 0
+    for g in _fixed_count_graphs():
+        tp = twin_partition(g)
+        for guess in enumerate_guesses(tp):
+            if PARTIAL in guess.assignment:
+                continue
+            fam_s, single_s = build_families(tp, guess, "s")
+            fam_co, single_co = build_families(tp, guess, "complement")
+            ip = assemble_ip(tp, guess, fam_s, fam_co, single_s, single_co, connected)
+            full = set().union(
+                *(cls for cls, a in zip(tp.classes, guess.assignment) if a == FULL)
+            )
+            assert (ip is not None and solve_ip(ip) is not None) == verify(g, full), (
+                g.edges, guess.assignment,
+            )
+            checked += 1
+    assert checked > 1000
+
+
+def test_twin_free_graph_solves_no_program(monkeypatch):
+    calls = []
+    monkeypatch.setattr(nd, "solve_ip", lambda ip: calls.append(ip) or solve_ip(ip))
+    g = cycle_graph(9)
+    assert twin_partition(g).width == 9
+    assert solve_nd(g).size == solve_nd(g, connected=True).size == 5
+    assert calls == []
+    solve_nd(complete_bipartite_graph(2, 3))  # partial classes still go through it
+    assert calls
+
+
 def test_solve_nd_known_values():
     assert solve_nd(cycle_graph(8)).size == 4
     assert solve_nd(complete_graph(4)).size == 2
@@ -386,6 +447,21 @@ PINNED_SPLIT = {  # (clique, attach) of _split
 }
 
 
+PINNED_UNIONS = [  # in union_corpus() order
+    ([2, 9], [1, 9]),
+    ([4, 9], [1, 9]),
+    ([7], [7]),
+    ([4, 6], [4, 6]),
+    ([2], [2]),
+    ([4], [4]),
+    ([4, 7, 12], [3, 6, 13]),
+    ([1, 2, 9], [1, 2, 9]),
+    ([5, 6, 14], [5, 6, 14]),
+    ([7], [7]),
+    ([10, 16], [2, 10]),
+]
+
+
 def test_nd_witnesses_are_pinned():
     cases = [
         (random_connected_graph(random.Random(seed), n, extra), want)
@@ -394,6 +470,7 @@ def test_nd_witnesses_are_pinned():
     cases += [(complete_bipartite_graph(*ab), w) for ab, w in PINNED_BIPARTITE.items()]
     cases += [(_multipartite(p), w) for p, w in PINNED_MULTIPARTITE.items()]
     cases += [(_split(*key), w) for key, w in PINNED_SPLIT.items()]
+    cases += list(zip(union_corpus(), PINNED_UNIONS, strict=True))
     for g, (plain, conn) in cases:
         assert sorted(solve_nd(g).witness) == plain
         assert sorted(solve_nd(g, connected=True).witness) == conn

@@ -11,6 +11,7 @@ from safeset.graph import (
     is_safe_set,
     validate_path_decomposition,
 )
+from safeset import reductions
 from safeset.oracle import dominating_set_bf, safe_number_bf, vertex_cover_bf
 from safeset.reductions import (
     Bigraph,
@@ -214,6 +215,35 @@ def test_rbds_dominating_oracle():
     assert rbds_has_dominating_set(Bigraph(0, 3, frozenset()), 0) == frozenset()
     with pytest.raises(InputError):
         rbds_has_dominating_set(bg, -1)
+
+
+def test_rbds_dominating_oracle_refuses_more_blues_than_cap():
+    wide = Bigraph(1, 21, frozenset({(0, 20)}))
+    with pytest.raises(InputError, match="cap=20"):
+        rbds_has_dominating_set(wide, 21)
+    assert rbds_has_dominating_set(wide, 21, cap=21) == frozenset({20})
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ds_to_ss(path_graph(2), 1),
+        lambda: ds_to_ss(complete_graph(3), 2),
+        lambda: ds_to_ss(Graph(4, [(0, 1), (1, 2)]), 3),
+        lambda: rbds_to_ss(Bigraph(1, 1, frozenset({(0, 0)})), 1),
+        lambda: rbds_to_ss(Bigraph(3, 2, frozenset({(0, 0), (2, 1)})), 4),
+        lambda: rbds_to_ss(Bigraph(2, 0, frozenset()), 2),
+    ],
+)
+def test_generators_refuse_instances_beyond_the_vertex_cap(build, monkeypatch):
+    # the size is worked out before anything is built, exactly: an instance
+    # of the cap's size is built, one vertex more is refused
+    n = build().graph.n
+    monkeypatch.setattr(reductions, "MAX_VERTICES", n)
+    assert build().graph.n == n
+    monkeypatch.setattr(reductions, "MAX_VERTICES", n - 1)
+    with pytest.raises(InputError, match=f"would have {n} vertices"):
+        build()
 
 
 def test_rbds_dominating_oracle_matches_graph_oracle():
