@@ -4,13 +4,14 @@ with a minimum Steiner tree.
 
 The search enumerates total sizes s = 1..k in increasing order, so the
 first verified hit is a minimum.  For the connected variant the component
-count is fixed to one.
+count is fixed to one.  A search state is a tuple of vertex masks, one per
+guessed component, kept pairwise disjoint and each within its target size;
+the targets travel alongside it.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import Iterator
 
 from .graph import (
@@ -18,55 +19,42 @@ from .graph import (
     InputError,
     bfs_order,
     check_vertex_set,
-    components,
+    components_mask,
     is_connected_safe_set,
     is_safe_set,
     mask_of,
+    neighborhood_mask,
     vertices_of,
 )
 from .oracle import SolveResult, solve_by_component
 
 
-@dataclass(frozen=True)
-class BranchState:
-    """Partial solution: one vertex set per guessed component, with the
-    target size of each.  Sets stay pairwise disjoint and within target."""
-
-    sets: tuple[frozenset[int], ...]
-    targets: tuple[int, ...]
-
-    def union(self) -> frozenset[int]:
-        out: frozenset[int] = frozenset()
-        for s in self.sets:
-            out |= s
-        return out
-
-    def place(self, w: int, i: int) -> "BranchState":
-        new_sets = tuple(
-            s | {w} if j == i else s for j, s in enumerate(self.sets)
-        )
-        return BranchState(new_sets, self.targets)
+def _union(sets: tuple[int, ...]) -> int:
+    out = 0
+    for s in sets:
+        out |= s
+    return out
 
 
-def _shortest_path_sets(g: Graph, allowed: frozenset[int]) -> dict[int, dict[int, frozenset[int]]]:
+def _shortest_path_sets(g: Graph, allowed: int) -> dict[int, dict[int, frozenset[int]]]:
     """Canonical shortest-path vertex sets inside g[allowed], per source.
 
     The parent of each vertex is its smallest-id neighbor one layer closer
     to the source, so path sets are deterministic and minimum-length.
     """
     out: dict[int, dict[int, frozenset[int]]] = {}
-    amask = mask_of(allowed)
-    for src in sorted(allowed):
+    for src in vertices_of(allowed):
         dist: dict[int, int] = {src: 0}
-        for v in bfs_order(g, src, amask):
-            for w in sorted(g.neighbors(v)):
-                if w not in dist and (amask >> w) & 1:
+        for v in bfs_order(g, src, allowed):
+            for w in vertices_of(g.adjacency_mask(v) & allowed):
+                if w not in dist:
                     dist[w] = dist[v] + 1
         parent: dict[int, int | None] = {src: None}
         for v in dist:
             if v != src:
                 parent[v] = min(
-                    u for u in g.neighbors(v) if dist.get(u) == dist[v] - 1
+                    u for u in vertices_of(g.adjacency_mask(v) & allowed)
+                    if dist.get(u) == dist[v] - 1
                 )
         paths: dict[int, frozenset[int]] = {}
         for v in dist:
@@ -100,12 +88,11 @@ def steiner_exact(
         raise InputError("terminals must be nonempty")
     if terminals & forbidden:
         raise InputError("terminals and forbidden set overlap")
-    allowed = frozenset(g.vertices()) - forbidden
     terms = sorted(terminals)
     t = len(terms)
     if t == 1:
         return frozenset({terms[0]})
-    paths = _shortest_path_sets(g, allowed)
+    paths = _shortest_path_sets(g, g.full_mask() & ~mask_of(forbidden))
 
     # dp[mask][v]: best connected set containing {terms[i] : i in mask} + v
     full = (1 << t) - 1
@@ -156,82 +143,68 @@ def steiner_exact(
     return best
 
 
-def find_problematic(g: Graph, state: BranchState, k: int) -> tuple[int, int] | None:
+def find_problematic(
+    g: Graph, sets: tuple[int, ...], targets: tuple[int, ...], k: int
+) -> tuple[int, int] | None:
     """Smallest-id vertex outside the partial solution whose component in
     the leftover graph is larger than a size the guess allows, together
     with the tightest violated threshold."""
-    s_union = state.union()
-    comp_size: dict[int, int] = {}
-    for comp in components(g, set(g.vertices()) - s_union):
-        for v in comp:
-            comp_size[v] = len(comp)
-    for u in g.vertices():
-        if u in s_union:
-            continue
+    rest = g.full_mask() & ~_union(sets)
+    comp_size = [0] * g.n
+    for comp in components_mask(g, rest):
+        size = comp.bit_count()
+        for v in vertices_of(comp):
+            comp_size[v] = size
+    for u in vertices_of(rest):
         size = comp_size[u]
-        thresholds = []
-        if size >= k + 1:
+        adj = g.adjacency_mask(u)
+        thresholds = [k_i for s_i, k_i in zip(sets, targets) if adj & s_i and size > k_i]
+        if size > k:
             thresholds.append(k)
-        for s_i, k_i in zip(state.sets, state.targets):
-            if (g.neighbors(u) & s_i) and size >= k_i + 1:
-                thresholds.append(k_i)
         if thresholds:
             return u, min(thresholds)
     return None
 
 
-def _expand_ordered(g: Graph, u: int, m: int, s_union: frozenset[int]) -> list[int]:
-    rest = mask_of(set(g.vertices()) - s_union)
+def _expand_ordered(g: Graph, u: int, m: int, union: int) -> list[int]:
+    """The first m+1 vertices of a breadth-first search from the problematic
+    vertex u outside the partial solution: a connected set around u."""
     out: list[int] = []
-    for v in bfs_order(g, u, rest):
+    for v in bfs_order(g, u, g.full_mask() & ~union):
         out.append(v)
         if len(out) == m + 1:
             break
     return out
 
 
-def expand_set(g: Graph, u: int, m: int, s_union) -> frozenset[int]:
-    """Connected set of m+1 vertices around a problematic vertex, grown by
-    breadth-first search outside the current partial solution."""
-    return frozenset(_expand_ordered(g, u, m, frozenset(s_union)))
-
-
 def _complete_leaf(
-    g: Graph, state: BranchState, connected: bool
+    g: Graph, sets: tuple[int, ...], targets: tuple[int, ...], connected: bool
 ) -> frozenset[int] | None:
     """Steiner-complete every partial component, pad to the exact targets,
     and accept only verifier-approved solutions."""
-    if any(not s for s in state.sets):
+    if not all(sets):
         return None
-    primes: list[set[int]] = []
-    for i, (s_i, k_i) in enumerate(zip(state.sets, state.targets)):
-        forb = frozenset().union(*(s for j, s in enumerate(state.sets) if j != i))
-        tree = steiner_exact(g, s_i, forb)
+    union = _union(sets)
+    primes: list[int] = []
+    for s_i, k_i in zip(sets, targets):
+        tree = steiner_exact(g, vertices_of(s_i), vertices_of(union & ~s_i))
         if tree is None or len(tree) > k_i:
             return None
-        primes.append(set(tree))
-    for i, k_i in enumerate(state.targets):
-        while len(primes[i]) < k_i:
-            others: set[int] = set()
-            for j, p in enumerate(primes):
-                if j != i:
-                    others |= p
-            frontier = sorted(
-                w
-                for v in primes[i]
-                for w in g.neighbors(v)
-                if w not in primes[i] and w not in others
-            )
+        primes.append(mask_of(tree))
+    for i, k_i in enumerate(targets):
+        while primes[i].bit_count() < k_i:
+            others = _union(primes[:i] + primes[i + 1 :])
+            frontier = neighborhood_mask(g, primes[i]) & ~primes[i] & ~others
             if not frontier:
                 return None
-            primes[i].add(frontier[0])
-    solution = frozenset().union(*primes)
+            primes[i] |= frontier & -frontier
+    solution = vertices_of(_union(primes))
     ok = (
         is_connected_safe_set(g, solution)
         if connected
         else is_safe_set(g, solution)
     )
-    return solution if ok else None
+    return frozenset(solution) if ok else None
 
 
 def _partitions(s: int, cap: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -247,37 +220,34 @@ def _partitions(s: int, cap: int | None = None) -> Iterator[tuple[int, ...]]:
 
 
 def _search(
-    g: Graph, state: BranchState, total: int, connected: bool, failed: set
+    g: Graph, sets: tuple[int, ...], targets: tuple[int, ...], connected: bool, failed: set
 ) -> frozenset[int] | None:
-    """First solution under ``state`` in depth-first order, or None.
+    """First solution under the state ``sets`` in depth-first order, or None.
 
-    The outcome depends on ``g``, ``connected`` and the state's targets and
-    sets alone (``total`` is the sum of the targets), and the targets are
-    those of the search's root, so a state whose sets are recorded in
-    ``failed`` fails again and is skipped; skipping it keeps the order in
-    which the remaining states are searched, and with it the witness.
-    A state is recorded as one int holding the mask of each set in turn.
+    The outcome depends on ``g``, ``connected``, the targets and the sets
+    alone, and the targets are those of the search's root, so a state
+    recorded in ``failed`` fails again and is skipped; skipping it keeps the
+    order in which the remaining states are searched, and with it the
+    witness.
     """
-    key = 0
-    for s in state.sets:
-        key = key << g.n | mask_of(s)
-    if key in failed:
+    if sets in failed:
         return None
-    prob = find_problematic(g, state, total)
+    prob = find_problematic(g, sets, targets, sum(targets))
     if prob is None:
-        got = _complete_leaf(g, state, connected)
+        got = _complete_leaf(g, sets, targets, connected)
         if got is not None:
             return got
     else:
         u, m = prob
-        for w in _expand_ordered(g, u, m, state.union()):
-            for i in range(len(state.sets)):
-                if len(state.sets[i]) + 1 > state.targets[i]:
+        for w in _expand_ordered(g, u, m, _union(sets)):
+            for i, s_i in enumerate(sets):
+                if s_i.bit_count() >= targets[i]:
                     continue
-                got = _search(g, state.place(w, i), total, connected, failed)
+                placed = sets[:i] + (s_i | 1 << w,) + sets[i + 1 :]
+                got = _search(g, placed, targets, connected, failed)
                 if got is not None:
                     return got
-    failed.add(key)
+    failed.add(sets)
     return None
 
 
@@ -287,9 +257,8 @@ def _solve_component(g: Graph, k: int, connected: bool) -> frozenset[int] | None
             return frozenset(g.vertices())
         shapes = [(s,)] if connected else list(_partitions(s))
         for shape in shapes:
-            state = BranchState(tuple(frozenset() for _ in shape), shape)
             # failed states of this g and these targets only
-            got = _search(g, state, s, connected, set())
+            got = _search(g, (0,) * len(shape), shape, connected, set())
             if got is not None:
                 return got
     return None

@@ -15,7 +15,6 @@ import functools
 import hashlib
 import json
 import logging
-import os
 import sys
 from pathlib import Path
 
@@ -59,16 +58,6 @@ def _sha256(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _default_cap() -> int:
-    raw = os.environ.get("SAFESET_BF_CAP")
-    if raw is None:
-        return DEFAULT_SUBSET_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise InputError(f"SAFESET_BF_CAP must be an integer, got {raw!r}") from None
-
-
 def _emit(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
@@ -97,14 +86,13 @@ def _report(
 
 
 def cmd_solve(args) -> int:
-    cap = args.bf_cap if args.bf_cap is not None else _default_cap()
     g = load_graph(args.graph)
     nd_width: int | None = None
     label_count: int | None = None
 
     if args.algo == "oracle":
         fn = connected_safe_number_bf if args.connected else safe_number_bf
-        res = fn(g, cap=cap, max_size=args.k)
+        res = fn(g, cap=args.bf_cap, max_size=args.k)
     elif args.algo == "branch":
         if args.k is None:
             raise InputError("--algo branch needs -k")
@@ -174,7 +162,6 @@ def _write_vertex_set(path: str, vertices) -> None:
 
 
 def cmd_gen(args) -> int:
-    cap = args.bf_cap if args.bf_cap is not None else _default_cap()
     written: list[str] = []
     if args.family == "ds":
         g = load_graph(args.source)
@@ -182,7 +169,7 @@ def cmd_gen(args) -> int:
         save_graph(output.graph, args.out)
         written.append(args.out)
         if args.cert:
-            dom = dominating_set_bf(g, args.k, cap=cap)
+            dom = dominating_set_bf(g, args.k, cap=args.bf_cap)
             if not dom.feasible:
                 raise InputError(
                     f"no dominating set of size at most {args.k}; nothing to certify"
@@ -202,7 +189,7 @@ def cmd_gen(args) -> int:
         if args.decomp:
             raise InputError("--decomp applies to the ds family only")
         if args.cert:
-            dom = rbds_has_dominating_set(bg, args.k, cap)
+            dom = rbds_has_dominating_set(bg, args.k, args.bf_cap)
             if dom is None:
                 raise InputError(
                     f"no red-blue dominating set of size at most {args.k}; "
@@ -241,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--connected", action="store_true")
     solve.add_argument("-k", type=int, default=None, help="solution size bound")
     solve.add_argument("--expr", default=None, help="construction tree file (cw)")
-    solve.add_argument("--bf-cap", type=int, default=None, dest="bf_cap")
+    solve.add_argument("--bf-cap", type=int, default=DEFAULT_SUBSET_CAP, dest="bf_cap")
     solve.add_argument("graph")
     solve.set_defaults(func=cmd_solve)
 
@@ -258,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("-o", "--out", required=True)
     gen.add_argument("--cert", default=None, help="also write a witness set")
     gen.add_argument("--decomp", default=None, help="also write a path decomposition")
-    gen.add_argument("--bf-cap", type=int, default=None, dest="bf_cap")
+    gen.add_argument("--bf-cap", type=int, default=DEFAULT_SUBSET_CAP, dest="bf_cap")
     gen.set_defaults(func=cmd_gen)
     return parser
 

@@ -27,17 +27,16 @@ class InputError(ValueError):
 class Graph:
     """Undirected simple graph on vertices 0..n-1.
 
-    Adjacency is kept both as per-vertex frozensets and as integer bitmasks;
-    the masks make the subset scans in the brute-force solvers cheap.
+    Adjacency is kept as one integer bitmask per vertex; the masks make the
+    subset scans in the brute-force solvers cheap.
     """
 
-    __slots__ = ("n", "edges", "_adj", "_masks")
+    __slots__ = ("n", "edges", "_masks")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise InputError("vertex count must be nonnegative")
         self.n = n
-        adj: list[set[int]] = [set() for _ in range(n)]
         masks = [0] * n
         seen: set[tuple[int, int]] = set()
         for u, v in edges:
@@ -49,12 +48,9 @@ class Graph:
             if e in seen:
                 raise InputError(f"duplicate edge {e}")
             seen.add(e)
-            adj[u].add(v)
-            adj[v].add(u)
             masks[u] |= 1 << v
             masks[v] |= 1 << u
         self.edges = frozenset(seen)
-        self._adj = tuple(frozenset(a) for a in adj)
         self._masks = tuple(masks)
 
     @property
@@ -66,7 +62,7 @@ class Graph:
 
     def neighbors(self, v: int) -> frozenset[int]:
         self._check_vertex(v)
-        return self._adj[v]
+        return frozenset(vertices_of(self._masks[v]))
 
     def adjacency_mask(self, v: int) -> int:
         self._check_vertex(v)
@@ -75,7 +71,7 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)
         self._check_vertex(v)
-        return v in self._adj[u]
+        return bool(self._masks[u] >> v & 1)
 
     def full_mask(self) -> int:
         return (1 << self.n) - 1
@@ -97,11 +93,11 @@ class Graph:
 
 
 def degree(g: Graph, v: int) -> int:
-    return len(g.neighbors(v))
+    return g.adjacency_mask(v).bit_count()
 
 
 def max_degree(g: Graph) -> int:
-    return max((len(g.neighbors(v)) for v in g.vertices()), default=0)
+    return max((m.bit_count() for m in g._masks), default=0)
 
 
 def neighbors_closed(g: Graph, v: int) -> frozenset[int]:
@@ -285,10 +281,12 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, list[int
     """
     ids = sorted(check_vertex_set(g, vertices))
     index = {v: i for i, v in enumerate(ids)}
+    keep = mask_of(ids)
     edges = [
-        (index[u], index[v])
-        for (u, v) in g.edges
-        if u in index and v in index
+        (i, index[w])
+        for i, v in enumerate(ids)
+        for w in vertices_of(g._masks[v] & keep)
+        if w > v
     ]
     return Graph(len(ids), edges), ids
 

@@ -168,11 +168,6 @@ def write_sidecar(path: str | Path, target: int, role_map: dict, source: dict) -
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def graph_iso_invariants(g: Graph) -> tuple:
-    """Cheap isomorphism invariants used by tests: (n, m, degree multiset)."""
-    return (g.n, g.m, tuple(sorted(len(g.neighbors(v)) for v in g.vertices())))
-
-
 __all__ = [
     "MAX_VERTICES",
     "FormatError",
@@ -187,5 +182,4 @@ __all__ = [
     "decomposition_from_json",
     "vertex_set_from_text",
     "write_sidecar",
-    "graph_iso_invariants",
 ]

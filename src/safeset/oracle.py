@@ -19,6 +19,7 @@ from .graph import (
     components_mask,
     explain_safety,
     induced_subgraph,
+    is_connected_safe_mask,
     is_safe_mask,
     mask_of,
     neighbors_closed,
@@ -120,11 +121,11 @@ def _first_safe(connected: bool):
     """Component solver scanning subsets in mask order, so the oracle's ties
     break on the mask, which the sorted-id mapping preserves."""
 
+    verify = is_connected_safe_mask if connected else is_safe_mask
+
     def solve(sub: Graph, bound: int) -> list[int] | None:
         for mask in subset_masks_by_size(sub.n, 1, bound):
-            if connected and len(components_mask(sub, mask)) != 1:
-                continue
-            if is_safe_mask(sub, mask):
+            if verify(sub, mask):
                 return vertices_of(mask)
         return None
 

@@ -5,9 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from safeset.branching import (
-    BranchState,
+    _expand_ordered,
     branch_solve,
-    expand_set,
     find_problematic,
     steiner_exact,
 )
@@ -19,7 +18,7 @@ from safeset.generators import (
     random_connected_graph,
     star_graph,
 )
-from safeset.graph import Graph, InputError, is_connected_safe_set, is_safe_set
+from safeset.graph import Graph, InputError, is_connected_safe_set, is_safe_set, mask_of
 from safeset.oracle import connected_safe_number_bf, safe_number_bf
 
 from corpus import union_corpus
@@ -85,42 +84,33 @@ def test_steiner_matches_reference(n, seed, data):
         assert terms <= got and not (got & forb)
 
 
-def _empty_state(shape):
-    return BranchState(tuple(frozenset() for _ in shape), tuple(shape))
-
-
 def test_find_problematic_initial_path():
     g = path_graph(10)
-    assert find_problematic(g, _empty_state((2,)), 2) == (0, 2)
+    assert find_problematic(g, (0,), (2,), 2) == (0, 2)
 
 
 def test_find_problematic_cycle_case():
     g = cycle_graph(8)
-    state = BranchState((frozenset({0}),), (4,))
-    assert find_problematic(g, state, 4) == (1, 4)
+    assert find_problematic(g, (mask_of({0}),), (4,), 4) == (1, 4)
 
 
 def test_find_problematic_none_when_settled():
     g = cycle_graph(8)
-    state = BranchState((frozenset({0, 1, 4, 5}),), (4,))
-    assert find_problematic(g, state, 4) is None
+    assert find_problematic(g, (mask_of({0, 1, 4, 5}),), (4,), 4) is None
 
 
 def test_find_problematic_uses_tightest_threshold():
     # star center in s_1 with k_1=1: every leaf is adjacent, leaf components
     # are singletons; large surrounding component triggers the small bound
     g = path_graph(6)
-    state = BranchState((frozenset({0}), frozenset()), (1, 3))
-    got = find_problematic(g, state, 4)
+    got = find_problematic(g, (mask_of({0}), 0), (1, 3), 4)
     assert got == (1, 1)
 
 
-def test_expand_set_examples():
-    assert expand_set(path_graph(10), 0, 2, frozenset()) == frozenset({0, 1, 2})
-    assert expand_set(cycle_graph(8), 1, 4, frozenset({0})) == frozenset(
-        {1, 2, 3, 4, 5}
-    )
-    assert expand_set(star_graph(3), 0, 1, frozenset()) == frozenset({0, 1})
+def test_expand_ordered_examples():
+    assert _expand_ordered(path_graph(10), 0, 2, 0) == [0, 1, 2]
+    assert _expand_ordered(cycle_graph(8), 1, 4, mask_of({0})) == [1, 2, 3, 4, 5]
+    assert _expand_ordered(star_graph(3), 0, 1, 0) == [0, 1]
 
 
 def test_branch_star_and_cycle():

@@ -470,15 +470,11 @@ def test_gen_rbds_certificate_respects_bf_cap(run, tmp_path):
     assert code == 0
 
 
-def test_bf_cap_environment_and_flag(run, c8_path, monkeypatch):
-    monkeypatch.setenv("SAFESET_BF_CAP", "5")
-    code, _, err = run(["solve", "--algo", "oracle", c8_path])
+def test_bf_cap_flag(run, c8_path):
+    code, _, err = run(["solve", "--algo", "oracle", "--bf-cap", "5", c8_path])
     assert code == 2 and "error:" in err
     code, report, _ = run(["solve", "--algo", "oracle", "--bf-cap", "25", c8_path])
     assert code == 0 and report["size"] == 4
-    monkeypatch.setenv("SAFESET_BF_CAP", "not-a-number")
-    code, _, err = run(["solve", "--algo", "oracle", c8_path])
-    assert code == 2 and "SAFESET_BF_CAP" in err
 
 
 def test_solver_crash_exits_3(run, c8_path, monkeypatch):

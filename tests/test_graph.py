@@ -22,6 +22,7 @@ from safeset.graph import (
     InputError,
     PathDecomposition,
     components,
+    degree,
     explain_safety,
     induced_subgraph,
     is_connected_safe_mask,
@@ -33,6 +34,7 @@ from safeset.graph import (
     validate_path_decomposition,
 )
 
+from corpus import union_corpus
 from reference import ref_is_safe
 
 
@@ -124,6 +126,43 @@ def test_induced_subgraph():
     assert ids == [1, 2, 4]
     assert sub.n == 3
     assert sub.edges == frozenset({(0, 1)})
+
+
+def _random_graph(seed: int) -> Graph:
+    """Seeded graph on up to 12 vertices, often disconnected."""
+    rng = random.Random(seed)
+    n = rng.randint(0, 12)
+    return Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.3])
+
+
+def test_adjacency_queries_agree_with_edges():
+    for seed in range(40):
+        g = _random_graph(seed)
+        degrees = [0] * g.n
+        for u, v in g.edges:
+            degrees[u] += 1
+            degrees[v] += 1
+        for v in g.vertices():
+            assert g.neighbors(v) == {w for e in g.edges if v in e for w in e if w != v}
+            assert degree(g, v) == degrees[v]
+            for w in g.vertices():
+                assert g.has_edge(v, w) is ((min(v, w), max(v, w)) in g.edges)
+        assert max_degree(g) == max(degrees, default=0)
+
+
+def test_induced_subgraph_matches_edge_filter():
+    graphs = [_random_graph(seed) for seed in range(40)] + union_corpus()
+    for seed, g in enumerate(graphs):
+        rng = random.Random(seed)
+        keeps = [{v for v in g.vertices() if rng.random() < 0.6}]
+        keeps += components(g, g.vertices())
+        for keep in keeps:
+            sub, ids = induced_subgraph(g, keep)
+            index = {v: i for i, v in enumerate(ids)}
+            assert ids == sorted(keep)
+            assert sub.edges == {
+                (index[u], index[v]) for u, v in g.edges if u in keep and v in keep
+            }
 
 
 @st.composite
