@@ -36,40 +36,27 @@ def _union(sets: tuple[int, ...]) -> int:
     return out
 
 
-def _shortest_path_sets(g: Graph, allowed: int) -> dict[int, dict[int, frozenset[int]]]:
+def _shortest_path_sets(g: Graph, allowed: int) -> dict[int, dict[int, int]]:
     """Canonical shortest-path vertex sets inside g[allowed], per source.
 
     The parent of each vertex is its smallest-id neighbor one layer closer
-    to the source, so path sets are deterministic and minimum-length.
+    to the source, so path sets are deterministic and minimum-length.  A
+    path set is a mask with vertex v at bit n-1-v (see ``steiner_exact``).
     """
-    out: dict[int, dict[int, frozenset[int]]] = {}
+    top = g.n - 1
+    out: dict[int, dict[int, int]] = {}
     for src in vertices_of(allowed):
-        dist: dict[int, int] = {src: 0}
-        for v in bfs_order(g, src, allowed):
-            for w in vertices_of(g.adjacency_mask(v) & allowed):
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-        parent: dict[int, int | None] = {src: None}
-        for v in dist:
-            if v != src:
-                parent[v] = min(
-                    u for u in vertices_of(g.adjacency_mask(v) & allowed)
-                    if dist.get(u) == dist[v] - 1
-                )
-        paths: dict[int, frozenset[int]] = {}
-        for v in dist:
-            chain = []
-            cur: int | None = v
-            while cur is not None:
-                chain.append(cur)
-                cur = parent[cur]
-            paths[v] = frozenset(chain)
+        paths = {src: 1 << top - src}
+        seen = layer = 1 << src
+        while layer:
+            grown = neighborhood_mask(g, layer) & allowed & ~seen
+            for w in vertices_of(grown):
+                near = g.adjacency_mask(w) & layer
+                paths[w] = paths[(near & -near).bit_length() - 1] | 1 << top - w
+            seen |= grown
+            layer = grown
         out[src] = paths
     return out
-
-
-def _set_key(s: frozenset[int]) -> tuple[int, tuple[int, ...]]:
-    return (len(s), tuple(sorted(s)))
 
 
 def steiner_exact(
@@ -93,28 +80,32 @@ def steiner_exact(
     if t == 1:
         return frozenset({terms[0]})
     paths = _shortest_path_sets(g, g.full_mask() & ~mask_of(forbidden))
+    # Sets are masks with vertex v at bit n-1-v.  Among sets of one size,
+    # the smaller sorted tuple holds the lowest vertex where they differ,
+    # which is the highest differing bit here, so (size, -mask) orders sets
+    # exactly as (size, sorted tuple) does.
 
     # dp[mask][v]: best connected set containing {terms[i] : i in mask} + v
     full = (1 << t) - 1
-    dp: list[dict[int, frozenset[int]]] = [dict() for _ in range(full + 1)]
+    dp: list[dict[int, int]] = [dict() for _ in range(full + 1)]
     for i, ti in enumerate(terms):
         dp[1 << i] = dict(paths[ti])
 
-    def relax(table: dict[int, frozenset[int]]) -> None:
+    def relax(table: dict[int, int]) -> None:
         """Dijkstra-style closure: extend entries along shortest paths."""
-        heap = [(_set_key(s), v) for v, s in table.items()]
+        heap = [(s.bit_count(), -s, v) for v, s in table.items()]
         heapq.heapify(heap)
         while heap:
-            key, v = heapq.heappop(heap)
-            cur = table.get(v)
-            if cur is None or _set_key(cur) != key:
+            _, neg, v = heapq.heappop(heap)
+            cur = -neg
+            if table[v] != cur:
                 continue
             for w, pset in paths[v].items():
                 cand = cur | pset
                 old = table.get(w)
-                if old is None or _set_key(cand) < _set_key(old):
+                if old is None or (cand.bit_count(), -cand) < (old.bit_count(), -old):
                     table[w] = cand
-                    heapq.heappush(heap, (_set_key(cand), w))
+                    heapq.heappush(heap, (cand.bit_count(), -cand, w))
 
     for mask in range(1, full + 1):
         if mask.bit_count() < 2:
@@ -124,23 +115,20 @@ def steiner_exact(
         sub = (mask - 1) & mask
         while sub:
             if sub & low:
-                rest = mask ^ sub
+                rest = dp[mask ^ sub]
                 for v, a in dp[sub].items():
-                    b = dp[rest].get(v)
+                    b = rest.get(v)
                     if b is None:
                         continue
                     cand = a | b
                     old = table.get(v)
-                    if old is None or _set_key(cand) < _set_key(old):
+                    if old is None or (cand.bit_count(), -cand) < (old.bit_count(), -old):
                         table[v] = cand
             sub = (sub - 1) & mask
         relax(table)
 
-    best: frozenset[int] | None = None
-    for s in dp[full].values():
-        if best is None or _set_key(s) < _set_key(best):
-            best = s
-    return best
+    best = min(dp[full].values(), key=lambda s: (s.bit_count(), -s), default=None)
+    return None if best is None else frozenset(g.n - 1 - v for v in vertices_of(best))
 
 
 def find_problematic(

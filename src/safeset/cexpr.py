@@ -302,21 +302,26 @@ def _build(expr: CExpression) -> tuple[list[int], set[tuple[int, int]], Join | N
     span of its own subtree.  The offender is the first such join in
     evaluation order, or None when every edge is introduced exactly once.
     """
-    spans = leaf_spans(expr)
-    labels = [0] * spans[expr.root][1]
+    labels: list[int] = []
     edges: set[tuple[int, int]] = set()
     offender: Join | None = None
-    # spans are listed in post-order, so children come before parents
-    for node, (start, end) in spans.items():
+    # first vertex of each finished subtree not yet under a union; the walk
+    # is post-order, so the subtree just finished ends at the last vertex
+    starts: list[int] = []
+    for node in iter_nodes(expr.root):
         if isinstance(node, Leaf):
-            labels[start] = node.label
+            starts.append(len(labels))
+            labels.append(node.label)
+        elif isinstance(node, DisjointUnion):
+            starts.pop()  # the union starts where its left child does
         elif isinstance(node, Relabel):
-            for v in range(start, end):
+            for v in range(starts[-1], len(labels)):
                 if labels[v] == node.source:
                     labels[v] = node.target
-        elif isinstance(node, Join):
-            firsts = [v for v in range(start, end) if labels[v] == node.first]
-            seconds = [v for v in range(start, end) if labels[v] == node.second]
+        else:
+            span = range(starts[-1], len(labels))
+            firsts = [v for v in span if labels[v] == node.first]
+            seconds = [v for v in span if labels[v] == node.second]
             for u in firsts:
                 for v in seconds:
                     e = (u, v) if u < v else (v, u)

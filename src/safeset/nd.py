@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, NamedTuple
 
 from .graph import (
     Graph,
@@ -90,17 +90,24 @@ def twin_partition(g: Graph) -> TwinPartition:
     return TwinPartition(tuple(frozenset(grp) for grp in groups), kinds, tuple(masks))
 
 
-@dataclass(frozen=True)
-class GuessPartition:
-    """Per-class choice: the solution avoids the class, takes part of it,
-    or takes all of it."""
+class GuessPartition(NamedTuple):
+    """Per-class choice as bitmasks over class indices: bit i of ``full``
+    means the solution takes all of class i, bit i of ``partial`` part of
+    it, and a class in neither is avoided.  ``vertices`` is the vertex mask
+    of the FULL classes; ``width`` is the number of classes."""
 
-    assignment: tuple[str, ...]
+    full: int
+    partial: int
+    vertices: int
+    width: int
 
-    def __post_init__(self):
-        for a in self.assignment:
-            if a not in (EMPTY, PARTIAL, FULL):
-                raise InputError(f"unknown assignment {a!r}")
+    @property
+    def assignment(self) -> tuple[str, ...]:
+        """The choice spelled out per class, first class first."""
+        return tuple(
+            FULL if self.full >> i & 1 else PARTIAL if self.partial >> i & 1 else EMPTY
+            for i in range(self.width)
+        )
 
 
 def enumerate_guesses(tp: TwinPartition, bound: Callable[[], float] = lambda: math.inf):
@@ -114,21 +121,26 @@ def enumerate_guesses(tp: TwinPartition, bound: Callable[[], float] = lambda: ma
     every guess under it.  ``bound()`` is read again at every step, so a
     caller may lower it between guesses.
     """
-    options = [
-        ((EMPTY, 0), (PARTIAL, 1), (FULL, len(cls))) if len(cls) >= 2
-        else ((EMPTY, 0), (FULL, 1))
-        for cls in tp.classes
-    ]
-    stack: list[tuple[tuple[str, ...], int]] = [((), 0)]
+    width = tp.width
+    sizes = [len(cls) for cls in tp.classes]
+    vmasks = [mask_of(cls) for cls in tp.classes]
+    # (classes decided, full, partial, vertices, floor); EMPTY is pushed
+    # last so that it is popped first
+    stack = [(0, 0, 0, 0, 0)]
+    pop, push = stack.pop, stack.append
     while stack:
-        prefix, floor = stack.pop()
+        i, full, partial, vertices, floor = pop()
         if floor >= bound():
             continue
-        if len(prefix) == tp.width:
+        if i == width:
             if floor:  # only the all-EMPTY guess has floor 0
-                yield GuessPartition(prefix)
+                yield GuessPartition(full, partial, vertices, width)
             continue
-        stack.extend((prefix + (a,), floor + f) for a, f in reversed(options[len(prefix)]))
+        bit = 1 << i
+        push((i + 1, full | bit, partial, vertices | vmasks[i], floor + sizes[i]))
+        if sizes[i] >= 2:
+            push((i + 1, full, partial | bit, vertices, floor + 1))
+        push((i + 1, full, partial, vertices, floor))
 
 
 def build_families(
@@ -142,15 +154,11 @@ def build_families(
     (its "singleton-type" classes are returned separately).
     """
     if side == "s":
-        absent = EMPTY
+        rest = guess.full | guess.partial
     elif side == "complement":
-        absent = FULL
+        rest = ((1 << tp.width) - 1) & ~guess.full
     else:
         raise InputError(f"unknown side {side!r}")
-    rest = 0
-    for i, a in enumerate(guess.assignment):
-        if a != absent:
-            rest |= 1 << i
     families: list[frozenset[int]] = []
     singletons: list[int] = []
     while rest:
@@ -210,9 +218,12 @@ def assemble_ip(
     if connected and len(families_s) + len(singletons_s) != 1:
         return None
     bounds: list[tuple[int, int]] = []
-    for cls, a in zip(tp.classes, guess.assignment):
+    for i, cls in enumerate(tp.classes):
         size = len(cls)
-        bounds.append((0, 0) if a == EMPTY else (size, size) if a == FULL else (1, size - 1))
+        if guess.full >> i & 1:
+            bounds.append((size, size))
+        else:
+            bounds.append((1, size - 1) if guess.partial >> i & 1 else (0, 0))
 
     constraints: list[Constraint] = []
     reach_s: list[int] = []  # classes in or next to each solution-side block
@@ -354,23 +365,16 @@ def _component_best(sub: Graph, connected: bool, bound: int) -> frozenset[int] |
     verify = is_connected_safe_mask if connected else is_safe_mask
     tp = twin_partition(sub)
     ordered_classes = [sorted(c) for c in tp.classes]
-    class_masks = [mask_of(c) for c in tp.classes]
-    best: frozenset[int] | None = None
+    best: tuple[int, list[int]] | None = None  # (size, sorted ids)
+    limit = bound + 1  # stays min(bound + 1, size of best)
 
-    def ceiling() -> int:
-        return bound + 1 if best is None else min(bound + 1, len(best))
-
-    for guess in enumerate_guesses(tp, ceiling):
-        if PARTIAL not in guess.assignment:
+    for guess in enumerate_guesses(tp, lambda: limit):
+        if not guess.partial:
             # every class count is fixed, so the program would only repeat
             # what the verifier says about the union of the full classes
-            smask = 0
-            for cmask, a in zip(class_masks, guess.assignment):
-                if a == FULL:
-                    smask |= cmask
-            if not verify(sub, smask):
+            if not verify(sub, guess.vertices):
                 continue
-            witness = frozenset(vertices_of(smask))
+            wmask = guess.vertices
         else:
             fam_s, single_s = build_families(tp, guess, "s")
             if connected and len(fam_s) + len(single_s) != 1:
@@ -383,16 +387,18 @@ def _component_best(sub: Graph, connected: bool, bound: int) -> frozenset[int] |
             if got is None:
                 continue
             value, assignment = got
-            witness = frozenset(
+            wmask = mask_of(
                 v for i in range(tp.width) for v in ordered_classes[i][: assignment[i]]
             )
-            if len(witness) != value or not verify(sub, mask_of(witness)):
+            if wmask.bit_count() != value or not verify(sub, wmask):
                 raise WitnessError(
-                    f"integer program accepted an unsafe witness {sorted(witness)}"
+                    f"integer program accepted an unsafe witness {vertices_of(wmask)}"
                 )
-        if best is None or (len(witness), sorted(witness)) < (len(best), sorted(best)):
-            best = witness
-    return best
+        key = (wmask.bit_count(), vertices_of(wmask))
+        if best is None or key < best:
+            best = key
+            limit = min(limit, key[0])
+    return None if best is None else frozenset(best[1])
 
 
 def solve_nd(g: Graph, connected: bool = False) -> SolveResult:

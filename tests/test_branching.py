@@ -84,6 +84,75 @@ def test_steiner_matches_reference(n, seed, data):
         assert terms <= got and not (got & forb)
 
 
+def _grid(rows, cols):
+    edges = [(v, v + 1) for v in range(rows * cols) if (v + 1) % cols]
+    edges += [(v, v + cols) for v in range((rows - 1) * cols)]
+    return Graph(rows * cols, edges)
+
+
+def _steiner_graph(key):
+    if key[0] == "cycle":
+        return cycle_graph(key[1])
+    if key[0] == "grid":
+        return _grid(key[1], key[2])
+    _, seed, n, extra = key
+    return random_connected_graph(random.Random(seed), n, extra)
+
+
+# steiner_exact results: (graph, terminals, forbidden, sorted witness or None).
+# Cycles, grids and forbidden detours have several minimum trees, so these
+# pin the tie-break toward the smallest sorted tuple, in the final answer
+# and in every intermediate table entry.
+PINNED_STEINER = [
+    (('cycle', 6), (0, 3), (), [0, 1, 2, 3]),
+    (('cycle', 8), (0, 4), (), [0, 1, 2, 3, 4]),
+    (('cycle', 8), (0, 4), (2,), [0, 4, 5, 6, 7]),
+    (('cycle', 10), (1, 6), (), [0, 1, 6, 7, 8, 9]),
+    (('cycle', 10), (0, 3, 6), (), [0, 1, 2, 3, 4, 5, 6]),
+    (('cycle', 12), (2, 8), (5,), [0, 1, 2, 8, 9, 10, 11]),
+    (('cycle', 14), (0, 7), (), [0, 1, 2, 3, 4, 5, 6, 7]),
+    (('cycle', 14), (3, 10), (12,), [3, 4, 5, 6, 7, 8, 9, 10]),
+    (('cycle', 9), (0, 3, 6), (), [0, 1, 2, 3, 4, 5, 6]),
+    (('cycle', 7), (1, 4), (6,), [1, 2, 3, 4]),
+    (('grid', 3, 3), (0, 8), (), [0, 1, 2, 5, 8]),
+    (('grid', 3, 4), (0, 11), (5,), [0, 1, 2, 3, 7, 11]),
+    (('grid', 3, 4), (1, 10), (), [1, 2, 6, 10]),
+    (('grid', 4, 3), (0, 2, 9, 11), (), [0, 1, 2, 3, 6, 9, 10, 11]),
+    (('grid', 2, 7), (0, 13), (3,), [0, 1, 2, 9, 10, 11, 12, 13]),
+    (('grid', 3, 4), (0, 3, 8), (5, 6), [0, 1, 2, 3, 4, 8]),
+    (('random', 905, 14, 0.3), (0, 1, 5, 13), (), [0, 1, 2, 5, 6, 13]),
+    (('random', 605, 10, 0.5), (2, 8), (), [1, 2, 7, 8]),
+    (('random', 334, 13, 0.5), (3, 8, 10), (1,), [2, 3, 8, 10]),
+    (('random', 429, 8, 0.5), (3, 6), (), [0, 3, 6]),
+    (('random', 642, 8, 0.15), (1, 3, 4, 6), (), [0, 1, 3, 4, 6]),
+    (('random', 675, 11, 0.5), (1, 3, 4, 5, 6), (), [0, 1, 3, 4, 5, 6]),
+    (('random', 512, 14, 0.15), (1, 3, 11, 12, 13), (2, 4, 5, 9), [0, 1, 3, 11, 12, 13]),
+    (('random', 549, 10, 0.3), (0, 1, 5, 9), (2, 4, 6, 7), [0, 1, 3, 5, 9]),
+    (('random', 107, 13, 0.5), (8, 9), (6, 10), [0, 8, 9]),
+    (('random', 951, 14, 0.3), (0, 3, 9, 13), (8, 12), [0, 1, 3, 5, 9, 13]),
+    (('random', 215, 11, 0.3), (1, 2, 7, 8), (5, 10), [1, 2, 3, 7, 8]),
+    (('random', 742, 13, 0.3), (2, 3, 5, 10), (8,), [1, 2, 3, 5, 10]),
+    (('random', 763, 7, 0.5), (1, 3, 5), (), [0, 1, 3, 5]),
+    (('random', 936, 12, 0.3), (3, 7), (2, 8), [3, 5, 7]),
+    (('random', 886, 13, 0.5), (2, 3, 8, 9, 12), (1, 5), [2, 3, 8, 9, 12]),
+    (('random', 145, 10, 0.0), (6, 9), (), [5, 6, 9]),
+    (('random', 638, 8, 0.0), (0, 7), (1, 5), [0, 4, 7]),
+    (('random', 670, 13, 0.3), (1, 3, 4, 5, 8), (), [1, 3, 4, 5, 8, 11]),
+    (('random', 71, 6, 0.0), (0, 2, 3, 4, 5), (), [0, 2, 3, 4, 5]),
+    (('random', 218, 6, 0.15), (3, 5), (), [3, 5]),
+    (('random', 137, 7, 0.15), (0, 6), (1, 2, 4, 5), [0, 6]),
+    (('random', 276, 6, 0.3), (1, 5), (0,), [1, 5]),
+    (('random', 429, 12, 0.0), (4, 5, 10), (0, 8, 9), None),
+    (('random', 490, 9, 0.0), (0, 3, 5, 8), (1, 2, 4, 6), None),
+]
+
+
+def test_steiner_witnesses_are_pinned():
+    for key, terms, forb, want in PINNED_STEINER:
+        got = steiner_exact(_steiner_graph(key), set(terms), set(forb))
+        assert (None if got is None else sorted(got)) == want, (key, terms, forb)
+
+
 def test_find_problematic_initial_path():
     g = path_graph(10)
     assert find_problematic(g, (0,), (2,), 2) == (0, 2)

@@ -18,10 +18,10 @@ from safeset.generators import (
 from safeset.branching import branch_solve
 from safeset.graph import (
     Graph,
-    InputError,
     explain_safety,
     is_connected_safe_set,
     is_safe_set,
+    mask_of,
 )
 from safeset import nd
 from safeset.nd import (
@@ -117,8 +117,18 @@ def test_guess_enumeration_skips_impossible():
     assert [g.assignment for g in guesses] == [(PARTIAL,), (FULL,)]
     tp2 = twin_partition(path_graph(2))  # one clique class of size 2
     assert [g.assignment for g in enumerate_guesses(tp2)] == [(PARTIAL,), (FULL,)]
-    with pytest.raises(InputError):
-        GuessPartition(("nonsense",))
+    # the masks spell the choice; a class in neither mask is EMPTY
+    assert GuessPartition(0b100, 0b001, 0, 3).assignment == (PARTIAL, EMPTY, FULL)
+
+
+def _guess(tp, assignment):
+    """The guess that spells ``assignment``, built from the class masks."""
+    full = mask_of(i for i, a in enumerate(assignment) if a == FULL)
+    partial = mask_of(i for i, a in enumerate(assignment) if a == PARTIAL)
+    vertices = mask_of(
+        v for cls, a in zip(tp.classes, assignment) if a == FULL for v in cls
+    )
+    return GuessPartition(full, partial, vertices, tp.width)
 
 
 def _floor(tp, assignment):
@@ -175,7 +185,7 @@ def test_pruned_walk_rereads_a_falling_bound(g):
 
 def test_build_families_bipartite_both_partial():
     tp = twin_partition(complete_bipartite_graph(2, 3))
-    guess = GuessPartition((PARTIAL, PARTIAL))
+    guess = _guess(tp, (PARTIAL, PARTIAL))
     fams, single = build_families(tp, guess, "s")
     assert fams == [frozenset({0, 1})]
     assert single == []
@@ -189,7 +199,7 @@ def test_build_families_star_full_empty():
     assignment = [None, None]
     assignment[center] = FULL
     assignment[leaves] = EMPTY
-    guess = GuessPartition(tuple(assignment))
+    guess = _guess(tp, tuple(assignment))
     fams, single = build_families(tp, guess, "s")
     assert fams == [] and single == [center]
     fams_co, single_co = build_families(tp, guess, "complement")
@@ -198,7 +208,7 @@ def test_build_families_star_full_empty():
 
 def test_build_families_clique_self_loop():
     tp = twin_partition(complete_graph(4))
-    fams, single = build_families(tp, GuessPartition((PARTIAL,)), "s")
+    fams, single = build_families(tp, _guess(tp, (PARTIAL,)), "s")
     assert fams == [frozenset({0})]
     assert single == []
 
@@ -233,7 +243,7 @@ def test_solve_ip_equalities():
 
 def test_k4_program_reaches_two():
     tp = twin_partition(complete_graph(4))
-    guess = GuessPartition((PARTIAL,))
+    guess = _guess(tp, (PARTIAL,))
     fams_s, single_s = build_families(tp, guess, "s")
     fams_co, single_co = build_families(tp, guess, "complement")
     ip = assemble_ip(tp, guess, fams_s, fams_co, single_s, single_co, False)
@@ -263,6 +273,18 @@ def _fixed_count_graphs():
     return rand + bipartite + multipartite + split + unions
 
 
+def test_guess_vertex_mask_is_the_union_of_its_full_classes():
+    checked = 0
+    for g in WALK_GRAPHS + _fixed_count_graphs():
+        tp = twin_partition(g)
+        for guess in enumerate_guesses(tp):
+            assert not guess.full & guess.partial
+            full = [cls for cls, a in zip(tp.classes, guess.assignment) if a == FULL]
+            assert guess.vertices == mask_of(set().union(*full)), (g.edges, guess)
+            checked += 1
+    assert checked > 1000
+
+
 @pytest.mark.parametrize("connected", [False, True])
 def test_fixed_count_guess_program_agrees_with_verifier(connected):
     # a guess with no PARTIAL class fixes every class count, and solve_nd
@@ -273,7 +295,7 @@ def test_fixed_count_guess_program_agrees_with_verifier(connected):
     for g in _fixed_count_graphs():
         tp = twin_partition(g)
         for guess in enumerate_guesses(tp):
-            if PARTIAL in guess.assignment:
+            if guess.partial:
                 continue
             fam_s, single_s = build_families(tp, guess, "s")
             fam_co, single_co = build_families(tp, guess, "complement")
