@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Union
 
-from .graph import Graph, InputError
-from .io import MAX_VERTICES, FormatError
+from .graph import MAX_VERTICES, Graph, InputError
+from .io import FormatError
 
 # Node classes compare by identity: the same subexpression written twice
 # denotes two different parts of the built graph.

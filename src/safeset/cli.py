@@ -86,6 +86,8 @@ def _report(
 
 
 def cmd_solve(args) -> int:
+    if args.k is not None and args.k < 1:
+        raise InputError("k must be at least 1")
     g = load_graph(args.graph)
     nd_width: int | None = None
     label_count: int | None = None

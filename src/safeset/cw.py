@@ -15,7 +15,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .cexpr import (
     CExpression,
@@ -27,14 +27,7 @@ from .cexpr import (
     check_expression,
     iter_nodes,
 )
-from .graph import (
-    Graph,
-    InputError,
-    check_vertex_set,
-    components_mask,
-    mask_of,
-    neighborhood_mask,
-)
+from .graph import Graph, InputError
 from .oracle import SolveResult, verified_result
 
 PairKey = tuple[int, int]
@@ -55,8 +48,8 @@ class DpEntry:
       selected, largest unselected, smallest selected-minus-unselected gap)
       over adjacent component pairs.
 
-    ``witness`` is one selection realizing the summary and is ignored by
-    equality and hashing.
+    ``witness`` is one selection realizing the summary; ``signature`` keys
+    the summary without it.
     """
 
     inside: dict[int, tuple[int, int]]
@@ -81,14 +74,6 @@ class DpEntry:
             tuple((p, b) for p, (_, b, _) in pairs),
             tuple((p, d) for p, (_, _, d) in pairs),
         )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DpEntry):
-            return NotImplemented
-        return self.signature == other.signature
-
-    def __hash__(self) -> int:
-        return hash(self.signature)
 
     def selected_total(self) -> int:
         return sum(t for t, _ in self.inside.values())
@@ -121,64 +106,6 @@ def _dedup(entries: Iterable[DpEntry]) -> list[DpEntry]:
     for entry in entries:
         seen.setdefault(entry.signature, entry)
     return [seen[sig] for sig in sorted(seen)]
-
-
-def definitional_entry(
-    g: Graph, labels: Sequence[int], subset: Iterable[int], label_count: int
-) -> DpEntry:
-    """Recompute a selection's summary directly from the graph.
-
-    This is the meaning the solver's transitions are tested against: list
-    the components on both sides, bucket them by exact label set, and scan
-    adjacent selected/unselected component pairs for the extremal sizes.
-    """
-    if len(labels) != g.n:
-        raise InputError("one label per vertex required")
-    for lab in labels:
-        if not (1 <= lab <= label_count):
-            raise InputError(f"label {lab} outside 1..{label_count}")
-    selected = check_vertex_set(g, subset)
-    smask = mask_of(selected)
-
-    def label_mask(comp_mask: int) -> int:
-        out = 0
-        v = 0
-        while comp_mask:
-            if comp_mask & 1:
-                out |= 1 << (labels[v] - 1)
-            comp_mask >>= 1
-            v += 1
-        return out
-
-    inside_comps = [(c, label_mask(c)) for c in components_mask(g, smask)]
-    outside_comps = [(d, label_mask(d)) for d in components_mask(g, g.full_mask() & ~smask)]
-
-    inside: dict[int, tuple[int, int]] = {}
-    for cmask, lmask in inside_comps:
-        size = cmask.bit_count()
-        total, mn = inside.get(lmask, (0, size))
-        inside[lmask] = (total + size, min(mn, size))
-    outside: dict[int, tuple[int, int]] = {}
-    for dmask, lmask in outside_comps:
-        size = dmask.bit_count()
-        total, mx = outside.get(lmask, (0, size))
-        outside[lmask] = (total + size, max(mx, size))
-
-    pairs: dict[PairKey, tuple[int, int, int]] = {}
-    for cmask, clab in inside_comps:
-        reach = neighborhood_mask(g, cmask)
-        csize = cmask.bit_count()
-        for dmask, dlab in outside_comps:
-            if not reach & dmask:
-                continue
-            dsize = dmask.bit_count()
-            key = (clab, dlab)
-            if key in pairs:
-                a, b, d = pairs[key]
-                pairs[key] = (min(a, csize), max(b, dsize), min(d, csize - dsize))
-            else:
-                pairs[key] = (csize, dsize, csize - dsize)
-    return DpEntry(inside, outside, pairs, frozenset(selected))
 
 
 # ---------------------------------------------------------------------------

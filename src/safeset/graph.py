@@ -92,10 +92,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def degree(g: Graph, v: int) -> int:
-    return g.adjacency_mask(v).bit_count()
-
-
 def max_degree(g: Graph) -> int:
     return max((m.bit_count() for m in g._masks), default=0)
 
@@ -170,15 +166,6 @@ def components(g: Graph, within: Iterable[int]) -> list[frozenset[int]]:
     """Connected components of the subgraph induced by ``within``."""
     w = check_vertex_set(g, within, "within")
     return [frozenset(vertices_of(c)) for c in components_mask(g, mask_of(w))]
-
-
-def sets_adjacent(g: Graph, a: Iterable[int], b: Iterable[int]) -> bool:
-    """True when some edge of g runs between the disjoint sets a and b."""
-    am = mask_of(check_vertex_set(g, a, "first set"))
-    bm = mask_of(check_vertex_set(g, b, "second set"))
-    if am & bm:
-        raise InputError("sets_adjacent requires disjoint sets")
-    return bool(neighborhood_mask(g, am) & bm)
 
 
 def bfs_order(g: Graph, start: int, within_mask: int) -> Iterator[int]:

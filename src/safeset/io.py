@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable
 
 from .graph import MAX_VERTICES, Graph, PathDecomposition
 from .reductions import Bigraph
@@ -166,20 +165,3 @@ def write_sidecar(path: str | Path, target: int, role_map: dict, source: dict) -
         "source": source,
     }
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-__all__ = [
-    "MAX_VERTICES",
-    "FormatError",
-    "parse_graph",
-    "format_graph",
-    "load_graph",
-    "save_graph",
-    "parse_bigraph",
-    "format_bigraph",
-    "load_bigraph",
-    "decomposition_to_json",
-    "decomposition_from_json",
-    "vertex_set_from_text",
-    "write_sidecar",
-]

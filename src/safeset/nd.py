@@ -47,44 +47,41 @@ class TwinPartition:
     def width(self) -> int:
         return len(self.classes)
 
-    def adjacent(self, a: int, b: int) -> bool:
-        return self.masks[a] >> b & 1 == 1
-
-
-def _twins(g: Graph, u: int, v: int) -> bool:
-    # equal open neighborhoods, or equal closed ones (then u, v are adjacent)
-    diff = g.adjacency_mask(u) ^ g.adjacency_mask(v)
-    return not diff or diff == 1 << u | 1 << v
-
 
 def twin_partition(g: Graph) -> TwinPartition:
-    """Group vertices into twin classes by pairwise comparison.
+    """Group vertices into twin classes, one dictionary lookup per vertex.
 
-    Twin-ness is transitive (a clique twin and a non-clique twin of the
-    same vertex would contradict each other), so a single sweep assigning
-    each vertex to the first matching class is enough.
+    Twins have equal open neighborhoods (then they are not adjacent) or
+    equal closed ones (then they are).  A class is filed under both masks
+    of its first vertex, and a vertex looks up its open mask, then its
+    closed one.  One vertex's open mask never equals another's closed mask
+    (either would then be its own neighbor), so the two kinds of key never
+    collide; and no vertex has twins of both kinds, so twin-ness is an
+    equivalence and classes come out ordered by their smallest member.
     """
-    reps: list[int] = []
+    index: dict[int, int] = {}
     groups: list[list[int]] = []
     class_of: list[int] = []
     for v in g.vertices():
-        for idx, rep in enumerate(reps):
-            if _twins(g, rep, v):
-                groups[idx].append(v)
-                class_of.append(idx)
-                break
-        else:
-            class_of.append(len(reps))
-            reps.append(v)
-            groups.append([v])
+        open_mask = g.adjacency_mask(v)
+        closed_mask = open_mask | 1 << v
+        idx = index.get(open_mask)
+        if idx is None:
+            idx = index.get(closed_mask)
+        if idx is None:
+            idx = len(groups)
+            index[open_mask] = index[closed_mask] = idx
+            groups.append([])
+        groups[idx].append(v)
+        class_of.append(idx)
     kinds = tuple(
         "clique" if len(grp) >= 2 and g.has_edge(grp[0], grp[1]) else "independent"
         for grp in groups
     )
     masks = []
-    for a, rep in enumerate(reps):
+    for a, grp in enumerate(groups):
         mask = 0
-        for u in g.neighbors(rep):
+        for u in g.neighbors(grp[0]):
             mask |= 1 << class_of[u]
         masks.append(mask & ~(1 << a))
     return TwinPartition(tuple(frozenset(grp) for grp in groups), kinds, tuple(masks))

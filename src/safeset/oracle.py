@@ -1,5 +1,6 @@
-"""Brute-force reference solvers, and the verified per-component pipeline
-(``solve_by_component``) that every graph solver runs on.
+"""Brute-force minimum (connected) safe set and dominating set, and the
+verified per-component pipeline (``solve_by_component``) that every graph
+solver runs on.
 
 The brute-force solvers are deliberately exhaustive: every other solver in
 the package is cross-checked against them on small instances.  Subsets are
@@ -27,7 +28,6 @@ from .graph import (
 )
 
 DEFAULT_SUBSET_CAP = 20
-DEFAULT_TREEDEPTH_CAP = 14
 
 
 @dataclass(frozen=True)
@@ -150,46 +150,6 @@ def connected_safe_number_bf(
     """Exhaustive minimum connected safe set."""
     _check_cap(g, cap, "connected safe set brute force")
     return solve_by_component(g, _first_safe(True), "oracle", True, max_size, mask_of)
-
-
-def treedepth_bf(g: Graph, cap: int = DEFAULT_TREEDEPTH_CAP) -> int:
-    """Exact treedepth by the removal recursion, memoized on vertex masks.
-
-    One vertex has depth 1; a disconnected graph takes the maximum over its
-    components; otherwise 1 plus the best single-vertex removal.
-    """
-    _check_cap(g, cap, "treedepth brute force")
-    memo: dict[int, int] = {}
-
-    def td(mask: int) -> int:
-        if mask == 0:
-            return 0
-        got = memo.get(mask)
-        if got is not None:
-            return got
-        comps = components_mask(g, mask)
-        if len(comps) > 1:
-            val = max(td(c) for c in comps)
-        elif mask.bit_count() == 1:
-            val = 1
-        else:
-            val = 1 + min(td(mask & ~(1 << v)) for v in vertices_of(mask))
-        memo[mask] = val
-        return val
-
-    return td(g.full_mask())
-
-
-def vertex_cover_bf(g: Graph, cap: int = DEFAULT_SUBSET_CAP) -> int:
-    """Minimum vertex cover size by subset scan."""
-    _check_cap(g, cap, "vertex cover brute force")
-    if not g.edges:
-        return 0
-    edge_list = sorted(g.edges)
-    for mask in subset_masks_by_size(g.n, 1, g.n):
-        if all((mask >> u) & 1 or (mask >> v) & 1 for (u, v) in edge_list):
-            return mask.bit_count()
-    raise AssertionError("unreachable: V itself covers all edges")
 
 
 def dominating_set_bf(g: Graph, k: int, cap: int = DEFAULT_SUBSET_CAP) -> SolveResult:

@@ -1,24 +1,13 @@
-"""Fast polynomial-time routines: a factor-(s+1) approximation and two
-sound refusal rules for the parameterized question "is there a safe set of
-size at most k".
-
-The refusal rules only ever answer No when no such set can exist; a pass
-says nothing either way.
-"""
+"""Polynomial-time approximation of a minimum safe set, within a factor
+s(G) + 1 of the safe number s(G)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .graph import (
     Graph,
-    InputError,
     bfs_order,
     components_mask,
-    degree,
     is_safe_set,
-    mask_of,
-    max_degree,
     neighborhood_mask,
     vertices_of,
 )
@@ -97,80 +86,3 @@ def approx_safe_set(g: Graph) -> SolveResult:
     never change.
     """
     return solve_by_component(g, lambda sub, _bound: _approx_component(sub), "approx", False)
-
-
-@dataclass(frozen=True)
-class RuleOutcome:
-    """Result of a refusal rule: either a definitive No with a reason, or a
-    pass (for the high-degree rule, carrying the forced vertex set)."""
-
-    passed: bool
-    reason: str | None = None
-    forced: frozenset[int] | None = None
-
-    def __bool__(self) -> bool:
-        return self.passed
-
-
-def _require_connected(g: Graph, what: str) -> None:
-    if g.n == 0 or len(components_mask(g, g.full_mask())) != 1:
-        raise InputError(f"{what} expects a connected graph")
-
-
-def _power_at_least(base: int, exp: int, cap: int) -> bool:
-    """Whether base**exp >= cap, without materializing huge powers."""
-    val = 1
-    for _ in range(exp):
-        val *= base
-        if val >= cap:
-            return True
-    return val >= cap
-
-
-def highdegree_rule(g: Graph, k: int) -> RuleOutcome:
-    """Refusal rule around vertices of degree >= 2k.
-
-    In a connected graph, any safe set of size <= k must contain every
-    vertex of degree at least 2k (else that vertex plus its out-of-set
-    neighbors form a too-large component), so more than k of them is a No.
-    When the rule passes, the leftover components after deleting those
-    forced vertices have max degree < 2k and treedepth <= 2k, so any of
-    them exceeding (2k)^(2k) vertices is also a No.
-    """
-    _require_connected(g, "high-degree rule")
-    if k < 1:
-        raise InputError("k must be at least 1")
-    forced = frozenset(v for v in g.vertices() if degree(g, v) >= 2 * k)
-    if len(forced) > k:
-        return RuleOutcome(
-            False,
-            f"{len(forced)} vertices have degree >= {2 * k}, but only {k} fit",
-            forced,
-        )
-    rest = g.full_mask() & ~mask_of(forced)
-    for comp in components_mask(g, rest):
-        size = comp.bit_count()
-        if not _power_at_least(2 * k, 2 * k, size):
-            return RuleOutcome(
-                False,
-                f"a leftover component has {size} vertices, "
-                f"more than ({2 * k})^({2 * k})",
-                forced,
-            )
-    return RuleOutcome(True, None, forced)
-
-
-def degree_bound_check(g: Graph, k: int) -> RuleOutcome:
-    """Refusal rule from the size bound n <= s + s^2 * max_degree.
-
-    A safe set of size s leaves at most s * max_degree components, each of
-    size at most s; if n exceeds k + k^2 * max_degree there is no safe set
-    of size <= k in a connected graph.
-    """
-    _require_connected(g, "degree bound check")
-    if k < 0:
-        raise InputError("k must be nonnegative")
-    bound = k + k * k * max_degree(g)
-    if g.n > bound:
-        return RuleOutcome(False, f"n={g.n} exceeds k + k^2*maxdeg = {bound}")
-    return RuleOutcome(True)

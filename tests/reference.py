@@ -1,14 +1,30 @@
-"""Slow, set-based reference implementations used only by tests.
+"""Slow reference implementations used only by tests.
 
-These deliberately avoid the bitmask machinery of the package so that the
-package verifiers are checked through an independent route.
+The ``ref_*`` verifiers and searches deliberately avoid the bitmask
+machinery of the package, so that the package verifiers are checked
+through an independent route.  The brute force below them -- treedepth,
+vertex cover, cw summaries and the paper's two solution-size refusal rules
+-- is built on the package's own ``components_mask``, which the set-based
+references above check.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
-from safeset.graph import Graph
+from safeset.graph import (
+    Graph,
+    InputError,
+    components_mask,
+    mask_of,
+    max_degree,
+    neighborhood_mask,
+    vertices_of,
+)
+from safeset.oracle import DEFAULT_SUBSET_CAP, subset_masks_by_size
+
+DEFAULT_TREEDEPTH_CAP = 14
 
 
 def ref_components(g: Graph, within: set[int]) -> list[set[int]]:
@@ -113,3 +129,160 @@ def ref_approx_witness(g: Graph) -> frozenset[int] | None:
     tuple), or None for the empty graph."""
     cands = [_ref_approx_in(g, comp) for comp in ref_components(g, set(g.vertices()))]
     return frozenset(min(cands)[1]) if cands else None
+
+
+def _check_cap(g: Graph, cap: int, what: str) -> None:
+    if g.n > cap:
+        raise InputError(f"{what} refused: n={g.n} exceeds cap={cap}")
+
+
+def treedepth_bf(g: Graph, cap: int = DEFAULT_TREEDEPTH_CAP) -> int:
+    """Exact treedepth by the removal recursion, memoized on vertex masks.
+
+    One vertex has depth 1; a disconnected graph takes the maximum over its
+    components; otherwise 1 plus the best single-vertex removal.
+    """
+    _check_cap(g, cap, "treedepth brute force")
+    memo: dict[int, int] = {}
+
+    def td(mask: int) -> int:
+        if mask == 0:
+            return 0
+        got = memo.get(mask)
+        if got is not None:
+            return got
+        comps = components_mask(g, mask)
+        if len(comps) > 1:
+            val = max(td(c) for c in comps)
+        elif mask.bit_count() == 1:
+            val = 1
+        else:
+            val = 1 + min(td(mask & ~(1 << v)) for v in vertices_of(mask))
+        memo[mask] = val
+        return val
+
+    return td(g.full_mask())
+
+
+def vertex_cover_bf(g: Graph, cap: int = DEFAULT_SUBSET_CAP) -> int:
+    """Minimum vertex cover size by subset scan."""
+    _check_cap(g, cap, "vertex cover brute force")
+    edge_list = sorted(g.edges)
+    for mask in subset_masks_by_size(g.n, 0, g.n):
+        if all((mask >> u) & 1 or (mask >> v) & 1 for (u, v) in edge_list):
+            return mask.bit_count()
+    raise AssertionError("unreachable: V itself covers all edges")
+
+
+def ref_summary(g: Graph, labels: list[int], subset) -> tuple[dict, dict, dict]:
+    """A selection's cw summary maps ``(inside, outside, pairs)``,
+    recomputed from the graph: list the components on both sides, bucket
+    them by exact label set (bit k stands for label k+1), and scan adjacent
+    selected/unselected component pairs for the extremal sizes.  This is
+    the meaning the solver's transitions are tested against."""
+    smask = mask_of(subset)
+
+    def side(mask: int) -> list[tuple[int, int, int]]:
+        out = []
+        for comp in components_mask(g, mask):
+            lab = 0
+            for v in vertices_of(comp):
+                lab |= 1 << (labels[v] - 1)
+            out.append((comp, lab, comp.bit_count()))
+        return out
+
+    ins, outs = side(smask), side(g.full_mask() & ~smask)
+    inside: dict[int, tuple[int, int]] = {}
+    for _, lab, size in ins:
+        total, mn = inside.get(lab, (0, size))
+        inside[lab] = (total + size, min(mn, size))
+    outside: dict[int, tuple[int, int]] = {}
+    for _, lab, size in outs:
+        total, mx = outside.get(lab, (0, size))
+        outside[lab] = (total + size, max(mx, size))
+    pairs: dict[tuple[int, int], tuple[int, int, int]] = {}
+    for cmask, clab, csize in ins:
+        reach = neighborhood_mask(g, cmask)
+        for dmask, dlab, dsize in outs:
+            if reach & dmask:
+                a, b, d = pairs.get((clab, dlab), (csize, dsize, csize - dsize))
+                pairs[clab, dlab] = (min(a, csize), max(b, dsize), min(d, csize - dsize))
+    return inside, outside, pairs
+
+
+# The paper's two refusal rules for "is there a safe set of size at most k"
+# in a connected graph.  They only ever answer No when no such set can
+# exist; a pass says nothing either way.
+
+
+@dataclass(frozen=True)
+class RuleOutcome:
+    """Result of a refusal rule: either a definitive No with a reason, or a
+    pass (for the high-degree rule, carrying the forced vertex set)."""
+
+    passed: bool
+    reason: str | None = None
+    forced: frozenset[int] | None = None
+
+
+def _require_connected(g: Graph, what: str) -> None:
+    if g.n == 0 or len(components_mask(g, g.full_mask())) != 1:
+        raise InputError(f"{what} expects a connected graph")
+
+
+def _power_at_least(base: int, exp: int, cap: int) -> bool:
+    """Whether base**exp >= cap, without materializing huge powers."""
+    val = 1
+    for _ in range(exp):
+        val *= base
+        if val >= cap:
+            return True
+    return val >= cap
+
+
+def highdegree_rule(g: Graph, k: int) -> RuleOutcome:
+    """Refusal rule around vertices of degree >= 2k.
+
+    In a connected graph, any safe set of size <= k must contain every
+    vertex of degree at least 2k (else that vertex plus its out-of-set
+    neighbors form a too-large component), so more than k of them is a No.
+    When the rule passes, the leftover components after deleting those
+    forced vertices have max degree < 2k and treedepth <= 2k, so any of
+    them exceeding (2k)^(2k) vertices is also a No.
+    """
+    _require_connected(g, "high-degree rule")
+    if k < 1:
+        raise InputError("k must be at least 1")
+    forced = frozenset(v for v in g.vertices() if len(g.neighbors(v)) >= 2 * k)
+    if len(forced) > k:
+        return RuleOutcome(
+            False,
+            f"{len(forced)} vertices have degree >= {2 * k}, but only {k} fit",
+            forced,
+        )
+    for comp in components_mask(g, g.full_mask() & ~mask_of(forced)):
+        size = comp.bit_count()
+        if not _power_at_least(2 * k, 2 * k, size):
+            return RuleOutcome(
+                False,
+                f"a leftover component has {size} vertices, "
+                f"more than ({2 * k})^({2 * k})",
+                forced,
+            )
+    return RuleOutcome(True, None, forced)
+
+
+def degree_bound_check(g: Graph, k: int) -> RuleOutcome:
+    """Refusal rule from the size bound n <= s + s^2 * max_degree.
+
+    A safe set of size s leaves at most s * max_degree components, each of
+    size at most s; if n exceeds k + k^2 * max_degree there is no safe set
+    of size <= k in a connected graph.
+    """
+    _require_connected(g, "degree bound check")
+    if k < 0:
+        raise InputError("k must be nonnegative")
+    bound = k + k * k * max_degree(g)
+    if g.n > bound:
+        return RuleOutcome(False, f"n={g.n} exceeds k + k^2*maxdeg = {bound}")
+    return RuleOutcome(True)

@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import conftest
 from corpus import expression_corpus, graph_corpus
-from reference import ref_min_steiner
+from reference import ref_min_steiner, treedepth_bf, vertex_cover_bf
 from test_cw import assert_tables_definitional
 
 from safeset.branching import branch_solve, steiner_exact
@@ -25,8 +25,6 @@ from safeset.oracle import (
     connected_safe_number_bf,
     dominating_set_bf,
     safe_number_bf,
-    treedepth_bf,
-    vertex_cover_bf,
 )
 from safeset.preprocess import approx_safe_set
 from safeset.reductions import (

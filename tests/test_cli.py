@@ -314,6 +314,16 @@ def test_solve_branch_requires_bound(run, c8_path):
     assert code == 2 and "-k" in err
 
 
+@pytest.mark.parametrize("algo", ["oracle", "nd", "cw", "branch", "approx"])
+def test_solve_rejects_bound_below_one_on_every_route(run, c8_path, tmp_path, algo):
+    expr_path = tmp_path / "c8.expr"
+    expr_path.write_text(format_cexpression(cycle_expression(8)))
+    extra = ["--expr", str(expr_path)] if algo == "cw" else []
+    for k in ("0", "-3"):
+        code, report, err = run(["solve", "--algo", algo, "-k", k, *extra, c8_path])
+        assert code == 2 and report is None and "k must be at least 1" in err
+
+
 def test_solve_approx_has_no_connected_mode(run, c8_path):
     code, _, err = run(["solve", "--algo", "approx", "--connected", c8_path])
     assert code == 2 and "plain problem" in err

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import random_expression
+from reference import ref_summary
 from safeset.cexpr import (
     CExpression,
     Leaf,
@@ -18,8 +19,6 @@ from safeset.cexpr import (
     parse_cexpression,
 )
 from safeset.cw import (
-    DpEntry,
-    definitional_entry,
     dp_evaluate,
     dp_join,
     dp_leaf,
@@ -42,6 +41,16 @@ def by_witness(entries, witness):
     matches = [e for e in entries if e.witness == frozenset(witness)]
     assert len(matches) == 1, f"no unique entry with witness {witness}"
     return matches[0]
+
+
+def maps(entry):
+    """A summary's three maps, the form ``ref_summary`` returns."""
+    return entry.inside, entry.outside, entry.pairs
+
+
+def frozen(summary):
+    """Hashable form of three summary maps, equal exactly when they are."""
+    return tuple(frozenset(m.items()) for m in summary)
 
 
 # ---------------------------------------------------------------------------
@@ -77,8 +86,7 @@ def test_union_of_two_taken_leaves_same_label():
     b = by_witness(dp_leaf(1, vertex=1), (1,))
     entry = dp_union([a], [b])[0]
     assert entry.inside == {1: (2, 1)}
-    direct = definitional_entry(Graph(2), [1, 1], {0, 1}, 1)
-    assert entry == direct
+    assert maps(entry) == ref_summary(Graph(2), [1, 1], {0, 1})
 
 
 def test_union_size_is_at_most_product():
@@ -102,8 +110,7 @@ def test_relabel_fuses_outside_buckets():
     assert both_out.outside == {1: (1, 1), 2: (1, 1)}
     fused = dp_relabel(1, 2, [both_out])[0]
     assert fused.outside == {2: (2, 1)}
-    direct = definitional_entry(Graph(2), [2, 2], set(), 2)
-    assert fused == direct
+    assert maps(fused) == ref_summary(Graph(2), [2, 2], set())
 
 
 def test_relabel_without_occurrences_changes_nothing():
@@ -132,8 +139,7 @@ def test_join_records_new_adjacency():
     joined = dp_join(1, 2, child)
     first_only = by_witness(joined, (0,))
     assert first_only.pairs == {(1, 2): (1, 1, 0)}
-    direct = definitional_entry(Graph(2, [(0, 1)]), [1, 2], {0}, 2)
-    assert first_only == direct
+    assert maps(first_only) == ref_summary(Graph(2, [(0, 1)]), [1, 2], {0})
 
 
 def test_join_without_both_classes_is_identity():
@@ -157,7 +163,7 @@ def test_join_revalues_gap_when_fused_mask_equals_old_key():
     entry = by_witness(dp_evaluate(expr)[expr.root], (1,))
     assert entry.outside == {7: (4, 4)}
     assert entry.pairs == {(1, 7): (1, 4, -3)}
-    assert entry == definitional_entry(g, labels, {1}, expr.label_count)
+    assert maps(entry) == ref_summary(g, labels, {1})
 
 
 def test_transitions_reject_equal_labels():
@@ -182,23 +188,22 @@ def assert_tables_definitional(expr):
         assert g.n == size
         entries = tables[node]
         assert len(entries) <= 2 ** size
-        signatures = set()
+        summaries = set()
         for entry in entries:
             assert all(t > 0 for t, _ in entry.inside.values())
             assert all(t > 0 for t, _ in entry.outside.values())
             local = {v - base for v in entry.witness}
             assert all(0 <= v < size for v in local)
-            direct = definitional_entry(g, labels, local, expr.label_count)
-            assert direct.signature == entry.signature
+            assert maps(entry) == ref_summary(g, labels, local)
             totals = [t for t, _ in entry.inside.values()] + [t for t, _ in entry.outside.values()]
             assert sum(totals) == size
-            signatures.add(entry.signature)
-        assert len(signatures) == len(entries)
+            summaries.add(frozen(maps(entry)))
+        assert len(summaries) == len(entries)
         expected = set()
         for mask in range(1 << size):
             subset = {v for v in range(size) if mask >> v & 1}
-            expected.add(definitional_entry(g, labels, subset, expr.label_count).signature)
-        assert signatures == expected
+            expected.add(frozen(ref_summary(g, labels, subset)))
+        assert summaries == expected
 
 
 @settings(max_examples=60, deadline=None)

@@ -38,13 +38,10 @@ from safeset.nd import (
     solve_nd,
     twin_partition,
 )
-from safeset.oracle import (
-    connected_safe_number_bf,
-    safe_number_bf,
-    vertex_cover_bf,
-)
+from safeset.oracle import connected_safe_number_bf, safe_number_bf
 
 from corpus import disjoint_union, union_corpus
+from reference import vertex_cover_bf
 
 
 def test_twin_partition_complete_graph():
@@ -58,7 +55,7 @@ def test_twin_partition_complete_bipartite():
     tp = twin_partition(complete_bipartite_graph(2, 3))
     assert tp.width == 2
     assert set(tp.kinds) == {"independent"}
-    assert tp.adjacent(0, 1)
+    assert tp.masks == (0b10, 0b01)
 
 
 def test_twin_partition_cycles_are_all_singletons():
@@ -74,7 +71,7 @@ def test_twin_partition_diamond():
     by_class = {frozenset(c): k for c, k in zip(tp.classes, tp.kinds)}
     assert by_class[frozenset({0, 3})] == "independent"
     assert by_class[frozenset({1, 2})] == "clique"
-    assert tp.adjacent(0, 1)
+    assert tp.masks == (0b10, 0b01)
 
 
 @st.composite
@@ -102,13 +99,26 @@ def test_twin_partition_invariants(g):
             assert g.neighbors(u) - {v} == g.neighbors(v) - {u}
             assert g.has_edge(u, v) == (kind == "clique")
     assert seen == set(g.vertices())
+    firsts = [min(cls) for cls in tp.classes]
+    assert firsts == sorted(firsts)
     for a in range(tp.width):
         for b in range(a + 1, tp.width):
             crossings = {
                 g.has_edge(u, v) for u in tp.classes[a] for v in tp.classes[b]
             }
             assert len(crossings) == 1
-            assert crossings == {tp.adjacent(a, b)}
+            assert crossings == {tp.masks[a] >> b & 1 == 1}
+            # the classes are maximal: representatives of two are not twins
+            u, v = firsts[a], firsts[b]
+            assert g.neighbors(u) - {v} != g.neighbors(v) - {u}
+
+
+def test_twin_partition_perfect_matching():
+    n = 4000
+    tp = twin_partition(Graph(n, [(2 * i, 2 * i + 1) for i in range(n // 2)]))
+    assert tp.classes == tuple(frozenset({2 * i, 2 * i + 1}) for i in range(n // 2))
+    assert tp.kinds == ("clique",) * (n // 2)
+    assert tp.masks == (0,) * (n // 2)
 
 
 def test_guess_enumeration_skips_impossible():

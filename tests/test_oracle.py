@@ -31,13 +31,11 @@ from safeset.oracle import (
     safe_number_bf,
     solve_by_component,
     subset_masks_by_size,
-    treedepth_bf,
     verified_result,
-    vertex_cover_bf,
 )
 from safeset.preprocess import approx_safe_set
 
-from reference import ref_safe_number
+from reference import ref_safe_number, treedepth_bf, vertex_cover_bf
 
 
 def test_subset_enumeration_order():

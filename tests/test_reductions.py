@@ -2,20 +2,18 @@ import itertools
 
 import pytest
 
-from safeset.generators import complete_graph, cycle_graph, path_graph, star_graph
+from safeset.generators import complete_graph, path_graph, star_graph
 from safeset.graph import (
     Graph,
     InputError,
-    degree,
     is_connected_safe_set,
     is_safe_set,
     validate_path_decomposition,
 )
 from safeset import reductions
-from safeset.oracle import dominating_set_bf, safe_number_bf, vertex_cover_bf
+from safeset.oracle import dominating_set_bf, safe_number_bf
 from safeset.reductions import (
     Bigraph,
-    ReductionOutput,
     ds_forward_certificate,
     ds_path_decomposition,
     ds_target,
@@ -26,7 +24,7 @@ from safeset.reductions import (
     rbds_to_ss,
 )
 
-from reference import ref_is_safe
+from reference import ref_is_safe, vertex_cover_bf
 
 
 def test_ds_target_frozen_values():
@@ -51,8 +49,8 @@ def test_ds_vertex_count_matches_closed_form():
         guards = n * k * (kp - n + 1)
         gadgets = sum(
             1
-            + (kp - k * (degree(g, v) + 1))
-            + k * (degree(g, v) + 1) * (1 + (kp - 1) + 1)
+            + (kp - k * (len(g.neighbors(v)) + 1))
+            + k * (len(g.neighbors(v)) + 1) * (1 + (kp - 1) + 1)
             for v in g.vertices()
         )
         assert out.graph.n == lines + guards + gadgets + 1
