@@ -159,17 +159,16 @@ def cmd_verify(args) -> int:
     return 1
 
 
-def _write_vertex_set(path: str, vertices) -> None:
-    Path(path).write_text(",".join(str(v) for v in sorted(vertices)) + "\n")
+def _vertex_set_text(vertices) -> str:
+    return ",".join(str(v) for v in sorted(vertices)) + "\n"
 
 
 def cmd_gen(args) -> int:
-    written: list[str] = []
+    # every check that can fail runs before the first file is written
+    extras: list[tuple[str, str]] = []  # (path, text), written after the instance
     if args.family == "ds":
         g = load_graph(args.source)
         output = ds_to_ss(g, args.k)
-        save_graph(output.graph, args.out)
-        written.append(args.out)
         if args.cert:
             dom = dominating_set_bf(g, args.k, cap=args.bf_cap)
             if not dom.feasible:
@@ -177,19 +176,15 @@ def cmd_gen(args) -> int:
                     f"no dominating set of size at most {args.k}; nothing to certify"
                 )
             cert = ds_forward_certificate(g, dom.witness, output)
-            _write_vertex_set(args.cert, cert)
-            written.append(args.cert)
+            extras.append((args.cert, _vertex_set_text(cert)))
         if args.decomp:
-            pd = ds_path_decomposition(output)
-            Path(args.decomp).write_text(decomposition_to_json(pd) + "\n")
-            written.append(args.decomp)
+            decomp_text = decomposition_to_json(ds_path_decomposition(output)) + "\n"
+            extras.append((args.decomp, decomp_text))
     else:
-        bg = load_bigraph(args.source)
-        output = rbds_to_ss(bg, args.k)
-        save_graph(output.graph, args.out)
-        written.append(args.out)
         if args.decomp:
             raise InputError("--decomp applies to the ds family only")
+        bg = load_bigraph(args.source)
+        output = rbds_to_ss(bg, args.k)
         if args.cert:
             dom = rbds_has_dominating_set(bg, args.k, args.bf_cap)
             if dom is None:
@@ -198,18 +193,19 @@ def cmd_gen(args) -> int:
                     "nothing to certify"
                 )
             cert = rbds_forward_certificate(bg, dom, output)
-            _write_vertex_set(args.cert, cert)
-            written.append(args.cert)
+            extras.append((args.cert, _vertex_set_text(cert)))
+    save_graph(output.graph, args.out)
+    for path, text in extras:
+        Path(path).write_text(text)
     sidecar = args.out + ".json"
     write_sidecar(sidecar, output.target, output.role_map, output.source)
-    written.append(sidecar)
     _emit(
         {
             "family": args.family,
             "target": output.target,
             "n": output.graph.n,
             "m": output.graph.m,
-            "written": written,
+            "written": [args.out, *(path for path, _ in extras), sidecar],
         }
     )
     return 0

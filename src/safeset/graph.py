@@ -286,12 +286,6 @@ class PathDecomposition:
     def __init__(self, bags: Iterable[Iterable[int]]):
         self.bags = tuple(frozenset(b) for b in bags)
 
-    def __len__(self) -> int:
-        return len(self.bags)
-
-    def __iter__(self):
-        return iter(self.bags)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PathDecomposition):
             return NotImplemented

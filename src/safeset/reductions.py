@@ -11,13 +11,16 @@ Two constructions are provided:
   whose minimum safe set size is at most k + r + 1 exactly when k blue
   vertices dominate all red ones.  The output has small vertex cover number.
 
-Both emit a per-vertex role map so the constructions can be audited and so
-certificates can be reconstructed from the artifact alone.
+Both keep the id tables they build in ``ReductionOutput.ids``, and the
+certificates and the path decomposition read those tables.  Both also emit
+a per-vertex role map, written to the sidecar file, so an instance can be
+audited from its artifacts alone; a test keeps it matching the tables.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .graph import (
@@ -55,12 +58,33 @@ class Bigraph:
 @dataclass
 class ReductionOutput:
     """A generated instance: the graph, the safe-set size target, a
-    per-vertex role map, and the source instance it was built from."""
+    per-vertex role map, the source instance it was built from, and the
+    construction's id tables.
+
+    ``ids`` maps each role to its ids, located by that role's role-map
+    fields: a dict keyed by the fields other than ``idx`` (one field as is,
+    several as a tuple in role-map order), then a list indexed by ``idx``; a
+    role without such fields is one id or one list.  ds also keeps
+    ``members``, each column's sorted closed neighbourhood in the base graph."""
 
     graph: Graph
     target: int
     role_map: dict[int, dict] = field(repr=False)
     source: dict = field(repr=False)
+    ids: dict = field(repr=False)
+
+
+def _numbering() -> tuple[Callable[..., int], dict[int, dict]]:
+    """An id allocator and the role map it fills: each call takes the next
+    vertex id and records its role."""
+    role_map: dict[int, dict] = {}
+
+    def fresh(role: str, **fields) -> int:
+        vid = len(role_map)
+        role_map[vid] = {"role": role, **fields}
+        return vid
+
+    return fresh, role_map
 
 
 def rbds_has_dominating_set(
@@ -124,28 +148,13 @@ def ds_to_ss(g: Graph, k: int) -> ReductionOutput:
     # a choice with kp - 1 pads and a release, and the universal vertex
     _check_output_size(k * nsq + k * n * guard_count + n * (1 + kp) + k * closed_sizes * kp + 1)
 
-    role_map: dict[int, dict] = {}
-    counter = 0
-
-    def fresh(role: dict) -> int:
-        nonlocal counter
-        vid = counter
-        counter += 1
-        role_map[vid] = role
-        return vid
-
-    line_v: dict[tuple[int, int], int] = {}
-    for j in range(k):
-        for p in range(nsq):
-            line_v[(j, p)] = fresh({"role": "line", "line": j, "pos": p})
-
-    guards: dict[tuple[int, int], list[int]] = {}
-    for j in range(k):
-        for b in range(n):
-            guards[(j, b)] = [
-                fresh({"role": "guard", "line": j, "block": b, "idx": t})
-                for t in range(guard_count)
-            ]
+    fresh, role_map = _numbering()
+    line_v = {(j, p): fresh("line", line=j, pos=p) for j in range(k) for p in range(nsq)}
+    guards = {
+        (j, b): [fresh("guard", line=j, block=b, idx=t) for t in range(guard_count)]
+        for j in range(k)
+        for b in range(n)
+    }
 
     members: dict[int, list[int]] = {b: sorted(neighbors_closed(g, b)) for b in range(n)}
     center: dict[int, int] = {}
@@ -155,24 +164,16 @@ def ds_to_ss(g: Graph, k: int) -> ReductionOutput:
     release: dict[tuple[int, int, int], int] = {}
     for b in range(n):
         deg1 = len(members[b])
-        center[b] = fresh({"role": "center", "column": b})
-        center_pads[b] = [
-            fresh({"role": "center_pad", "column": b, "idx": t})
-            for t in range(kp - k * deg1)
-        ]
+        center[b] = fresh("center", column=b)
+        center_pads[b] = [fresh("center_pad", column=b, idx=t) for t in range(kp - k * deg1)]
         for j in range(k):
             for w in members[b]:
-                choice[(b, j, w)] = fresh(
-                    {"role": "choice", "column": b, "line": j, "member": w}
-                )
+                choice[(b, j, w)] = fresh("choice", column=b, line=j, member=w)
                 choice_pads[(b, j, w)] = [
-                    fresh({"role": "choice_pad", "column": b, "line": j, "member": w, "idx": t})
-                    for t in range(kp - 1)
+                    fresh("choice_pad", column=b, line=j, member=w, idx=t) for t in range(kp - 1)
                 ]
-                release[(b, j, w)] = fresh(
-                    {"role": "release", "column": b, "line": j, "member": w}
-                )
-    universal = fresh({"role": "universal"})
+                release[(b, j, w)] = fresh("release", column=b, line=j, member=w)
+    universal = fresh("universal")
 
     edges: list[tuple[int, int]] = []
     for j in range(k):
@@ -192,36 +193,20 @@ def ds_to_ss(g: Graph, k: int) -> ReductionOutput:
                 edges.append((x, line_v[(j, b * n + w)]))
     edges.extend((universal, v) for v in range(universal))
 
-    graph = Graph(counter, edges)
+    graph = Graph(len(role_map), edges)
     source = {"kind": "ds", "n": n, "edges": sorted(map(list, g.edges)), "k": k}
-    return ReductionOutput(graph, kp, role_map, source)
-
-
-def _ds_lookup(output: ReductionOutput):
-    """Rebuild id lookups from the role map (also exercises its completeness)."""
-    line_v, guards, center, cpads, choice, cpads_x, release = {}, {}, {}, {}, {}, {}, {}
-    universal = None
-    for vid, role in output.role_map.items():
-        r = role["role"]
-        if r == "line":
-            line_v[(role["line"], role["pos"])] = vid
-        elif r == "guard":
-            guards.setdefault((role["line"], role["block"]), []).append(vid)
-        elif r == "center":
-            center[role["column"]] = vid
-        elif r == "center_pad":
-            cpads.setdefault(role["column"], []).append(vid)
-        elif r == "choice":
-            choice[(role["column"], role["line"], role["member"])] = vid
-        elif r == "choice_pad":
-            cpads_x.setdefault((role["column"], role["line"], role["member"]), []).append(vid)
-        elif r == "release":
-            release[(role["column"], role["line"], role["member"])] = vid
-        elif r == "universal":
-            universal = vid
-        else:
-            raise InputError(f"unknown role {r!r}")
-    return line_v, guards, center, cpads, choice, cpads_x, release, universal
+    ids = {
+        "line": line_v,
+        "guard": guards,
+        "center": center,
+        "center_pad": center_pads,
+        "choice": choice,
+        "choice_pad": choice_pads,
+        "release": release,
+        "universal": universal,
+        "members": members,
+    }
+    return ReductionOutput(graph, kp, role_map, source, ids)
 
 
 def ds_forward_certificate(g: Graph, K, output: ReductionOutput) -> frozenset[int]:
@@ -246,23 +231,19 @@ def ds_forward_certificate(g: Graph, K, output: ReductionOutput) -> frozenset[in
             raise InputError("cannot pad K to size k: k exceeds the vertex count")
         K.add(nxt)
 
-    line_v, _, _, _, choice, _, release, universal = _ds_lookup(output)
-    members = sorted(K)
-    line_of = {w: j for j, w in enumerate(members)}
-    s: set[int] = {universal}
-    for j, w in enumerate(members):
-        for t in range(n):
-            s.add(line_v[(j, w + t * n)])
-    for b in range(n):
-        closed = sorted(neighbors_closed(g, b))
+    ids = output.ids
+    line_v, choice = ids["line"], ids["choice"]
+    selected = sorted(K)
+    line_of = {w: j for j, w in enumerate(selected)}
+    s: set[int] = {ids["universal"]}
+    for j, w in enumerate(selected):
+        s.update(line_v[(j, w + t * n)] for t in range(n))
+    for b, closed in ids["members"].items():
         w_star = min(v for v in closed if v in K)
         j_star = line_of[w_star]
         for j in range(k):
-            for w in closed:
-                if j == j_star and w == w_star:
-                    continue
-                s.add(choice[(b, j, w)])
-        s.add(release[(b, j_star, w_star)])
+            s.update(choice[(b, j, w)] for w in closed if (j, w) != (j_star, w_star))
+        s.add(ids["release"][(b, j_star, w_star)])
     if len(s) != output.target:
         raise WitnessError(f"certificate has {len(s)} vertices, target is {output.target}")
     return frozenset(s)
@@ -280,9 +261,8 @@ def ds_path_decomposition(output: ReductionOutput) -> PathDecomposition:
     """
     k = output.source["k"]
     n = output.source["n"]
-    line_v, guards, center, cpads, choice, cpads_x, release, universal = _ds_lookup(output)
-    base_edges = [tuple(e) for e in output.source["edges"]]
-    base = Graph(n, base_edges)
+    ids = output.ids
+    line_v, choice, release = ids["line"], ids["choice"], ids["release"]
 
     all_bags: list[frozenset[int]] = []
     for b in range(n):
@@ -311,20 +291,20 @@ def ds_path_decomposition(output: ReductionOutput) -> PathDecomposition:
 
         for j in range(k):
             anchor = first_bag[paths[j][0]]
-            for gv in guards[(j, b)]:
+            for gv in ids["guard"][(j, b)]:
                 hang(anchor, walk[anchor] | {gv})
-        for w_pad in cpads.get(b, []):
+        for w_pad in ids["center_pad"][b]:
             hang(0, walk[0] | {w_pad})
         for j in range(k):
-            for w in sorted(neighbors_closed(base, b)):
+            for w in ids["members"][b]:
                 anchor = first_bag[line_v[(j, b * n + w)]]
                 bx = walk[anchor] | {choice[(b, j, w)]}
                 hang(anchor, bx)
                 hang(anchor, bx | {release[(b, j, w)]})
-                for q in cpads_x[(b, j, w)]:
+                for q in ids["choice_pad"][(b, j, w)]:
                     hang(anchor, bx | {q})
 
-        z = center[b]
+        z = ids["center"][b]
         block_bags: list[frozenset[int]] = []
         for i, bag in enumerate(walk):
             block_bags.append(bag | {z})
@@ -339,7 +319,7 @@ def ds_path_decomposition(output: ReductionOutput) -> PathDecomposition:
             seq = seq[1:]
         all_bags.extend(seq)
 
-    glob = frozenset({universal} | {line_v[(j, 0)] for j in range(k)})
+    glob = frozenset({ids["universal"]} | {line_v[(j, 0)] for j in range(k)})
     return PathDecomposition([bag | glob for bag in all_bags])
 
 
@@ -369,29 +349,16 @@ def rbds_to_ss(bg: Bigraph, k: int) -> ReductionOutput:
     # star of s vertices
     _check_output_size(bg.r + bg.b + 1 + 2 * s + 3 * bg.r * s)
 
-    role_map: dict[int, dict] = {}
-    counter = 0
-
-    def fresh(role: dict) -> int:
-        nonlocal counter
-        vid = counter
-        counter += 1
-        role_map[vid] = role
-        return vid
-
-    reds = [fresh({"role": "red", "index": i}) for i in range(bg.r)]
-    blues = [fresh({"role": "blue", "index": j}) for j in range(bg.b)]
-    hub = fresh({"role": "hub"})
-    hub_pendants = [fresh({"role": "hub_pendant", "idx": t}) for t in range(2 * s)]
+    fresh, role_map = _numbering()
+    reds = [fresh("red", index=i) for i in range(bg.r)]
+    blues = [fresh("blue", index=j) for j in range(bg.b)]
+    hub = fresh("hub")
+    hub_pendants = [fresh("hub_pendant", idx=t) for t in range(2 * s)]
     red_pendants = {
-        i: [fresh({"role": "red_pendant", "red": i, "idx": t}) for t in range(2 * s)]
-        for i in range(bg.r)
+        i: [fresh("red_pendant", red=i, idx=t) for t in range(2 * s)] for i in range(bg.r)
     }
-    star_center = {i: fresh({"role": "star_center", "red": i}) for i in range(bg.r)}
-    star_leaves = {
-        i: [fresh({"role": "star_leaf", "red": i, "idx": t}) for t in range(s - 1)]
-        for i in range(bg.r)
-    }
+    star_center = {i: fresh("star_center", red=i) for i in range(bg.r)}
+    star_leaves = {i: [fresh("star_leaf", red=i, idx=t) for t in range(s - 1)] for i in range(bg.r)}
 
     edges: list[tuple[int, int]] = []
     edges.extend((reds[i], blues[j]) for (i, j) in sorted(bg.edges))
@@ -402,9 +369,18 @@ def rbds_to_ss(bg: Bigraph, k: int) -> ReductionOutput:
         edges.append((reds[i], star_center[i]))
         edges.extend((star_center[i], leaf) for leaf in star_leaves[i])
 
-    graph = Graph(counter, edges)
+    graph = Graph(len(role_map), edges)
     source = {"kind": "rbds", "r": bg.r, "b": bg.b, "edges": sorted(map(list, bg.edges)), "k": k}
-    return ReductionOutput(graph, s, role_map, source)
+    ids = {
+        "red": reds,
+        "blue": blues,
+        "hub": hub,
+        "hub_pendant": hub_pendants,
+        "red_pendant": red_pendants,
+        "star_center": star_center,
+        "star_leaf": star_leaves,
+    }
+    return ReductionOutput(graph, s, role_map, source, ids)
 
 
 def rbds_forward_certificate(bg: Bigraph, D, output: ReductionOutput) -> frozenset[int]:
@@ -427,22 +403,10 @@ def rbds_forward_certificate(bg: Bigraph, D, output: ReductionOutput) -> frozens
     if len(D) > k:
         raise InputError(f"|D|={len(D)} exceeds k={k}")
 
-    red_ids, blue_ids, hub, hub_pendant_ids = [], [], None, []
-    for vid, role in output.role_map.items():
-        if role["role"] == "red":
-            red_ids.append(vid)
-        elif role["role"] == "blue":
-            blue_ids.append((role["index"], vid))
-        elif role["role"] == "hub":
-            hub = vid
-        elif role["role"] == "hub_pendant":
-            hub_pendant_ids.append(vid)
-    blue_by_index = dict(blue_ids)
-
-    chosen: set[int] = {hub}
-    chosen.update(red_ids)
-    chosen.update(blue_by_index[j] for j in sorted(D))
-    fill = [blue_by_index[j] for j in sorted(set(range(bg.b)) - D)] + sorted(hub_pendant_ids)
+    ids = output.ids
+    blues = ids["blue"]
+    chosen = {ids["hub"], *ids["red"], *(blues[j] for j in D)}
+    fill = [blues[j] for j in range(bg.b) if j not in D] + ids["hub_pendant"]
     for extra in fill:
         if len(chosen) >= s:
             break

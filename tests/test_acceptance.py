@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import conftest
 from corpus import expression_corpus, graph_corpus
-from reference import ref_min_steiner, treedepth_bf, vertex_cover_bf
+from bruteforce import ref_min_steiner, treedepth_bf, vertex_cover_bf
 from test_cw import assert_tables_definitional
 
 from safeset.branching import branch_solve, steiner_exact

@@ -22,7 +22,7 @@ from safeset.graph import Graph, InputError, is_connected_safe_set, is_safe_set,
 from safeset.oracle import connected_safe_number_bf, safe_number_bf
 
 from corpus import union_corpus
-from reference import ref_min_steiner
+from bruteforce import ref_min_steiner
 
 
 def test_steiner_single_terminal():

@@ -240,9 +240,14 @@ def bigraph_soups(draw):
     return "\n".join([f"{r} {b} {m}", *body])
 
 
+GEN_OUTPUTS = ("out.gr", "out.gr.json", "cert.txt", "pd.json")
+
+
 def _check_gen_outputs(code, report, tmp_path):
-    """On success every file gen wrote reads back and fits the instance."""
+    """On success every file gen wrote reads back and fits the instance; on
+    failure gen wrote nothing."""
     if code != 0:
+        assert not any((tmp_path / name).exists() for name in GEN_OUTPUTS)
         return
     produced = load_graph(tmp_path / "out.gr")
     assert (produced.n, produced.m) == (report["n"], report["m"])
@@ -267,7 +272,7 @@ def _gen_argv(family, k, source, tmp_path, cert, decomp):
 
 
 def _clear(tmp_path):
-    for name in ("out.gr", "out.gr.json", "cert.txt", "pd.json"):
+    for name in GEN_OUTPUTS:
         (tmp_path / name).unlink(missing_ok=True)
 
 
@@ -457,6 +462,27 @@ def test_gen_rbds_has_no_decomposition(run, tmp_path):
         ]
     )
     assert code == 2 and "ds family" in err
+
+
+P4_TEXT = "4 3\n0 1\n1 2\n2 3\n"
+
+
+@pytest.mark.parametrize(
+    "family,k,source,flag,name,message",
+    [
+        ("rbds", 1, "1 1 1\n0 0\n", "--decomp", "pd.json", "ds family"),
+        ("ds", 1, P4_TEXT, "--cert", "cert.txt", "no dominating set"),
+        ("ds", 5, P4_TEXT, "--cert", "cert.txt", "k exceeds the vertex count"),
+    ],
+    ids=["rbds-decomp", "ds-no-dominating-set", "ds-k-above-n"],
+)
+def test_gen_writes_nothing_when_it_fails(run, tmp_path, family, k, source, flag, name, message):
+    path = tmp_path / "base.txt"
+    path.write_text(source)
+    argv = ["gen", family, "-k", str(k), str(path), "-o", str(tmp_path / "out.gr")]
+    code, _, err = run(argv + [flag, str(tmp_path / name)])
+    assert code == 2 and message in err
+    assert not any((tmp_path / written).exists() for written in GEN_OUTPUTS)
 
 
 @pytest.mark.parametrize("family,source", [("ds", "2 1\n0 1\n"), ("rbds", "1 1 1\n0 0\n")])

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import random_expression
-from reference import ref_summary
+from bruteforce import ref_summary
 from safeset.cexpr import (
     CExpression,
     Leaf,

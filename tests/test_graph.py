@@ -33,7 +33,7 @@ from safeset.graph import (
 )
 
 from corpus import union_corpus
-from reference import ref_adjacent, ref_is_safe
+from bruteforce import ref_adjacent, ref_is_safe
 
 
 def test_graph_rejects_bad_edges():

@@ -41,7 +41,7 @@ from safeset.nd import (
 from safeset.oracle import connected_safe_number_bf, safe_number_bf
 
 from corpus import disjoint_union, union_corpus
-from reference import vertex_cover_bf
+from bruteforce import vertex_cover_bf
 
 
 def test_twin_partition_complete_graph():

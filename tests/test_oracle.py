@@ -35,7 +35,7 @@ from safeset.oracle import (
 )
 from safeset.preprocess import approx_safe_set
 
-from reference import ref_safe_number, treedepth_bf, vertex_cover_bf
+from bruteforce import ref_safe_number, treedepth_bf, vertex_cover_bf
 
 
 def test_subset_enumeration_order():

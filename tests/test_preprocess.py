@@ -16,7 +16,7 @@ from safeset.graph import Graph, InputError, components, is_safe_set
 from safeset.oracle import safe_number_bf
 from safeset.preprocess import approx_safe_set
 
-from reference import degree_bound_check, highdegree_rule, ref_approx_witness
+from bruteforce import degree_bound_check, highdegree_rule, ref_approx_witness
 
 
 def test_approx_star_is_tiny():

@@ -24,7 +24,7 @@ from safeset.reductions import (
     rbds_to_ss,
 )
 
-from reference import ref_is_safe, vertex_cover_bf
+from bruteforce import ref_is_safe, vertex_cover_bf
 
 
 def test_ds_target_frozen_values():
@@ -133,6 +133,44 @@ def test_ds_forward_soundness_small_sweep():
             pd = ds_path_decomposition(out)
             width = validate_path_decomposition(out.graph, pd)
             assert isinstance(width, int) and width <= 2 * k + 5
+
+
+def _located(output, role):
+    """The id that ``role``'s fields point to in ``output.ids``."""
+    fields = {k: v for k, v in role.items() if k not in ("role", "idx")}
+    entry = output.ids[role["role"]]
+    if fields:
+        key = tuple(fields.values())
+        entry = entry[key[0] if len(key) == 1 else key]
+    return entry[role["idx"]] if "idx" in role else entry
+
+
+def _table_ids(entry):
+    if isinstance(entry, int):
+        return [entry]
+    values = entry.values() if isinstance(entry, dict) else entry
+    return [vid for value in values for vid in _table_ids(value)]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ds_to_ss(path_graph(2), 1),
+        lambda: ds_to_ss(star_graph(3), 2),
+        lambda: ds_to_ss(Graph(4, [(0, 1), (1, 2)]), 3),
+        lambda: rbds_to_ss(Bigraph(1, 1, frozenset({(0, 0)})), 1),
+        lambda: rbds_to_ss(Bigraph(3, 2, frozenset({(0, 0), (2, 1)})), 2),
+    ],
+)
+def test_role_map_matches_the_id_tables(build):
+    # the sidecar writes the role map, and nothing in the package reads it
+    # back, so this is what keeps it true to the construction
+    out = build()
+    assert sorted(out.role_map) == list(range(out.graph.n))
+    for vid, role in out.role_map.items():
+        assert _located(out, role) == vid, role
+    tables = [entry for name, entry in out.ids.items() if name != "members"]
+    assert sorted(vid for entry in tables for vid in _table_ids(entry)) == list(range(out.graph.n))
 
 
 def test_bigraph_validation():
