@@ -194,11 +194,20 @@ def cmd_gen(args) -> int:
                 )
             cert = rbds_forward_certificate(bg, dom, output)
             extras.append((args.cert, _vertex_set_text(cert)))
-    save_graph(output.graph, args.out)
-    for path, text in extras:
-        Path(path).write_text(text)
     sidecar = args.out + ".json"
-    write_sidecar(sidecar, output.target, output.role_map, output.source)
+    written: list[str] = []
+    try:
+        save_graph(output.graph, args.out)
+        written.append(args.out)
+        for path, text in extras:
+            Path(path).write_text(text)
+            written.append(path)
+        write_sidecar(sidecar, output.target, output.role_map, output.source)
+    except OSError:
+        # one failed write fails the whole call: leave no partial output
+        for path in written:
+            Path(path).unlink(missing_ok=True)
+        raise
     _emit(
         {
             "family": args.family,

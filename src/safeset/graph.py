@@ -3,8 +3,15 @@
 A set S of vertices is *safe* when no connected component of the subgraph
 induced by S has a strictly larger component of G - S next to it; it is a
 *connected safe set* when additionally the subgraph induced by S is
-connected.  The verifiers in this module are the ground truth that every
-solver in the package is tested against.
+connected.
+
+The verifiers have two roles.  The mask verifiers (``is_safe_mask``,
+``is_connected_safe_mask``) only decide, and stop at the first proof either
+way; they are the inner loop of the exact routes.  ``explain_safety``
+splits both S and G - S in full and reports the first violating pair.  It
+does not call the deciders, and it is the check that
+``oracle.verified_result`` runs on every reported witness, so a witness
+the deciders accept wrongly never reaches a result.
 
 Everything here is pure and immutable, hence safe to call concurrently.
 """
@@ -187,21 +194,67 @@ def bfs_order(g: Graph, start: int, within_mask: int) -> Iterator[int]:
             queue.append(w)
 
 
-def _larger_neighbor(g: Graph, smask: int, s_comps: list[int]) -> tuple[int, int] | None:
-    """First component of the candidate with a strictly larger adjacent
-    component of the rest, as (component, neighbor) masks; None if none."""
-    rest_comps = components_mask(g, g.full_mask() & ~smask)
-    for comp in s_comps:
-        nbr = neighborhood_mask(g, comp)
-        size = comp.bit_count()
-        for other in rest_comps:
-            if nbr & other and other.bit_count() > size:
-                return comp, other
-    return None
+def _decide_safe(g: Graph, smask: int, connected: bool) -> bool:
+    """The decision behind both mask verifiers, stopping at the first proof.
+
+    Only components of G - S next to S can break safety, and one with more
+    than |S| vertices breaks it whatever S's components are, so each is
+    grown from N(S) only until it passes |S|.  S's components are split
+    only when every leftover component next to S stayed within |S|.  The
+    two searches are written out rather than calling a helper per
+    component: on calls recorded from nd and the oracle, that helper made
+    the decision 10-20 % slower.
+    """
+    if not smask:
+        return False
+    masks = g._masks
+    if connected:
+        # one BFS inside S from its lowest vertex; what it reaches is N(S)
+        comp = frontier = smask & -smask
+        reach = 0
+        while frontier:
+            nxt = 0
+            while frontier:
+                b = frontier & -frontier
+                nxt |= masks[b.bit_length() - 1]
+                frontier ^= b
+            reach |= nxt
+            frontier = nxt & smask & ~comp
+            comp |= frontier
+        if comp != smask:
+            return False
+    else:
+        reach = neighborhood_mask(g, smask)
+    size = smask.bit_count()
+    rest = ~smask
+    seeds = reach & rest
+    touching = []  # (leftover component, the vertices of S next to it)
+    while seeds:
+        comp = frontier = seeds & -seeds
+        reach = 0
+        while frontier:
+            nxt = 0
+            while frontier:
+                b = frontier & -frontier
+                nxt |= masks[b.bit_length() - 1]
+                frontier ^= b
+            reach |= nxt
+            frontier = nxt & rest & ~comp
+            comp |= frontier
+            if comp.bit_count() > size:
+                return False
+        touching.append((comp, reach & smask))
+        seeds &= ~comp
+    if connected:
+        return True
+    s_comps = components_mask(g, smask)
+    return all(
+        c.bit_count() <= s.bit_count() for c, near in touching for s in s_comps if s & near
+    )
 
 
 def is_safe_mask(g: Graph, smask: int) -> bool:
-    return smask != 0 and _larger_neighbor(g, smask, components_mask(g, smask)) is None
+    return _decide_safe(g, smask, False)
 
 
 def is_safe_set(g: Graph, s: Iterable[int]) -> bool:
@@ -211,8 +264,7 @@ def is_safe_set(g: Graph, s: Iterable[int]) -> bool:
 
 
 def is_connected_safe_mask(g: Graph, smask: int) -> bool:
-    s_comps = components_mask(g, smask)
-    return len(s_comps) == 1 and _larger_neighbor(g, smask, s_comps) is None
+    return _decide_safe(g, smask, True)
 
 
 def is_connected_safe_set(g: Graph, s: Iterable[int]) -> bool:
@@ -253,11 +305,16 @@ def explain_safety(g: Graph, s: Iterable[int], connected: bool = False) -> Safet
             tuple(vertices_of(s_comps[0])),
             tuple(vertices_of(s_comps[1])),
         )
-    hit = _larger_neighbor(g, sm, s_comps)
-    if hit is None:
-        return None
-    comp, other = hit
-    return SafetyViolation("larger-neighbor", tuple(vertices_of(comp)), tuple(vertices_of(other)))
+    rest_comps = components_mask(g, g.full_mask() & ~sm)
+    for comp in s_comps:
+        nbr = neighborhood_mask(g, comp)
+        size = comp.bit_count()
+        for other in rest_comps:
+            if nbr & other and other.bit_count() > size:
+                return SafetyViolation(
+                    "larger-neighbor", tuple(vertices_of(comp)), tuple(vertices_of(other))
+                )
+    return None
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, list[int]]:

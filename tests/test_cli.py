@@ -485,6 +485,22 @@ def test_gen_writes_nothing_when_it_fails(run, tmp_path, family, k, source, flag
     assert not any((tmp_path / written).exists() for written in GEN_OUTPUTS)
 
 
+@pytest.mark.parametrize("unwritable", ["--cert", "--decomp"])
+def test_gen_removes_what_it_wrote_when_a_later_write_fails(run, tmp_path, unwritable):
+    base = tmp_path / "k3.gr"
+    base.write_text(format_graph(complete_graph(3)))
+    out = tmp_path / "out.gr"
+    targets = {"--cert": tmp_path / "cert.txt", "--decomp": tmp_path / "pd.json"}
+    targets[unwritable] = tmp_path / "nodir" / "file"
+    argv = ["gen", "ds", "-k", "1", str(base), "-o", str(out)]
+    for flag, path in targets.items():
+        argv += [flag, str(path)]
+    code, _, err = run(argv)
+    assert code == 2 and "error:" in err
+    assert not out.exists()
+    assert not any((tmp_path / written).exists() for written in GEN_OUTPUTS)
+
+
 @pytest.mark.parametrize("family,source", [("ds", "2 1\n0 1\n"), ("rbds", "1 1 1\n0 0\n")])
 def test_gen_refuses_instances_no_graph_file_may_hold(run, tmp_path, family, source):
     path = tmp_path / "base.txt"

@@ -26,10 +26,12 @@ from safeset.graph import (
     induced_subgraph,
     is_connected_safe_mask,
     is_connected_safe_set,
+    is_safe_mask,
     is_safe_set,
     mask_of,
     max_degree,
     validate_path_decomposition,
+    vertices_of,
 )
 
 from corpus import union_corpus
@@ -63,11 +65,30 @@ def test_components_range_check():
         components(path_graph(3), {0, 5})
 
 
+# the paths 1-2-3-4-5 and 0-6; S = {0, 1, 2, 3} splits into {0} and
+# {1, 2, 3}, and its leftover into {4, 5} and {6}
+TWO_PART = [(1, 2), (2, 3), (3, 4), (4, 5), (0, 6)]
+# a path of six vertices with no edge to the rest
+FAR_PATH = [(7, 8), (8, 9), (9, 10), (10, 11), (11, 12)]
+
+
 def test_safe_set_star():
     g = star_graph(3)
     assert is_safe_set(g, {0}) is True
     # a single leaf leaves the remaining star of 3 vertices next to it
     assert is_safe_set(g, {1}) is False
+    # the 2-vertex leftover {4, 5} touches only {1, 2, 3}, and {6} only {0}
+    two_part = Graph(7, TWO_PART)
+    assert is_safe_mask(two_part, 0b1111) is True
+    # {4, 5} also touching {0} outgrows that component
+    assert is_safe_mask(Graph(7, TWO_PART + [(0, 5)]), 0b1111) is False
+    # a leftover component larger than |S| that touches no vertex of S
+    far = Graph(13, TWO_PART + FAR_PATH)
+    assert is_safe_mask(far, 0b1111) is True
+    assert is_safe_mask(two_part, 0) is False
+    assert is_safe_mask(two_part, two_part.full_mask()) is True
+    assert is_safe_mask(far, far.full_mask()) is True
+    assert is_safe_mask(Graph(0), 0) is False
 
 
 def test_safe_set_cycle_examples():
@@ -102,6 +123,12 @@ def test_explain_safety():
     assert explain_safety(g, set()).kind == "empty"
     w = explain_safety(cycle_graph(8), {0, 1, 4, 5}, connected=True)
     assert w is not None and w.kind == "disconnected"
+    # S = {3} + {4}.  {3} has the larger neighbors {5, 6} and {7, 8, 9};
+    # {4} has {0, 1, 2}, the leftover component with the smallest id.  The
+    # report takes S's components in id order, then the leftover ones.
+    g = Graph(10, [(0, 1), (1, 2), (2, 4), (3, 5), (5, 6), (3, 7), (7, 8), (8, 9)])
+    v = explain_safety(g, {3, 4})
+    assert (v.kind, v.component, v.neighbor) == ("larger-neighbor", (3,), (5, 6))
 
 
 def test_max_degree():
@@ -203,6 +230,15 @@ def test_connected_safe_mask_examples():
     assert is_connected_safe_mask(g, 0b11) is False  # next to a path of six
     assert is_connected_safe_mask(g, 0) is False
     assert is_connected_safe_mask(Graph(1), 1) is True
+    assert is_connected_safe_mask(g, g.full_mask()) is True
+    # S = {1, 2, 3}: the leftover {4, 5} fits, {0, 6} does not touch S
+    two_part = Graph(7, TWO_PART)
+    assert is_connected_safe_mask(two_part, 0b1110) is True
+    assert is_connected_safe_mask(two_part, 0b1111) is False  # {0} is apart
+    assert is_connected_safe_mask(two_part, 0b110) is False  # {3, 4, 5} is larger
+    far = Graph(13, TWO_PART + FAR_PATH)
+    assert is_connected_safe_mask(far, 0b1110) is True
+    assert is_connected_safe_mask(far, far.full_mask()) is False
 
 
 @settings(max_examples=120, deadline=None)
@@ -212,6 +248,24 @@ def test_connected_safe_mask_agrees_with_explain_safety(g, data):
     expect = explain_safety(g, subset, connected=True) is None
     assert is_connected_safe_mask(g, mask_of(subset)) is expect
     assert is_connected_safe_set(g, subset) is expect
+
+
+def _all_graphs(n: int):
+    pairs = list(itertools.combinations(range(n), 2))
+    for bits in range(1 << len(pairs)):
+        yield Graph(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
+
+
+def test_mask_verifiers_agree_with_the_report_and_the_reference():
+    graphs = [g for n in range(6) for g in _all_graphs(n)]
+    graphs += [g for g in union_corpus() if g.n <= 10]
+    for g in graphs:
+        for smask in range(1 << g.n):
+            subset = set(vertices_of(smask))
+            for connected, decide in ((False, is_safe_mask), (True, is_connected_safe_mask)):
+                expect = ref_is_safe(g, subset, connected=connected)
+                assert decide(g, smask) is expect, (g.edges, subset, connected)
+                assert (explain_safety(g, subset, connected) is None) is expect
 
 
 @settings(max_examples=80, deadline=None)
