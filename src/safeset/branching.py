@@ -136,22 +136,26 @@ def find_problematic(
 ) -> tuple[int, int] | None:
     """Smallest-id vertex outside the partial solution whose component in
     the leftover graph is larger than a size the guess allows, together
-    with the tightest violated threshold."""
-    rest = g.full_mask() & ~_union(sets)
-    comp_size = [0] * g.n
-    for comp in components_mask(g, rest):
+    with the tightest violated threshold.
+
+    Each leftover component is decided as a whole: one with more than k
+    vertices offers its lowest vertex, a smaller one the vertices it has
+    next to a set whose target is below the component's size.  The
+    threshold is the smallest of k and the targets of the sets next to the
+    vertex; one at or above the component's size is never the smallest,
+    since the vertex is a candidate only when k or a target is below it.
+    """
+    nbrs = [neighborhood_mask(g, s_i) for s_i in sets]
+    lowest = 0  # the lowest candidate bit of each component
+    for comp in components_mask(g, g.full_mask() & ~_union(sets)):
         size = comp.bit_count()
-        for v in vertices_of(comp):
-            comp_size[v] = size
-    for u in vertices_of(rest):
-        size = comp_size[u]
-        adj = g.adjacency_mask(u)
-        thresholds = [k_i for s_i, k_i in zip(sets, targets) if adj & s_i and size > k_i]
-        if size > k:
-            thresholds.append(k)
-        if thresholds:
-            return u, min(thresholds)
-    return None
+        if size <= k:
+            comp &= _union(tuple(nbr for nbr, k_i in zip(nbrs, targets) if size > k_i))
+        lowest |= comp & -comp
+    if not lowest:
+        return None
+    low = lowest & -lowest
+    return low.bit_length() - 1, min([k] + [k_i for nbr, k_i in zip(nbrs, targets) if nbr & low])
 
 
 def _expand_ordered(g: Graph, u: int, m: int, union: int) -> list[int]:

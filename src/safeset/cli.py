@@ -2,10 +2,10 @@
 
 Three subcommands: ``solve`` dispatches a solver and prints a JSON report,
 ``verify`` checks a candidate set, ``gen`` writes hard instances produced
-by the reductions.  JSON goes to stdout only; logs and errors go to stderr
-so output can be piped.  Exit codes: 0 solved/verified, 1 infeasible or
-failed verification, 2 usage or input errors, 3 internal error (a crash,
-or a solver witness that fails verification).
+by the reductions.  JSON goes to stdout only; errors go to stderr so output
+can be piped.  Exit codes: 0 solved/verified, 1 infeasible or failed
+verification, 2 usage or input errors, 3 internal error (a crash, or a
+solver witness that fails verification).
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import argparse
 import functools
 import hashlib
 import json
-import logging
 import sys
 from pathlib import Path
 
@@ -49,8 +48,6 @@ from .reductions import (
     rbds_to_ss,
 )
 
-logger = logging.getLogger(__name__)
-
 ALGORITHMS = ("oracle", "nd", "cw", "branch", "approx")
 
 
@@ -80,7 +77,7 @@ def _report(
         "elapsed_ms": round(res.elapsed * 1000.0, 3),
         "input_sha256": _sha256(args.graph),
     }
-    if getattr(args, "expr", None):
+    if args.expr is not None:
         report["expr_sha256"] = _sha256(args.expr)
     return report
 
@@ -88,6 +85,8 @@ def _report(
 def cmd_solve(args) -> int:
     if args.k is not None and args.k < 1:
         raise InputError("k must be at least 1")
+    if args.expr is not None and args.algo != "cw":
+        raise InputError("--expr applies to --algo cw only")
     g = load_graph(args.graph)
     nd_width: int | None = None
     label_count: int | None = None
@@ -258,9 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(
-        stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(name)s: %(message)s"
-    )
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

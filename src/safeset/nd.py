@@ -4,7 +4,13 @@ Vertices with identical neighborhoods (up to each other) form classes; a
 solution is determined, up to verifier-equivalent swaps, by how many
 vertices it takes from each class.  The solver enumerates, per class,
 whether the solution avoids it, meets it partially, or swallows it whole,
-then optimizes the per-class counts with a small exact integer program.
+then finds the smallest per-class counts that keep the guess safe.
+
+Those counts form a small program: every block on the solution side needs
+at least as many vertices as each leftover block next to it.  Raising a
+count grows solution blocks and shrinks leftover blocks, so the program is
+feasible exactly when it holds with every count at its upper bound, and a
+depth-first count search finds the optimum.
 """
 
 from __future__ import annotations
@@ -176,22 +182,27 @@ def build_families(
     return families, singletons
 
 
-@dataclass(frozen=True)
-class Constraint:
-    """Bounded linear form: lo <= sum(c * x[v] for v, c in terms) <= hi,
-    either side optional.  Variables missing from ``terms`` have
-    coefficient 0."""
+class CountProgram(NamedTuple):
+    """The class counts one guess leaves open.  Class i takes ``lo[i]`` to
+    ``hi[i]`` vertices; a solution block holds the counts of its classes and
+    a leftover block (vertices, classes) the rest of its vertices.  In every
+    ``touching`` pair (solution block j, leftover block h), j must be at
+    least as large as h, and a ``capped`` leftover block keeps at most one
+    vertex.  The objective is the total count."""
 
-    terms: tuple[tuple[int, int], ...]
-    lo: int | None = None
-    hi: int | None = None
+    lo: tuple[int, ...]
+    hi: tuple[int, ...]
+    blocks_s: tuple[tuple[int, ...], ...]
+    blocks_co: tuple[tuple[int, tuple[int, ...]], ...]
+    touching: tuple[tuple[int, int], ...]
+    capped: tuple[int, ...]
 
-
-@dataclass(frozen=True)
-class IntegerProgram:
-    bounds: tuple[tuple[int, int], ...]
-    constraints: tuple[Constraint, ...]
-    objective: tuple[int, ...]
+    def holds(self, counts: list[int]) -> bool:
+        sizes_s = [sum(counts[i] for i in blk) for blk in self.blocks_s]
+        sizes_co = [total - sum(counts[i] for i in blk) for total, blk in self.blocks_co]
+        return all(sizes_s[j] >= sizes_co[h] for j, h in self.touching) and all(
+            sizes_co[h] <= 1 for h in self.capped
+        )
 
 
 def assemble_ip(
@@ -200,158 +211,79 @@ def assemble_ip(
     families_s: list[frozenset[int]],
     families_co: list[frozenset[int]],
     singletons_s: list[int],
-    singletons_co: list[int],
     connected: bool,
-) -> IntegerProgram | None:
-    """Turn one guess into a bounded integer program, or reject it outright.
+) -> CountProgram | None:
+    """Turn one guess into a count program, or reject it outright.
 
-    Variables: one count per class, then one size variable per block on
-    each side.  A block on the solution side may never sit next to a larger
-    block on the other side, and a single-vertex component tolerates only
+    A block on the solution side may never sit next to a larger block on
+    the other side, and a single-vertex component tolerates only
     single-vertex neighbors.
     """
-    k = tp.width
     # the connected solution side must form exactly one component in total
     if connected and len(families_s) + len(singletons_s) != 1:
         return None
-    bounds: list[tuple[int, int]] = []
+    lo, hi = [], []  # FULL: the whole class, PARTIAL: 1 to size - 1, EMPTY: 0
     for i, cls in enumerate(tp.classes):
-        size = len(cls)
-        if guess.full >> i & 1:
-            bounds.append((size, size))
-        else:
-            bounds.append((1, size - 1) if guess.partial >> i & 1 else (0, 0))
-
-    constraints: list[Constraint] = []
-    reach_s: list[int] = []  # classes in or next to each solution-side block
-    for j, fam in enumerate(families_s):
-        lo = hi = reach = 0
-        terms = []
-        for i in fam:
-            lo += bounds[i][0]
-            hi += bounds[i][1]
-            reach |= tp.masks[i] | 1 << i
-            terms.append((i, 1))
-        terms.append((k + j, -1))
-        reach_s.append(reach)
-        bounds.append((lo, hi))
-        constraints.append(Constraint(tuple(terms), 0, 0))
-    z0 = k + len(families_s)
-    co_masks: list[int] = []
-    for h, fam in enumerate(families_co):
-        total = lo = hi = mask = 0
-        terms = []
-        for i in fam:
-            total += len(tp.classes[i])
-            lo += bounds[i][0]
-            hi += bounds[i][1]
-            mask |= 1 << i
-            terms.append((i, 1))
-        terms.append((z0 + h, 1))
-        co_masks.append(mask)
-        bounds.append((total - hi, total - lo))
-        constraints.append(Constraint(tuple(terms), total, total))
-
-    for j, reach in enumerate(reach_s):
-        for h, mask in enumerate(co_masks):
-            if reach & mask:
-                constraints.append(Constraint(((k + j, 1), (z0 + h, -1)), 0, None))
-    for i in singletons_s:
-        reach = tp.masks[i] | 1 << i
-        for h, mask in enumerate(co_masks):
-            if reach & mask:
-                constraints.append(Constraint(((z0 + h, 1),), None, 1))
+        full, partial = guess.full >> i & 1, guess.partial >> i & 1
+        lo.append(len(cls) if full else partial)
+        hi.append(len(cls) if full else partial * (len(cls) - 1))
     if connected and not families_s:
-        constraints.append(Constraint(((singletons_s[0], 1),), 1, 1))
+        # the one single-vertex component: its class gives one vertex
+        if lo[singletons_s[0]] > 1:
+            return None
+        hi[singletons_s[0]] = 1
+    co_masks = [mask_of(fam) for fam in families_co]
 
-    objective = tuple([1] * k + [0] * (len(families_s) + len(families_co)))
-    return IntegerProgram(tuple(bounds), tuple(constraints), objective)
+    def touched(classes) -> list[int]:
+        """The leftover blocks in or next to ``classes``."""
+        reach = 0
+        for i in classes:
+            reach |= tp.masks[i] | 1 << i
+        return [h for h, mask in enumerate(co_masks) if reach & mask]
 
-
-def _propagate(
-    bounds: list[tuple[int, int]], constraints: tuple[Constraint, ...]
-) -> bool:
-    """Shrink variable intervals against every constraint to a fixpoint.
-    Returns False when some interval empties."""
-    changed = True
-    while changed:
-        changed = False
-        for con in constraints:
-            c_lo, c_hi = con.lo, con.hi
-            lo_sum = 0
-            hi_sum = 0
-            for v, c in con.terms:
-                lo, hi = bounds[v]
-                if c >= 0:
-                    lo_sum += c * lo
-                    hi_sum += c * hi
-                else:
-                    lo_sum += c * hi
-                    hi_sum += c * lo
-            if c_lo is not None and hi_sum < c_lo:
-                return False
-            if c_hi is not None and lo_sum > c_hi:
-                return False
-            if (c_hi is None or hi_sum <= c_hi) and (c_lo is None or lo_sum >= c_lo):
-                continue  # holds everywhere in the box, so it narrows nothing
-            for v, c in con.terms:
-                if c == 0:
-                    continue
-                lo, hi = bounds[v]
-                rest_lo = lo_sum - (c * lo if c > 0 else c * hi)
-                rest_hi = hi_sum - (c * hi if c > 0 else c * lo)
-                new_lo, new_hi = lo, hi
-                if c_hi is not None:
-                    room = c_hi - rest_lo  # c*x <= room
-                    if c > 0:
-                        new_hi = min(new_hi, room // c)
-                    else:
-                        new_lo = max(new_lo, -((-room) // c))
-                if c_lo is not None:
-                    need = c_lo - rest_hi  # c*x >= need
-                    if c > 0:
-                        new_lo = max(new_lo, -((-need) // c))
-                    else:
-                        new_hi = min(new_hi, need // c)
-                if (new_lo, new_hi) != (lo, hi):
-                    if new_lo > new_hi:
-                        return False
-                    bounds[v] = (new_lo, new_hi)
-                    changed = True
-    return True
+    touching = tuple((j, h) for j, fam in enumerate(families_s) for h in touched(fam))
+    capped = tuple(sorted({h for i in singletons_s for h in touched((i,))}))
+    blocks_co = tuple((sum(len(tp.classes[i]) for i in fam), tuple(fam)) for fam in families_co)
+    return CountProgram(
+        tuple(lo), tuple(hi), tuple(map(tuple, families_s)), blocks_co, touching, capped
+    )
 
 
-def solve_ip(ip: IntegerProgram) -> tuple[int, tuple[int, ...]] | None:
-    """Exact minimum by depth-first search over the variables in order,
-    tightening all intervals after every decision."""
+def solve_ip(ip: CountProgram) -> tuple[int, tuple[int, ...]] | None:
+    """Smallest total count and the first count vector, in class order,
+    that reaches it; None when the program is infeasible.
+
+    Raising a count grows solution blocks and shrinks leftover blocks, so
+    it never breaks a constraint: a program is feasible exactly when it
+    holds with every count at ``hi``.  The search fixes the open classes in
+    order, each with ascending values and the later ones at ``hi``, and
+    drops a prefix that fails so or whose lower bound reaches the best
+    total.
+    """
+    lo, hi = ip.lo, ip.hi
+    counts = list(hi)
+    if not ip.holds(counts):
+        return None
+    free = [i for i in range(len(lo)) if lo[i] < hi[i]]
     best: tuple[int, tuple[int, ...]] | None = None
 
-    def lower_bound(bounds: list[tuple[int, int]]) -> int:
-        return sum(
-            c * (lo if c > 0 else hi)
-            for c, (lo, hi) in zip(ip.objective, bounds)
-        )
-
-    def dfs(bounds: list[tuple[int, int]]) -> None:
+    def dfs(d: int, floor: int) -> None:
+        """Fix free[d:]; ``floor`` is the total with those at ``lo``."""
         nonlocal best
-        if not _propagate(bounds, ip.constraints):
+        if d == len(free):
+            best = (floor, tuple(counts))
             return
-        if best is not None and lower_bound(bounds) >= best[0]:
-            return
-        free = next((v for v, (lo, hi) in enumerate(bounds) if lo != hi), None)
-        if free is None:
-            value = sum(c * lo for c, (lo, _) in zip(ip.objective, bounds))
-            assignment = tuple(lo for (lo, _) in bounds)
-            if best is None or value < best[0]:
-                best = (value, assignment)
-            return
-        lo, hi = bounds[free]
-        for val in range(lo, hi + 1):
-            child = list(bounds)
-            child[free] = (val, val)
-            dfs(child)
+        i = free[d]
+        for value in range(lo[i], hi[i] + 1):
+            total = floor + value - lo[i]
+            if best is not None and total >= best[0]:
+                break
+            counts[i] = value
+            if ip.holds(counts):
+                dfs(d + 1, total)
+        counts[i] = hi[i]
 
-    dfs(list(ip.bounds))
+    dfs(0, sum(lo))
     return best
 
 
@@ -376,8 +308,8 @@ def _component_best(sub: Graph, connected: bool, bound: int) -> frozenset[int] |
             fam_s, single_s = build_families(tp, guess, "s")
             if connected and len(fam_s) + len(single_s) != 1:
                 continue  # assemble_ip would reject it
-            fam_co, single_co = build_families(tp, guess, "complement")
-            ip = assemble_ip(tp, guess, fam_s, fam_co, single_s, single_co, connected)
+            fam_co, _ = build_families(tp, guess, "complement")
+            ip = assemble_ip(tp, guess, fam_s, fam_co, single_s, connected)
             if ip is None:
                 continue
             got = solve_ip(ip)

@@ -23,7 +23,6 @@ from .graph import (
     is_connected_safe_mask,
     is_safe_mask,
     mask_of,
-    neighbors_closed,
     vertices_of,
 )
 
@@ -161,7 +160,7 @@ def dominating_set_bf(g: Graph, k: int, cap: int = DEFAULT_SUBSET_CAP) -> SolveR
     full = g.full_mask()
     if g.n == 0:
         return SolveResult(True, 0, frozenset(), "oracle", time.perf_counter() - t0)
-    closed = [mask_of(neighbors_closed(g, v)) for v in g.vertices()]
+    closed = [g.adjacency_mask(v) | 1 << v for v in g.vertices()]
     for mask in subset_masks_by_size(g.n, 1, min(k, g.n)):
         dominated = 0
         m = mask

@@ -131,6 +131,27 @@ def ref_approx_witness(g: Graph) -> frozenset[int] | None:
     return frozenset(min(cands)[1]) if cands else None
 
 
+def ref_count_program(ip) -> tuple[int, tuple[int, ...]] | None:
+    """``nd.solve_ip``'s answer by trying every count vector: the first one
+    in ``itertools.product`` order with the smallest total, among those
+    that meet every block constraint of the program ``ip``."""
+    best = None
+    for counts in itertools.product(*(range(a, b + 1) for a, b in zip(ip.lo, ip.hi))):
+        ok = True
+        for j, h in ip.touching:
+            solution_block = sum(counts[i] for i in ip.blocks_s[j])
+            total, classes = ip.blocks_co[h]
+            if solution_block < total - sum(counts[i] for i in classes):
+                ok = False
+        for h in ip.capped:
+            total, classes = ip.blocks_co[h]
+            if total - sum(counts[i] for i in classes) > 1:
+                ok = False
+        if ok and (best is None or sum(counts) < best[0]):
+            best = (sum(counts), counts)
+    return best
+
+
 def _check_cap(g: Graph, cap: int, what: str) -> None:
     if g.n > cap:
         raise InputError(f"{what} refused: n={g.n} exceeds cap={cap}")

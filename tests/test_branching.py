@@ -18,11 +18,18 @@ from safeset.generators import (
     random_connected_graph,
     star_graph,
 )
-from safeset.graph import Graph, InputError, is_connected_safe_set, is_safe_set, mask_of
+from safeset.graph import (
+    Graph,
+    InputError,
+    is_connected_safe_set,
+    is_safe_set,
+    mask_of,
+    vertices_of,
+)
 from safeset.oracle import connected_safe_number_bf, safe_number_bf
 
 from corpus import union_corpus
-from bruteforce import ref_min_steiner
+from bruteforce import ref_components, ref_min_steiner
 
 
 def test_steiner_single_terminal():
@@ -174,6 +181,38 @@ def test_find_problematic_uses_tightest_threshold():
     g = path_graph(6)
     got = find_problematic(g, (mask_of({0}), 0), (1, 3), 4)
     assert got == (1, 1)
+
+
+def _ref_problematic(g, sets, targets, k):
+    """find_problematic's definition, vertex by vertex on plain sets."""
+    parts = [set(vertices_of(s_i)) for s_i in sets]
+    comps = ref_components(g, set(g.vertices()) - set().union(*parts))
+    size = {v: len(c) for c in comps for v in c}
+    for u in sorted(size):
+        thresholds = [
+            k_i for p, k_i in zip(parts, targets) if g.neighbors(u) & p and size[u] > k_i
+        ]
+        if size[u] > k:
+            thresholds.append(k)
+        if thresholds:
+            return u, min(thresholds)
+    return None
+
+
+def test_find_problematic_matches_the_vertex_walk():
+    rng = random.Random(8)
+    found = 0
+    for _ in range(400):
+        g = random_connected_graph(rng, rng.randint(1, 12), rng.choice([0.0, 0.3, 0.8]))
+        sets = [0] * rng.randint(1, 3)
+        for v in rng.sample(range(g.n), rng.randint(0, g.n)):
+            sets[rng.randrange(len(sets))] |= 1 << v
+        targets = tuple(max(s_i.bit_count(), rng.randint(0, 4)) for s_i in sets)
+        for k in (sum(targets), rng.randint(0, 8)):
+            want = _ref_problematic(g, tuple(sets), targets, k)
+            assert find_problematic(g, tuple(sets), targets, k) == want, (g.edges, sets, k)
+            found += want is not None
+    assert found > 200
 
 
 def test_expand_ordered_examples():

@@ -314,6 +314,31 @@ def test_solve_cw_requires_expression(run, c8_path):
     assert code == 2 and "--expr" in err
 
 
+@pytest.mark.parametrize(
+    "algo,solver",
+    [
+        ("oracle", "safe_number_bf"),
+        ("nd", "solve_nd"),
+        ("branch", "branch_solve"),
+        ("approx", "approx_safe_set"),
+    ],
+)
+def test_solve_refuses_expression_off_cw_before_solving(
+    run, c8_path, tmp_path, monkeypatch, algo, solver
+):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError(f"{solver} ran")
+
+    monkeypatch.setattr(f"safeset.cli.{solver}", must_not_run)
+    expr_path = tmp_path / "c8.expr"
+    expr_path.write_text(format_cexpression(cycle_expression(8)))
+    for path in (expr_path, tmp_path / "missing.expr"):
+        code, report, err = run(
+            ["solve", "--algo", algo, "-k", "4", "--expr", str(path), c8_path]
+        )
+        assert code == 2 and report is None and "--expr" in err, err
+
+
 def test_solve_branch_requires_bound(run, c8_path):
     code, _, err = run(["solve", "--algo", "branch", c8_path])
     assert code == 2 and "-k" in err

@@ -28,9 +28,7 @@ from safeset.nd import (
     EMPTY,
     FULL,
     PARTIAL,
-    Constraint,
     GuessPartition,
-    IntegerProgram,
     assemble_ip,
     build_families,
     enumerate_guesses,
@@ -41,7 +39,7 @@ from safeset.nd import (
 from safeset.oracle import connected_safe_number_bf, safe_number_bf
 
 from corpus import disjoint_union, union_corpus
-from bruteforce import vertex_cover_bf
+from bruteforce import ref_count_program, ref_is_safe, vertex_cover_bf
 
 
 def test_twin_partition_complete_graph():
@@ -223,40 +221,12 @@ def test_build_families_clique_self_loop():
     assert single == []
 
 
-def test_solve_ip_unconstrained():
-    ip = IntegerProgram(((2, 5),), (), (1,))
-    assert solve_ip(ip) == (2, (2,))
-
-
-def test_solve_ip_detects_infeasibility():
-    ip = IntegerProgram(
-        ((0, 3), (0, 3)),
-        (Constraint(((0, 1), (1, 1)), 5, None), Constraint(((0, 1),), None, 1)),
-        (1, 1),
-    )
-    assert solve_ip(ip) is None
-
-
-def test_solve_ip_equalities():
-    # y tied to x + z, minimize x + z subject to y >= 4
-    ip = IntegerProgram(
-        ((0, 5), (0, 10), (0, 5)),
-        (
-            Constraint(((0, 1), (1, -1), (2, 1)), 0, 0),
-            Constraint(((1, 1),), 4, None),
-        ),
-        (1, 0, 1),
-    )
-    got = solve_ip(ip)
-    assert got is not None and got[0] == 4
-
-
 def test_k4_program_reaches_two():
     tp = twin_partition(complete_graph(4))
     guess = _guess(tp, (PARTIAL,))
     fams_s, single_s = build_families(tp, guess, "s")
-    fams_co, single_co = build_families(tp, guess, "complement")
-    ip = assemble_ip(tp, guess, fams_s, fams_co, single_s, single_co, False)
+    fams_co, _ = build_families(tp, guess, "complement")
+    ip = assemble_ip(tp, guess, fams_s, fams_co, single_s, False)
     assert ip is not None
     got = solve_ip(ip)
     assert got is not None and got[0] == 2
@@ -308,8 +278,8 @@ def test_fixed_count_guess_program_agrees_with_verifier(connected):
             if guess.partial:
                 continue
             fam_s, single_s = build_families(tp, guess, "s")
-            fam_co, single_co = build_families(tp, guess, "complement")
-            ip = assemble_ip(tp, guess, fam_s, fam_co, single_s, single_co, connected)
+            fam_co, _ = build_families(tp, guess, "complement")
+            ip = assemble_ip(tp, guess, fam_s, fam_co, single_s, connected)
             full = set().union(
                 *(cls for cls, a in zip(tp.classes, guess.assignment) if a == FULL)
             )
@@ -318,6 +288,50 @@ def test_fixed_count_guess_program_agrees_with_verifier(connected):
             )
             checked += 1
     assert checked > 1000
+
+
+def _blowup(rng):
+    """A random connected graph on 1-4 vertices with each vertex replaced by
+    a clique or an independent set of 1-5 vertices, and each edge by all
+    edges between the two replacements: few twin classes, most of them
+    large."""
+    h = random_connected_graph(rng, rng.randint(1, 4), rng.choice([0.0, 0.3, 0.7]))
+    parts, edges, off = [], [], 0
+    for _ in range(h.n):
+        size = rng.randint(1, 5)
+        parts.append(range(off, off + size))
+        if rng.random() < 0.5:
+            edges += itertools.combinations(parts[-1], 2)
+        off += size
+    for u, v in h.edges:
+        edges += [(a, b) for a in parts[u] for b in parts[v]]
+    return Graph(off, edges)
+
+
+@pytest.mark.parametrize("connected", [False, True])
+def test_solve_ip_matches_the_count_enumeration(connected):
+    # the same total and the same first count vector as trying every
+    # vector, and the vector spells a safe set
+    rng = random.Random(12)
+    programs = feasible = 0
+    for _ in range(60):
+        g = _blowup(rng)
+        tp = twin_partition(g)
+        ordered = [sorted(cls) for cls in tp.classes]
+        for guess in enumerate_guesses(tp):
+            fam_s, single_s = build_families(tp, guess, "s")
+            fam_co, _ = build_families(tp, guess, "complement")
+            ip = assemble_ip(tp, guess, fam_s, fam_co, single_s, connected)
+            if ip is None:
+                continue
+            got = solve_ip(ip)
+            assert got == ref_count_program(ip), (g.edges, guess.assignment)
+            programs += 1
+            if got is not None:
+                feasible += 1
+                witness = {v for cls, c in zip(ordered, got[1]) for v in cls[:c]}
+                assert ref_is_safe(g, witness, connected), (g.edges, got)
+    assert programs > 500 and feasible > 100, (programs, feasible)
 
 
 def test_twin_free_graph_solves_no_program(monkeypatch):
