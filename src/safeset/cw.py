@@ -8,14 +8,17 @@ sizes over adjacent selected/unselected component pairs.  Distinct
 selections often collapse to the same summary, which keeps the families
 far smaller than the number of selections; each summary retains one
 concrete witness selection so answers can be verified directly.
+
+A summary is stored as its own sort key, seven columns of sorted
+``(label set, value)`` items, so families are deduplicated and ordered on
+the stored form itself; the witness is a vertex bitmask.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable
+from operator import add
+from typing import Iterable, NamedTuple
 
 from .cexpr import (
     CExpression,
@@ -27,85 +30,59 @@ from .cexpr import (
     check_expression,
     iter_nodes,
 )
-from .graph import Graph, InputError
+from .graph import Graph, InputError, vertices_of
 from .oracle import SolveResult, verified_result
 
-PairKey = tuple[int, int]
+Column = tuple[tuple, ...]
 
 
-@dataclass(frozen=True, eq=False)
-class DpEntry:
+class DpEntry(NamedTuple):
     """Summary of one selection within a subtree's graph.
 
-    Maps are keyed by label-set bitmask (bit k stands for label k+1) and
-    store only label sets that actually have components:
+    ``key`` holds seven columns, each a tuple of ``(label set, value)``
+    items sorted by label set (a bitmask, bit k standing for label k+1);
+    only label sets that actually have components appear:
 
-    - ``inside``: label set -> (total size, smallest component) of the
-      selected components carrying exactly that label set;
-    - ``outside``: label set -> (total size, largest component) of the
-      unselected ones;
-    - ``pairs``: (selected label set, unselected label set) -> (smallest
-      selected, largest unselected, smallest selected-minus-unselected gap)
-      over adjacent component pairs.
+    0. inside totals: combined size of the selected components carrying
+       exactly that label set;
+    1. outside totals: the same for the unselected components;
+    2. inside minima: the smallest such selected component;
+    3. outside maxima: the largest such unselected component;
+    4.-6. over adjacent component pairs, keyed by (selected label set,
+       unselected label set): the smallest selected component, the largest
+       unselected one, and the smallest selected-minus-unselected gap.
 
-    ``witness`` is one selection realizing the summary; ``signature`` keys
-    the summary without it.
+    Keys compare column by column, every total ahead of any extreme.  That
+    order sorts each family and decides which witness each summary keeps
+    (see ``_dedup``), and the tests pin the witnesses it yields.
+    ``witness`` is one selection realizing the summary, as a vertex
+    bitmask (bit v stands for vertex v).
     """
 
-    inside: dict[int, tuple[int, int]]
-    outside: dict[int, tuple[int, int]]
-    pairs: dict[PairKey, tuple[int, int, int]]
-    witness: frozenset[int]
-
-    @cached_property
-    def signature(self) -> tuple:
-        # column by column, every total ahead of any extreme: the family
-        # order decides which witness each summary keeps (see _dedup), and
-        # the tests pin the witnesses this order yields
-        inside = sorted(self.inside.items())
-        outside = sorted(self.outside.items())
-        pairs = sorted(self.pairs.items())
-        return (
-            tuple((m, t) for m, (t, _) in inside),
-            tuple((m, t) for m, (t, _) in outside),
-            tuple((m, s) for m, (_, s) in inside),
-            tuple((m, s) for m, (_, s) in outside),
-            tuple((p, a) for p, (a, _, _) in pairs),
-            tuple((p, b) for p, (_, b, _) in pairs),
-            tuple((p, d) for p, (_, _, d) in pairs),
-        )
-
-    def selected_total(self) -> int:
-        return sum(t for t, _ in self.inside.values())
+    key: tuple[Column, ...]
+    witness: int
 
 
-# How two buckets under the same key pool, one rule per map.
-def _pool_inside(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
-    return (x[0] + y[0], min(x[1], y[1]))
+# How two values under the same label set pool, one rule per column.
+_RULES = (add, add, min, max, min, max, min)
 
 
-def _pool_outside(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
-    return (x[0] + y[0], max(x[1], y[1]))
+def _pooled(col: Column, items: Iterable[tuple], rule) -> Column:
+    """The column ``col`` with (label set, value) items pooled in by ``rule``."""
+    d = dict(col)
+    for k, v in items:
+        old = d.get(k)
+        d[k] = v if old is None else rule(old, v)
+    return tuple(sorted(d.items()))
 
 
-def _pool_pair(x: tuple[int, int, int], y: tuple[int, int, int]) -> tuple[int, int, int]:
-    return (min(x[0], y[0]), max(x[1], y[1]), min(x[2], y[2]))
-
-
-def _pool_into(into: dict, items: Iterable[tuple], rule) -> dict:
-    """Add (key, bucket) items to ``into``, pooling buckets that share a key."""
-    for key, value in items:
-        old = into.get(key)
-        into[key] = value if old is None else rule(old, value)
-    return into
-
-
-def _dedup(entries: Iterable[DpEntry]) -> list[DpEntry]:
-    """Collapse equal summaries keeping the first witness, sort for output."""
-    seen: dict[tuple, DpEntry] = {}
-    for entry in entries:
-        seen.setdefault(entry.signature, entry)
-    return [seen[sig] for sig in sorted(seen)]
+def _dedup(entries: Iterable[tuple[tuple, int]]) -> list[DpEntry]:
+    """Collapse equal (key, witness) summaries keeping the first witness,
+    sort for output."""
+    seen: dict[tuple, int] = {}
+    for key, witness in entries:
+        seen.setdefault(key, witness)
+    return [DpEntry(key, seen[key]) for key in sorted(seen)]
 
 
 # ---------------------------------------------------------------------------
@@ -116,22 +93,21 @@ def dp_leaf(label: int, vertex: int = 0) -> list[DpEntry]:
     """Summaries for a single created vertex: left out, or selected."""
     if label < 1:
         raise InputError("labels are positive")
-    m = 1 << (label - 1)
-    skipped = DpEntry({}, {m: (1, 1)}, {}, frozenset())
-    taken = DpEntry({m: (1, 1)}, {}, {}, frozenset({vertex}))
-    return _dedup([skipped, taken])
+    one = ((1 << (label - 1), 1),)
+    skipped = ((), one, (), one, (), (), ())
+    taken = (one, (), one, (), (), (), ())
+    return _dedup([(skipped, 0), (taken, 1 << vertex)])
 
 
 def dp_union(left: list[DpEntry], right: list[DpEntry]) -> list[DpEntry]:
     """Side-by-side placement: aggregates combine pointwise, nothing merges."""
 
-    def combined(a: DpEntry, b: DpEntry) -> DpEntry:
-        return DpEntry(
-            _pool_into(dict(a.inside), b.inside.items(), _pool_inside),
-            _pool_into(dict(a.outside), b.outside.items(), _pool_outside),
-            _pool_into(dict(a.pairs), b.pairs.items(), _pool_pair),
-            a.witness | b.witness,
+    def combined(a: DpEntry, b: DpEntry) -> tuple[tuple, int]:
+        key = tuple(
+            _pooled(x, y, rule) if x and y else x or y
+            for x, y, rule in zip(a.key, b.key, _RULES)
         )
+        return key, a.witness | b.witness
 
     return _dedup(combined(a, b) for a in left for b in right)
 
@@ -146,69 +122,92 @@ def dp_relabel(source: int, target: int, child: list[DpEntry]) -> list[DpEntry]:
     def remap(mask: int) -> int:
         return (mask & ~sbit) | tbit if mask & sbit else mask
 
-    out = []
-    for e in child:
-        inside = _pool_into({}, ((remap(m), v) for m, v in e.inside.items()), _pool_inside)
-        outside = _pool_into({}, ((remap(m), v) for m, v in e.outside.items()), _pool_outside)
-        pairs = _pool_into(
-            {}, (((remap(p), remap(q)), v) for (p, q), v in e.pairs.items()), _pool_pair
+    def renamed(cols: tuple[Column, ...], rules: tuple, new: list) -> tuple[Column, ...]:
+        """Columns sharing one list of label sets, moved to the ``new`` ones
+        and pooled where those coincide."""
+        return tuple(
+            _pooled((), zip(new, [v for _, v in col]), rule) for col, rule in zip(cols, rules)
         )
-        out.append(DpEntry(inside, outside, pairs, e.witness))
-    return _dedup(out)
+
+    def relabelled(e: DpEntry) -> tuple[tuple, int]:
+        it, ot, imin, omax, sel, unsel, gap = e.key
+        if any(m & sbit for m, _ in it):
+            it, imin = renamed((it, imin), (add, min), [remap(m) for m, _ in it])
+        if any(m & sbit for m, _ in ot):
+            ot, omax = renamed((ot, omax), (add, max), [remap(m) for m, _ in ot])
+        if any((p | q) & sbit for (p, q), _ in sel):
+            sel, unsel, gap = renamed(
+                (sel, unsel, gap), (min, max, min), [(remap(p), remap(q)) for (p, q), _ in sel]
+            )
+        return (it, ot, imin, omax, sel, unsel, gap), e.witness
+
+    return _dedup(relabelled(e) for e in child)
 
 
 def _fuse(
-    buckets: dict[int, tuple[int, int]], bit_i: int, bit_j: int
-) -> tuple[dict[int, tuple[int, int]], int | None]:
-    """One side of a join: its buckets after the join, and the fused label set.
+    totals: Column, extremes: Column, bit_i: int, bit_j: int
+) -> tuple[Column, Column, int | None, int]:
+    """One side of a join: its two columns after the join, the fused label
+    set and the fused component's size.
 
     Components whose label set meets {i, j} fuse into one on a side exactly
     when that side holds both an i-vertex and a j-vertex; the fused
     component is then the only one in its bucket, so its total is also its
-    extreme.  Without fusion the buckets are returned unchanged with None.
+    extreme.  Without fusion the columns are returned unchanged with None.
     """
     touch = bit_i | bit_j
-    touched = [m for m in buckets if m & touch]
-    if not (any(m & bit_i for m in touched) and any(m & bit_j for m in touched)):
-        return buckets, None
-    out = {m: v for m, v in buckets.items() if not m & touch}
-    fused = 0
-    total = 0
-    for m in touched:
-        fused |= m
-        total += buckets[m][0]
-    out[fused] = (total, total)
-    return out, fused
+    fused = total = 0
+    for m, t in totals:
+        if m & touch:
+            fused |= m
+            total += t
+    if fused & touch != touch:
+        return totals, extremes, None, 0
+    top = [(fused, total)]
+    return (
+        tuple(sorted([i for i in totals if not i[0] & touch] + top)),
+        tuple(sorted([i for i in extremes if not i[0] & touch] + top)),
+        fused,
+        total,
+    )
 
 
-def _join_entry(bit_i: int, bit_j: int, e: DpEntry) -> DpEntry:
+def _join_entry(bit_i: int, bit_j: int, e: DpEntry) -> tuple[tuple, int]:
     touch = bit_i | bit_j
-    inside, fused_in = _fuse(e.inside, bit_i, bit_j)
-    outside, fused_out = _fuse(e.outside, bit_i, bit_j)
+    it, ot, imin, omax, sel, unsel, gap = e.key
+    it, imin, fused_in, size_in = _fuse(it, imin, bit_i, bit_j)
+    ot, omax, fused_out, size_out = _fuse(ot, omax, bit_i, bit_j)
 
-    items: list[tuple[PairKey, tuple[int, int, int]]] = []
-    # carry over existing adjacencies; a fused side re-values to the fused
-    # component's size, and the gap is then recomputed from the new sizes
-    for (q1, q2), (a, b, d) in e.pairs.items():
-        # the fused mask can coincide with q1 or q2, so track the fusion
-        # itself, not a key change
-        revalued = False
-        if fused_in is not None and q1 & touch:
-            q1, a, revalued = fused_in, inside[fused_in][0], True
-        if fused_out is not None and q2 & touch:
-            q2, b, revalued = fused_out, outside[fused_out][0], True
-        if revalued:
-            d = a - b
-        items.append(((q1, q2), (a, b, d)))
+    items: list[tuple[tuple[int, int], int, int, int]] = []
+    if fused_in is not None or fused_out is not None:
+        # carry over existing adjacencies; a fused side re-values to the
+        # fused component's size, and the gap is then recomputed from the
+        # new sizes
+        for ((q1, q2), a), (_, b), (_, d) in zip(sel, unsel, gap):
+            # the fused mask can coincide with q1 or q2, so track the fusion
+            # itself, not a key change
+            revalued = False
+            if fused_in is not None and q1 & touch:
+                q1, a, revalued = fused_in, size_in, True
+            if fused_out is not None and q2 & touch:
+                q2, b, revalued = fused_out, size_out, True
+            if revalued:
+                d = a - b
+            items.append(((q1, q2), a, b, d))
+        sel = unsel = gap = ()
     # new adjacencies: every selected component holding an i-vertex now
     # touches every unselected component holding a j-vertex, and vice versa
-    for m1, (_, mn) in inside.items():
+    for m1, mn in imin:
         if not m1 & touch:
             continue
-        for m2, (_, mx) in outside.items():
+        for m2, mx in omax:
             if (m1 & bit_i and m2 & bit_j) or (m1 & bit_j and m2 & bit_i):
-                items.append(((m1, m2), (mn, mx, mn - mx)))
-    return DpEntry(inside, outside, _pool_into({}, items, _pool_pair), e.witness)
+                items.append(((m1, m2), mn, mx, mn - mx))
+    if items:
+        sel = _pooled(sel, [(p, a) for p, a, _, _ in items], min)
+        unsel = _pooled(unsel, [(p, b) for p, _, b, _ in items], max)
+        gap = _pooled(gap, [(p, d) for p, _, _, d in items], min)
+    return (it, ot, imin, omax, sel, unsel, gap), e.witness
 
 
 def dp_join(first: int, second: int, child: list[DpEntry]) -> list[DpEntry]:
@@ -267,12 +266,15 @@ def solve_cw(expr: CExpression, connected: bool = False) -> SolveResult:
 
     candidates = []
     for e in root_entries:
-        if e.selected_total() < 1:
+        inside, _, minima, _, _, _, gaps = e.key
+        if not inside:
             continue
-        if any(d < 0 for _, _, d in e.pairs.values()):
+        if any(d < 0 for _, d in gaps):
             continue
-        if connected and (len(e.inside) != 1 or any(t != s for t, s in e.inside.values())):
+        if connected and (len(inside) != 1 or inside[0][1] != minima[0][1]):
             continue
-        candidates.append(e)
-    best = min(candidates, key=lambda e: (e.selected_total(), sorted(e.witness)), default=None)
-    return verified_result(g, None if best is None else best.witness, "cw", connected, t0)
+        candidates.append(e.witness)
+    # the lexicographically least vertex list among the smallest selections
+    size = min((w.bit_count() for w in candidates), default=0)
+    witness = min((vertices_of(w) for w in candidates if w.bit_count() == size), default=None)
+    return verified_result(g, witness, "cw", connected, t0)

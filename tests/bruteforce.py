@@ -231,6 +231,26 @@ def ref_summary(g: Graph, labels: list[int], subset) -> tuple[dict, dict, dict]:
     return inside, outside, pairs
 
 
+def ref_signature(inside: dict, outside: dict, pairs: dict) -> tuple:
+    """The order a cw summary family is sorted in, from its three maps:
+    seven columns of sorted (label set, value) items."""
+    # column by column, every total ahead of any extreme: the family
+    # order decides which witness each summary keeps (see cw._dedup), and
+    # the tests pin the witnesses this order yields
+    inside = sorted(inside.items())
+    outside = sorted(outside.items())
+    pairs = sorted(pairs.items())
+    return (
+        tuple((m, t) for m, (t, _) in inside),
+        tuple((m, t) for m, (t, _) in outside),
+        tuple((m, s) for m, (_, s) in inside),
+        tuple((m, s) for m, (_, s) in outside),
+        tuple((p, a) for p, (a, _, _) in pairs),
+        tuple((p, b) for p, (_, b, _) in pairs),
+        tuple((p, d) for p, (_, _, d) in pairs),
+    )
+
+
 # The paper's two refusal rules for "is there a safe set of size at most k"
 # in a connected graph.  They only ever answer No when no such set can
 # exist; a pass says nothing either way.

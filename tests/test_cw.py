@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import random_expression
-from bruteforce import ref_summary
+from bruteforce import ref_signature, ref_summary
 from safeset.cexpr import (
     CExpression,
     Leaf,
@@ -27,7 +27,14 @@ from safeset.cw import (
     solve_cw,
 )
 from safeset.generators import complete_graph, cycle_graph, path_graph
-from safeset.graph import Graph, InputError, is_connected_safe_set, is_safe_set
+from safeset.graph import (
+    Graph,
+    InputError,
+    is_connected_safe_set,
+    is_safe_set,
+    mask_of,
+    vertices_of,
+)
 from safeset.oracle import connected_safe_number_bf, safe_number_bf
 
 K2_TEXT = "(e 1 2 (u (v 1) (v 2)))"
@@ -38,14 +45,24 @@ NESTED_JOIN_TEXT = (
 
 
 def by_witness(entries, witness):
-    matches = [e for e in entries if e.witness == frozenset(witness)]
+    matches = [e for e in entries if e.witness == mask_of(witness)]
     assert len(matches) == 1, f"no unique entry with witness {witness}"
     return matches[0]
 
 
 def maps(entry):
-    """A summary's three maps, the form ``ref_summary`` returns."""
-    return entry.inside, entry.outside, entry.pairs
+    """A summary's seven columns decoded into its three maps, the form
+    ``ref_summary`` returns.  Columns that share a map must list the same
+    label sets, each column sorted and free of repeats."""
+    it, ot, imin, omax, sel, unsel, gap = entry.key
+
+    def joined(*cols):
+        keys = [k for k, _ in cols[0]]
+        assert keys == sorted(set(keys))
+        assert all([k for k, _ in col] == keys for col in cols)
+        return dict(zip(keys, zip(*[[v for _, v in col] for col in cols])))
+
+    return joined(it, imin), joined(ot, omax), joined(sel, unsel, gap)
 
 
 def frozen(summary):
@@ -60,14 +77,14 @@ def frozen(summary):
 def test_leaf_summaries():
     entries = dp_leaf(1)
     assert len(entries) == 2
-    skipped = by_witness(entries, ())
-    assert skipped.inside == {}
-    assert skipped.outside == {1: (1, 1)}
-    taken = by_witness(entries, (0,))
-    assert taken.inside == {1: (1, 1)}
-    assert taken.outside == {}
+    inside, outside, _ = maps(by_witness(entries, ()))
+    assert inside == {}
+    assert outside == {1: (1, 1)}
+    inside, outside, _ = maps(by_witness(entries, (0,)))
+    assert inside == {1: (1, 1)}
+    assert outside == {}
     for e in entries:
-        assert e.pairs == {}
+        assert maps(e)[2] == {}
 
 
 def test_union_with_skipped_leaf_only_grows_outside():
@@ -76,16 +93,16 @@ def test_union_with_skipped_leaf_only_grows_outside():
     combined = dp_union([base], [pad])
     assert len(combined) == 1
     entry = combined[0]
-    assert entry.inside == base.inside
-    assert entry.outside == {2: (1, 1)}
-    assert entry.witness == frozenset({0})
+    assert maps(entry)[0] == maps(base)[0]
+    assert maps(entry)[1] == {2: (1, 1)}
+    assert vertices_of(entry.witness) == [0]
 
 
 def test_union_of_two_taken_leaves_same_label():
     a = by_witness(dp_leaf(1, vertex=0), (0,))
     b = by_witness(dp_leaf(1, vertex=1), (1,))
     entry = dp_union([a], [b])[0]
-    assert entry.inside == {1: (2, 1)}
+    assert maps(entry)[0] == {1: (2, 1)}
     assert maps(entry) == ref_summary(Graph(2), [1, 1], {0, 1})
 
 
@@ -100,52 +117,52 @@ def test_union_size_is_at_most_product():
 def test_relabel_renames_single_class():
     entry = by_witness(dp_leaf(1), (0,))
     out = dp_relabel(1, 2, [entry])[0]
-    assert out.inside == {2: (1, 1)}
+    assert maps(out)[0] == {2: (1, 1)}
 
 
 def test_relabel_fuses_outside_buckets():
     # two skipped leaves with labels 1 and 2; renaming 1 to 2 must pool them
     child = dp_union(dp_leaf(1, 0), dp_leaf(2, 1))
     both_out = by_witness(child, ())
-    assert both_out.outside == {1: (1, 1), 2: (1, 1)}
+    assert maps(both_out)[1] == {1: (1, 1), 2: (1, 1)}
     fused = dp_relabel(1, 2, [both_out])[0]
-    assert fused.outside == {2: (2, 1)}
+    assert maps(fused)[1] == {2: (2, 1)}
     assert maps(fused) == ref_summary(Graph(2), [2, 2], set())
 
 
 def test_relabel_without_occurrences_changes_nothing():
     child = dp_union(dp_leaf(1, 0), dp_leaf(2, 1))
     out = dp_relabel(3, 1, child)
-    assert [e.signature for e in out] == [e.signature for e in child]
+    assert [e.key for e in out] == [e.key for e in child]
 
 
 def test_join_merges_selected_components():
     child = dp_union(dp_leaf(1, 0), dp_leaf(2, 1))
     joined = dp_join(1, 2, child)
-    both = by_witness(joined, (0, 1))
-    assert both.inside == {3: (2, 2)}
-    assert both.pairs == {}
+    inside, _, pairs = maps(by_witness(joined, (0, 1)))
+    assert inside == {3: (2, 2)}
+    assert pairs == {}
 
 
 def test_join_merges_unselected_components():
     child = dp_union(dp_leaf(1, 0), dp_leaf(2, 1))
     joined = dp_join(1, 2, child)
     neither = by_witness(joined, ())
-    assert neither.outside == {3: (2, 2)}
+    assert maps(neither)[1] == {3: (2, 2)}
 
 
 def test_join_records_new_adjacency():
     child = dp_union(dp_leaf(1, 0), dp_leaf(2, 1))
     joined = dp_join(1, 2, child)
     first_only = by_witness(joined, (0,))
-    assert first_only.pairs == {(1, 2): (1, 1, 0)}
+    assert maps(first_only)[2] == {(1, 2): (1, 1, 0)}
     assert maps(first_only) == ref_summary(Graph(2, [(0, 1)]), [1, 2], {0})
 
 
 def test_join_without_both_classes_is_identity():
     child = dp_union(dp_leaf(1, 0), dp_leaf(1, 1))
     out = dp_join(2, 3, child)
-    assert [e.signature for e in out] == [e.signature for e in child]
+    assert [e.key for e in out] == [e.key for e in child]
 
 
 def test_join_revalues_gap_when_fused_mask_equals_old_key():
@@ -161,8 +178,9 @@ def test_join_revalues_gap_when_fused_mask_equals_old_key():
     g, labels = eval_graph(expr)
     assert g.edges == Graph(5, [(0, 2), (1, 2), (0, 3), (1, 3), (2, 3), (2, 4)]).edges
     entry = by_witness(dp_evaluate(expr)[expr.root], (1,))
-    assert entry.outside == {7: (4, 4)}
-    assert entry.pairs == {(1, 7): (1, 4, -3)}
+    _, outside, pairs = maps(entry)
+    assert outside == {7: (4, 4)}
+    assert pairs == {(1, 7): (1, 4, -3)}
     assert maps(entry) == ref_summary(g, labels, {1})
 
 
@@ -190,15 +208,18 @@ def assert_tables_definitional(expr):
         assert len(entries) <= 2 ** size
         summaries = set()
         for entry in entries:
-            assert all(t > 0 for t, _ in entry.inside.values())
-            assert all(t > 0 for t, _ in entry.outside.values())
-            local = {v - base for v in entry.witness}
+            inside, outside, _ = maps(entry)
+            assert all(t > 0 for t, _ in inside.values())
+            assert all(t > 0 for t, _ in outside.values())
+            local = {v - base for v in vertices_of(entry.witness)}
             assert all(0 <= v < size for v in local)
             assert maps(entry) == ref_summary(g, labels, local)
-            totals = [t for t, _ in entry.inside.values()] + [t for t, _ in entry.outside.values()]
+            totals = [t for t, _ in inside.values()] + [t for t, _ in outside.values()]
             assert sum(totals) == size
             summaries.add(frozen(maps(entry)))
         assert len(summaries) == len(entries)
+        order = [ref_signature(*maps(entry)) for entry in entries]
+        assert all(a < b for a, b in zip(order, order[1:]))
         expected = set()
         for mask in range(1 << size):
             subset = {v for v in range(size) if mask >> v & 1}
@@ -341,6 +362,54 @@ def test_random_tree_witnesses_are_pinned():
     ]
     assert got == RANDOM_TREE_WITNESSES
 
+
+# Whole root families, in family order: each summary's three maps and its
+# witness.  The order and the witness each summary keeps are what the
+# pinned witnesses above rest on.
+CYCLE4_ROOT = [
+    (({}, {7: (4, 4)}, {}), []),
+    (({1: (1, 1)}, {6: (3, 3)}, {(1, 6): (1, 3, -2)}), [0]),
+    (
+        ({1: (1, 1), 4: (1, 1)}, {4: (1, 1), 2: (1, 1)},
+         {(1, 4): (1, 1, 0), (4, 4): (1, 1, 0), (4, 2): (1, 1, 0), (1, 2): (1, 1, 0)}),
+        [0, 2],
+    ),
+    (({2: (1, 1)}, {5: (3, 3)}, {(2, 5): (1, 3, -2)}), [3]),
+    (
+        ({4: (1, 1), 2: (1, 1)}, {1: (1, 1), 4: (1, 1)},
+         {(4, 1): (1, 1, 0), (4, 4): (1, 1, 0), (2, 4): (1, 1, 0), (2, 1): (1, 1, 0)}),
+        [1, 3],
+    ),
+    (({3: (2, 2)}, {4: (2, 2)}, {(3, 4): (2, 2, 0)}), [0, 3]),
+    (({4: (1, 1)}, {7: (3, 3)}, {(4, 7): (1, 3, -2)}), [1]),
+    (({4: (2, 2)}, {3: (2, 2)}, {(4, 3): (2, 2, 0)}), [1, 2]),
+    (({5: (2, 2)}, {6: (2, 2)}, {(5, 6): (2, 2, 0)}), [0, 1]),
+    (({5: (3, 3)}, {2: (1, 1)}, {(5, 2): (3, 1, 2)}), [0, 1, 2]),
+    (({6: (2, 2)}, {5: (2, 2)}, {(6, 5): (2, 2, 0)}), [2, 3]),
+    (({6: (3, 3)}, {1: (1, 1)}, {(6, 1): (3, 1, 2)}), [1, 2, 3]),
+    (({7: (3, 3)}, {4: (1, 1)}, {(7, 4): (3, 1, 2)}), [0, 2, 3]),
+    (({7: (4, 4)}, {}, {}), [0, 1, 2, 3]),
+]
+RANDOM0_ROOT = [
+    (({}, {3: (4, 4)}, {}), []),
+    (({1: (1, 1)}, {3: (3, 3)}, {(1, 3): (1, 3, -2)}), [2]),
+    (({1: (2, 1)}, {3: (2, 2)}, {(1, 3): (1, 2, -1)}), [1, 2]),
+    (({1: (3, 1)}, {2: (1, 1)}, {(1, 2): (1, 1, 0)}), [0, 1, 2]),
+    (({2: (1, 1)}, {1: (3, 1)}, {(2, 1): (1, 1, 0)}), [3]),
+    (({3: (2, 2)}, {1: (2, 1)}, {(3, 1): (2, 1, 1)}), [2, 3]),
+    (({3: (3, 3)}, {1: (1, 1)}, {(3, 1): (3, 1, 2)}), [1, 2, 3]),
+    (({3: (4, 4)}, {}, {}), [0, 1, 2, 3]),
+]
+
+
+def test_root_family_is_pinned():
+    cases = [
+        (cycle_expression(4), CYCLE4_ROOT),
+        (random_expression(random.Random(0), label_count=3, max_leaves=6), RANDOM0_ROOT),
+    ]
+    for expr, family in cases:
+        root = dp_evaluate(expr)[expr.root]
+        assert [(maps(e), vertices_of(e.witness)) for e in root] == family
 
 def test_solve_rejects_repeated_join():
     expr = parse_cexpression("(e 1 2 (e 1 2 (u (v 1) (v 2))))")
