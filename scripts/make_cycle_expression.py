@@ -32,11 +32,11 @@ def main(argv=None) -> int:
     if built.edges != cycle_graph(args.n).edges:
         print(f"error: the expression does not build the {args.n}-cycle", file=sys.stderr)
         return 1
-    with open(args.out, "w") as fh:
+    with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(format_cexpression(expr))
     print(f"wrote {args.out} ({expr.label_count} labels, {args.n} leaves)")
     if args.graph_out:
-        with open(args.graph_out, "w") as fh:
+        with open(args.graph_out, "w", encoding="utf-8") as fh:
             fh.write(format_graph(built))
         print(f"wrote {args.graph_out} (n={built.n}, m={built.m})")
     return 0

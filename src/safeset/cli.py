@@ -108,7 +108,7 @@ def cmd_solve(args) -> int:
     else:
         if args.expr is None:
             raise InputError("--algo cw needs --expr")
-        expr = parse_cexpression(Path(args.expr).read_text())
+        expr = parse_cexpression(Path(args.expr).read_text(encoding="utf-8"))
         label_count = expr.label_count
         built, _ = eval_graph(expr)
         if built != g:
@@ -199,7 +199,7 @@ def cmd_gen(args) -> int:
         save_graph(output.graph, args.out)
         written.append(args.out)
         for path, text in extras:
-            Path(path).write_text(text)
+            Path(path).write_text(text, encoding="utf-8")
             written.append(path)
         write_sidecar(sidecar, output.target, output.role_map, output.source)
     except OSError:

@@ -5,12 +5,16 @@ one per edge, 0-indexed, u != v, each edge listed once.  Blank lines and
 lines starting with ``#`` are ignored anywhere.  Bipartite instances use a
 ``r b m`` header followed by m lines ``i j`` meaning red vertex i is
 adjacent to blue vertex j.  Headers above ``MAX_VERTICES`` vertices are
-refused before anything is built for them.
+refused before anything is built for them.  ``gen`` also writes a JSON
+sidecar (``write_sidecar``).  Every file is read and written as UTF-8,
+whatever the locale.
 """
 
 from __future__ import annotations
 
 import json
+import re
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .graph import MAX_VERTICES, Graph, PathDecomposition
@@ -48,7 +52,27 @@ def _check_vertex_count(lineno: int, n: int) -> None:
         )
 
 
+# Text that is only "u v" lines of ASCII digits, each ended by one newline
+# (the last one may lack it): every line is then content, so one split reads
+# the numbers the line walk would, and Graph makes the range, self-loop and
+# duplicate checks.
+_PLAIN_GRAPH = re.compile(r"[0-9]+ [0-9]+(?:\n[0-9]+ [0-9]+)*\n?")
+
+
 def parse_graph(text: str) -> Graph:
+    if _PLAIN_GRAPH.fullmatch(text):
+        numbers = text.split()
+        try:
+            n, m = int(numbers[0]), int(numbers[1])
+            if n <= MAX_VERTICES and len(numbers) == 2 * m + 2:
+                ends = map(int, numbers[2:])
+                return Graph(n, zip(ends, ends))
+        except ValueError:
+            pass  # the line walk raises the error, naming the line
+    return _parse_graph_lines(text)
+
+
+def _parse_graph_lines(text: str) -> Graph:
     lines = _content_lines(text)
     if not lines:
         raise FormatError("line 1: missing 'n m' header")
@@ -85,11 +109,11 @@ def format_graph(g: Graph) -> str:
 
 
 def load_graph(path: str | Path) -> Graph:
-    return parse_graph(Path(path).read_text())
+    return parse_graph(Path(path).read_text(encoding="utf-8"))
 
 
 def save_graph(g: Graph, path: str | Path) -> None:
-    Path(path).write_text(format_graph(g))
+    Path(path).write_text(format_graph(g), encoding="utf-8")
 
 
 def parse_bigraph(text: str) -> Bigraph:
@@ -128,7 +152,7 @@ def format_bigraph(bg: Bigraph) -> str:
 
 
 def load_bigraph(path: str | Path) -> Bigraph:
-    return parse_bigraph(Path(path).read_text())
+    return parse_bigraph(Path(path).read_text(encoding="utf-8"))
 
 
 def decomposition_to_json(pd: PathDecomposition) -> str:
@@ -159,9 +183,43 @@ def vertex_set_from_text(text: str) -> frozenset[int]:
 
 
 def write_sidecar(path: str | Path, target: int, role_map: dict, source: dict) -> None:
-    payload = {
-        "target": target,
-        "role_map": {str(v): role for v, role in sorted(role_map.items())},
-        "source": source,
-    }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Write ``{"target", "role_map", "source"}`` as ``json.dumps(...,
+    indent=2, sort_keys=True)`` writes it, the role map keyed by
+    ``str(vertex)``; a role record maps field names to ints and strings.
+
+    ``indent`` sends ``json.dumps`` to its pure-Python encoder, so the role
+    records, nearly all of the file, are written through one template per
+    field set instead.
+    """
+    records = ",\n".join(_role_records({str(v): role for v, role in role_map.items()}))
+    # the other two keys sort after "role_map"; drop their text's opening "{\n"
+    rest = json.dumps({"source": source, "target": target}, indent=2, sort_keys=True)[2:]
+    roles = "{\n" + records + "\n  }" if records else "{}"
+    Path(path).write_text('{\n  "role_map": ' + roles + ",\n" + rest + "\n", encoding="utf-8")
+
+
+def _role_records(by_key: dict[str, dict]) -> list[str]:
+    """Each record as ``json.dumps`` writes it two levels deep, in key order."""
+    templates: dict[tuple, tuple[str, list]] = {}
+    out = []
+    for key in sorted(by_key):
+        record = by_key[key]
+        fields = tuple(record)
+        if fields not in templates:
+            order = sorted(fields)
+            lines = ",\n".join(
+                f"      {encode_basestring_ascii(f).replace('%', '%%')}: %s" for f in order
+            )
+            body = "{\n" + lines + "\n    }" if order else "{}"
+            templates[fields] = ("    %s: " + body, order)
+        text, order = templates[fields]
+        out.append(text % (encode_basestring_ascii(key), *[_scalar(record[f]) for f in order]))
+    return out
+
+
+def _scalar(value) -> str:
+    if type(value) is int:
+        return int.__repr__(value)
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    raise TypeError(f"role record value {value!r} is neither an int nor a string")

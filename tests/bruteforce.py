@@ -2,7 +2,9 @@
 
 The ``ref_*`` verifiers and searches deliberately avoid the bitmask
 machinery of the package, so that the package verifiers are checked
-through an independent route.  The brute force below them -- treedepth,
+through an independent route.  ``ref_parse_graph`` and ``ref_sidecar_text``
+are the line-by-line graph reader and the ``json.dumps`` sidecar text that
+the package's faster I/O must match exactly.  The brute force below them -- treedepth,
 vertex cover, cw summaries and the paper's two solution-size refusal rules
 -- is built on the package's own ``components_mask``, which the set-based
 references above check.
@@ -11,6 +13,7 @@ references above check.
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass
 
 from safeset.graph import (
@@ -22,6 +25,7 @@ from safeset.graph import (
     neighborhood_mask,
     vertices_of,
 )
+from safeset.io import MAX_VERTICES, FormatError
 from safeset.oracle import DEFAULT_SUBSET_CAP, subset_masks_by_size
 
 DEFAULT_TREEDEPTH_CAP = 14
@@ -150,6 +154,71 @@ def ref_count_program(ip) -> tuple[int, tuple[int, ...]] | None:
         if ok and (best is None or sum(counts) < best[0]):
             best = (sum(counts), counts)
     return best
+
+
+def _ref_content_lines(text: str) -> list[tuple[int, str]]:
+    out = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        out.append((lineno, line))
+    return out
+
+
+def _ref_ints(lineno: int, line: str, count: int) -> list[int]:
+    parts = line.split()
+    if len(parts) != count:
+        raise FormatError(f"line {lineno}: expected {count} integers, got {line!r}")
+    try:
+        return [int(p) for p in parts]
+    except ValueError:
+        raise FormatError(f"line {lineno}: expected integers, got {line!r}") from None
+
+
+def ref_parse_graph(text: str) -> Graph:
+    """The graph reader as one walk over the content lines, each checked on
+    its own."""
+    lines = _ref_content_lines(text)
+    if not lines:
+        raise FormatError("line 1: missing 'n m' header")
+    lineno, header = lines[0]
+    n, m = _ref_ints(lineno, header, 2)
+    if n < 0 or m < 0:
+        raise FormatError(f"line {lineno}: negative counts in header")
+    if n > MAX_VERTICES:
+        raise FormatError(
+            f"line {lineno}: header announces {n} vertices, more than {MAX_VERTICES}"
+        )
+    body = lines[1:]
+    if len(body) != m:
+        raise FormatError(
+            f"line {lineno}: header promises {m} edges, file has {len(body)} edge lines"
+        )
+    edges = []
+    seen = set()
+    for lineno, line in body:
+        u, v = _ref_ints(lineno, line, 2)
+        if not (0 <= u < n and 0 <= v < n):
+            raise FormatError(f"line {lineno}: vertex out of range [0, {n})")
+        if u == v:
+            raise FormatError(f"line {lineno}: self-loop at {u}")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise FormatError(f"line {lineno}: duplicate edge {key}")
+        seen.add(key)
+        edges.append((u, v))
+    return Graph(n, edges)
+
+
+def ref_sidecar_text(target: int, role_map: dict, source: dict) -> str:
+    """The sidecar file's text, from the standard library's encoder."""
+    payload = {
+        "target": target,
+        "role_map": {str(v): role for v, role in sorted(role_map.items())},
+        "source": source,
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _check_cap(g: Graph, cap: int, what: str) -> None:

@@ -1,6 +1,10 @@
 """End-to-end behavior of the command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -124,6 +128,26 @@ def test_solve_cw_rejects_non_utf8_files(run, tmp_path, which):
     )
     assert code == 2 and payload is None
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "comment, code",
+    [(b"# caf\xc3\xa9\n", 0), (b"# caf\xe9\n", 2)],
+    ids=["utf8-comment", "latin1-byte"],
+)
+def test_graph_files_are_utf8_in_an_ascii_locale(tmp_path, comment, code):
+    path = tmp_path / "k2.gr"
+    path.write_bytes(b"2 1\n0 1\n" + comment)
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-m", "safeset.cli", "solve", "--algo", "oracle", str(path)],
+        env={**os.environ, "PYTHONPATH": str(src), "LC_ALL": "C", "PYTHONUTF8": "0"},
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == code, out.stderr
+    if code == 2:
+        assert out.stderr.startswith("error: 'utf-8' codec can't decode byte 0xe9")
 
 
 @settings(

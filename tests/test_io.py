@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
-import pytest
+import json
+import random
 
-from safeset.generators import cycle_graph, random_connected_graph
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bruteforce import ref_parse_graph, ref_sidecar_text
+from safeset.generators import complete_graph, cycle_graph, path_graph, random_connected_graph
 from safeset.io import (
     MAX_VERTICES,
     FormatError,
@@ -15,11 +21,10 @@ from safeset.io import (
     parse_bigraph,
     parse_graph,
     vertex_set_from_text,
+    write_sidecar,
 )
 from safeset.graph import PathDecomposition
-from safeset.reductions import Bigraph
-
-import random
+from safeset.reductions import Bigraph, ds_to_ss, rbds_to_ss
 
 
 def test_parse_simple():
@@ -100,3 +105,130 @@ def test_vertex_set_from_text():
         vertex_set_from_text("0,x")
     with pytest.raises(FormatError):
         vertex_set_from_text("  ")
+
+
+def _read(parse, text: str):
+    """What a reader makes of the text: the graph's masks, or the error."""
+    try:
+        g = parse(text)
+    except FormatError as exc:
+        return ("error", str(exc))
+    return ("graph", g.n, g._masks, g.edges)
+
+
+READER_CASES = [
+    "3 2\n0 1\n1 2\n",
+    "3 2\n0 1\n1 2",
+    "3 2\n2 1\n1 0\n",
+    "01 1\n00 001\n",
+    "# a path\n3 2\n# edges\n0 1\n\n1 2\n# end\n",
+    "3 2\n0 1\n1 2\n\n",
+    "\n3 2\n0 1\n1 2\n",
+    "3 2\r\n0 1\r\n1 2\r\n",
+    "3 2\r0 1\r1 2",
+    "3\t2\n0\t1\n1 2  \n",
+    "  3 2\n 0  1\n1 2 \n",
+    "3 1\n+1 0\n",
+    "3 1\n-1 0\n",
+    "3 -1\n",
+    "3 1\n\u0661 0\n",
+    "\uff13 1\n0 1\n",
+    "3 2\x0b0 1\x0c1 2\n",
+    "3 2\x1c0 1\x1c1 2",
+    "3 2\x850 1\n1 2\n",
+    "3 2\u20280 1\u20291 2",
+    "3 0\n",
+    "3 0",
+    "0 0\n",
+    f"{MAX_VERTICES} 0\n",
+    f"{MAX_VERTICES + 1} 0\n",
+    f"{MAX_VERTICES + 1} 1\n0 1\n",
+    "9" * 5000 + " 0\n",
+    "2 2\n0 1\n1 0\n",
+    "3 3\n0 1\n1 2\n2 1\n",
+    "2 1\n1 1\n",
+    "2 1\n0 2\n",
+    "3 2\n0 1\n",
+    "3 1\n0 1\n1 2\n",
+    "3 1\n0 1 2\n",
+    "3 2\n0\n1 2 1\n",
+    "3 1 0\n",
+    "3\n",
+    "",
+    "\n",
+    "# nothing here\n",
+]
+
+
+@pytest.mark.parametrize("text", READER_CASES)
+def test_reader_matches_the_line_walk(text):
+    assert _read(parse_graph, text) == _read(ref_parse_graph, text)
+
+
+_PIECES = st.sampled_from(
+    ["0", "1", "2", "3", "9", " ", "  ", "\t", "\n", "\r\n", "\r", "#", "+", "-",
+     "\u0661", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
+)
+
+
+@st.composite
+def _graph_texts(draw):
+    """Mostly well-formed files, some with a few pieces of the alphabet
+    inserted; numbers stay small so edges repeat and leave the range."""
+    n = draw(st.integers(0, 4))
+    edges = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=6))
+    m = len(edges) + draw(st.sampled_from([0, 0, 0, 1, -1]))
+    text = "\n".join([f"{n} {m}"] + [f"{u} {v}" for u, v in edges])
+    text += draw(st.sampled_from(["", "\n"]))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(_PIECES) + text[at:]
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_graph_texts(), st.lists(_PIECES, max_size=12).map("".join)))
+def test_reader_matches_the_line_walk_fuzzed(text):
+    assert _read(parse_graph, text) == _read(ref_parse_graph, text)
+
+
+SIDECAR_BUILDS = [
+    *(lambda k=k: ds_to_ss(path_graph(2), k) for k in (1, 2, 3)),
+    lambda: ds_to_ss(complete_graph(3), 2),
+    lambda: ds_to_ss(cycle_graph(5), 1),
+    lambda: ds_to_ss(random_connected_graph(random.Random(7), 4), 3),
+    lambda: rbds_to_ss(Bigraph(1, 1, frozenset({(0, 0)})), 1),
+    lambda: rbds_to_ss(Bigraph(3, 2, frozenset({(0, 0), (1, 1), (2, 1)})), 2),
+    lambda: rbds_to_ss(Bigraph(4, 3, frozenset({(0, 0), (1, 2), (2, 1), (3, 2)})), 3),
+]
+
+
+@pytest.mark.parametrize("build", SIDECAR_BUILDS)
+def test_sidecar_bytes_match_json_dumps(tmp_path, build):
+    out = build()
+    path = tmp_path / "out.gr.json"
+    write_sidecar(path, out.target, out.role_map, out.source)
+    expected = ref_sidecar_text(out.target, out.role_map, out.source)
+    assert path.read_bytes() == expected.encode()
+    # keys in string order ("10" before "2") and a record with no fields
+    assert out.graph.n > 10
+    assert any(len(role) == 1 for role in out.role_map.values())
+
+
+def test_sidecar_odd_records(tmp_path):
+    path = tmp_path / "odd.json"
+    role_maps = [
+        {},
+        {0: {}},
+        {12: {"role": "caf\u00e9 \"q\"", "a%s": -3}, 3: {"idx": 10**30, "role": "x"}},
+    ]
+    for role_map in role_maps:
+        write_sidecar(path, 5, role_map, {"kind": "t", "edges": [[0, 1]]})
+        assert path.read_text(encoding="utf-8") == ref_sidecar_text(
+            5, role_map, {"kind": "t", "edges": [[0, 1]]}
+        )
+    assert json.loads(path.read_text(encoding="utf-8"))["role_map"]["12"]["a%s"] == -3
+    # a bool would print as True through int's repr: refused, nothing written
+    with pytest.raises(TypeError, match="neither an int nor a string"):
+        write_sidecar(tmp_path / "bool.json", 1, {0: {"role": "x", "flag": True}}, {})
+    assert not (tmp_path / "bool.json").exists()
