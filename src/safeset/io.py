@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -23,16 +24,6 @@ from .reductions import Bigraph
 
 class FormatError(ValueError):
     """Malformed input text; the message carries a 1-based line number."""
-
-
-def _content_lines(text: str) -> list[tuple[int, str]]:
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        out.append((lineno, line))
-    return out
 
 
 def _ints(lineno: int, line: str, count: int) -> list[int]:
@@ -45,11 +36,33 @@ def _ints(lineno: int, line: str, count: int) -> list[int]:
         raise FormatError(f"line {lineno}: expected integers, got {line!r}") from None
 
 
-def _check_vertex_count(lineno: int, n: int) -> None:
-    if n > MAX_VERTICES:
+def _header_and_body(
+    text: str, header_names: str
+) -> tuple[list[int], Iterator[tuple[int, int, int]]]:
+    """Read a ``.gr`` header ``n m`` or a ``.bg`` header ``r b m``
+    (``header_names``) and check it; return the vertex counts and the body
+    as (line number, first, second) entries, each line read only when the
+    caller reaches it, so the first bad line is the one reported."""
+    lines = [
+        (lineno, line)
+        for lineno, raw in enumerate(text.splitlines(), start=1)
+        if (line := raw.strip()) and not line.startswith("#")
+    ]
+    if not lines:
+        raise FormatError(f"line 1: missing '{header_names}' header")
+    lineno, header = lines[0]
+    *sizes, m = _ints(lineno, header, len(header_names.split()))
+    if min(*sizes, m) < 0:
+        raise FormatError(f"line {lineno}: negative counts in header")
+    if sum(sizes) > MAX_VERTICES:
         raise FormatError(
-            f"line {lineno}: header announces {n} vertices, more than {MAX_VERTICES}"
+            f"line {lineno}: header announces {sum(sizes)} vertices, more than {MAX_VERTICES}"
         )
+    if len(lines) - 1 != m:
+        raise FormatError(
+            f"line {lineno}: header promises {m} edges, file has {len(lines) - 1} edge lines"
+        )
+    return sizes, ((lineno, *_ints(lineno, line, 2)) for lineno, line in lines[1:])
 
 
 # Text that is only "u v" lines of ASCII digits, each ended by one newline
@@ -73,23 +86,10 @@ def parse_graph(text: str) -> Graph:
 
 
 def _parse_graph_lines(text: str) -> Graph:
-    lines = _content_lines(text)
-    if not lines:
-        raise FormatError("line 1: missing 'n m' header")
-    lineno, header = lines[0]
-    n, m = _ints(lineno, header, 2)
-    if n < 0 or m < 0:
-        raise FormatError(f"line {lineno}: negative counts in header")
-    _check_vertex_count(lineno, n)
-    body = lines[1:]
-    if len(body) != m:
-        raise FormatError(
-            f"line {lineno}: header promises {m} edges, file has {len(body)} edge lines"
-        )
+    (n,), body = _header_and_body(text, "n m")
     edges = []
     seen = set()
-    for lineno, line in body:
-        u, v = _ints(lineno, line, 2)
+    for lineno, u, v in body:
         if not (0 <= u < n and 0 <= v < n):
             raise FormatError(f"line {lineno}: vertex out of range [0, {n})")
         if u == v:
@@ -117,31 +117,16 @@ def save_graph(g: Graph, path: str | Path) -> None:
 
 
 def parse_bigraph(text: str) -> Bigraph:
-    lines = _content_lines(text)
-    if not lines:
-        raise FormatError("line 1: missing 'r b m' header")
-    lineno, header = lines[0]
-    r, b, m = _ints(lineno, header, 3)
-    if r < 0 or b < 0 or m < 0:
-        raise FormatError(f"line {lineno}: negative counts in header")
-    _check_vertex_count(lineno, r + b)
-    body = lines[1:]
-    if len(body) != m:
-        raise FormatError(
-            f"line {lineno}: header promises {m} edges, file has {len(body)} edge lines"
-        )
-    edges = []
-    seen = set()
-    for lineno, line in body:
-        i, j = _ints(lineno, line, 2)
+    (r, b), body = _header_and_body(text, "r b m")
+    edges = set()
+    for lineno, i, j in body:
         if not (0 <= i < r):
             raise FormatError(f"line {lineno}: red index {i} out of range [0, {r})")
         if not (0 <= j < b):
             raise FormatError(f"line {lineno}: blue index {j} out of range [0, {b})")
-        if (i, j) in seen:
+        if (i, j) in edges:
             raise FormatError(f"line {lineno}: duplicate pair ({i}, {j})")
-        seen.add((i, j))
-        edges.append((i, j))
+        edges.add((i, j))
     return Bigraph(r, b, frozenset(edges))
 
 

@@ -6,11 +6,13 @@ vertices it takes from each class.  The solver enumerates, per class,
 whether the solution avoids it, meets it partially, or swallows it whole,
 then finds the smallest per-class counts that keep the guess safe.
 
-Those counts form a small program: every block on the solution side needs
-at least as many vertices as each leftover block next to it.  Raising a
-count grows solution blocks and shrinks leftover blocks, so the program is
-feasible exactly when it holds with every count at its upper bound, and a
-depth-first count search finds the optimum.
+Whether a count vector works depends only on the counts, since twins are
+interchangeable, so the verifier decides it on one concrete set: the first
+vertices of each class in sorted order.  Raising a count never turns an
+accepted set into a rejected one (in connected mode once a lone independent
+solution class is capped at one vertex), so a guess is feasible exactly
+when its counts all at their upper bounds are accepted, and a depth-first
+count search finds the optimum.
 """
 
 from __future__ import annotations
@@ -18,11 +20,12 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import or_
 from typing import Literal, NamedTuple
 
 from .graph import (
     Graph,
-    InputError,
     is_connected_safe_mask,
     is_safe_mask,
     mask_of,
@@ -147,21 +150,16 @@ def enumerate_guesses(tp: TwinPartition, bound: Callable[[], float] = lambda: ma
 
 
 def build_families(
-    tp: TwinPartition, guess: GuessPartition, side: Literal["s", "complement"]
+    tp: TwinPartition, guess: GuessPartition
 ) -> tuple[list[frozenset[int]], list[int]]:
-    """Group the classes present on one side into connected blocks.
+    """Group the classes on the solution side into connected blocks.
 
     A block of two or more mutually reachable classes, or a clique class by
-    itself, contributes one component of that side; an isolated independent
-    class instead contributes one single-vertex component per vertex taken
-    (its "singleton-type" classes are returned separately).
+    itself, contributes one component of the solution; an isolated
+    independent class instead contributes one single-vertex component per
+    vertex taken (its "singleton-type" classes are returned separately).
     """
-    if side == "s":
-        rest = guess.full | guess.partial
-    elif side == "complement":
-        rest = ((1 << tp.width) - 1) & ~guess.full
-    else:
-        raise InputError(f"unknown side {side!r}")
+    rest = guess.full | guess.partial
     families: list[frozenset[int]] = []
     singletons: list[int] = []
     while rest:
@@ -182,83 +180,68 @@ def build_families(
     return families, singletons
 
 
+def prefix_masks(tp: TwinPartition) -> list[list[int]]:
+    """``prefix_masks(tp)[i][c]`` is the mask of class i's first c vertices
+    in sorted order, the vertices a count of c takes."""
+    return [list(accumulate((1 << v for v in sorted(cls)), or_, initial=0)) for cls in tp.classes]
+
+
 class CountProgram(NamedTuple):
     """The class counts one guess leaves open.  Class i takes ``lo[i]`` to
-    ``hi[i]`` vertices; a solution block holds the counts of its classes and
-    a leftover block (vertices, classes) the rest of its vertices.  In every
-    ``touching`` pair (solution block j, leftover block h), j must be at
-    least as large as h, and a ``capped`` leftover block keeps at most one
-    vertex.  The objective is the total count."""
+    ``hi[i]`` vertices, its first ones in sorted order (``prefixes`` holds
+    their masks), and a count vector holds when ``accepts`` takes the
+    union.  The objective is the total count."""
 
     lo: tuple[int, ...]
     hi: tuple[int, ...]
-    blocks_s: tuple[tuple[int, ...], ...]
-    blocks_co: tuple[tuple[int, tuple[int, ...]], ...]
-    touching: tuple[tuple[int, int], ...]
-    capped: tuple[int, ...]
+    prefixes: list[list[int]]
+    accepts: Callable[[int], bool]
 
-    def holds(self, counts: list[int]) -> bool:
-        sizes_s = [sum(counts[i] for i in blk) for blk in self.blocks_s]
-        sizes_co = [total - sum(counts[i] for i in blk) for total, blk in self.blocks_co]
-        return all(sizes_s[j] >= sizes_co[h] for j, h in self.touching) and all(
-            sizes_co[h] <= 1 for h in self.capped
-        )
+    def mask(self, counts) -> int:
+        out = 0
+        for table, count in zip(self.prefixes, counts):
+            out |= table[count]
+        return out
+
+    def holds(self, counts) -> bool:
+        return self.accepts(self.mask(counts))
 
 
 def assemble_ip(
     tp: TwinPartition,
     guess: GuessPartition,
-    families_s: list[frozenset[int]],
-    families_co: list[frozenset[int]],
-    singletons_s: list[int],
-    connected: bool,
+    prefixes: list[list[int]],
+    accepts: Callable[[int], bool],
+    lone: int | None = None,
 ) -> CountProgram | None:
     """Turn one guess into a count program, or reject it outright.
 
-    A block on the solution side may never sit next to a larger block on
-    the other side, and a single-vertex component tolerates only
-    single-vertex neighbors.
+    There are no block constraints: ``accepts``, the verifier on the
+    component, is the test.  ``lone`` is, in connected mode, an independent
+    class that forms the solution side by itself: one vertex of it is
+    connected and two are not, so it is capped at one vertex.
     """
-    # the connected solution side must form exactly one component in total
-    if connected and len(families_s) + len(singletons_s) != 1:
-        return None
     lo, hi = [], []  # FULL: the whole class, PARTIAL: 1 to size - 1, EMPTY: 0
     for i, cls in enumerate(tp.classes):
         full, partial = guess.full >> i & 1, guess.partial >> i & 1
         lo.append(len(cls) if full else partial)
         hi.append(len(cls) if full else partial * (len(cls) - 1))
-    if connected and not families_s:
-        # the one single-vertex component: its class gives one vertex
-        if lo[singletons_s[0]] > 1:
+    if lone is not None:
+        if lo[lone] > 1:
             return None
-        hi[singletons_s[0]] = 1
-    co_masks = [mask_of(fam) for fam in families_co]
-
-    def touched(classes) -> list[int]:
-        """The leftover blocks in or next to ``classes``."""
-        reach = 0
-        for i in classes:
-            reach |= tp.masks[i] | 1 << i
-        return [h for h, mask in enumerate(co_masks) if reach & mask]
-
-    touching = tuple((j, h) for j, fam in enumerate(families_s) for h in touched(fam))
-    capped = tuple(sorted({h for i in singletons_s for h in touched((i,))}))
-    blocks_co = tuple((sum(len(tp.classes[i]) for i in fam), tuple(fam)) for fam in families_co)
-    return CountProgram(
-        tuple(lo), tuple(hi), tuple(map(tuple, families_s)), blocks_co, touching, capped
-    )
+        hi[lone] = 1
+    return CountProgram(tuple(lo), tuple(hi), prefixes, accepts)
 
 
 def solve_ip(ip: CountProgram) -> tuple[int, tuple[int, ...]] | None:
     """Smallest total count and the first count vector, in class order,
     that reaches it; None when the program is infeasible.
 
-    Raising a count grows solution blocks and shrinks leftover blocks, so
-    it never breaks a constraint: a program is feasible exactly when it
-    holds with every count at ``hi``.  The search fixes the open classes in
-    order, each with ascending values and the later ones at ``hi``, and
-    drops a prefix that fails so or whose lower bound reaches the best
-    total.
+    Raising a count never turns an accepted set into a rejected one, so a
+    program is feasible exactly when it holds with every count at ``hi``.
+    The search fixes the open classes in order, each with ascending values
+    and the later ones at ``hi``, and drops a prefix that fails so or whose
+    lower bound reaches the best total.
     """
     lo, hi = ip.lo, ip.hi
     counts = list(hi)
@@ -293,32 +276,34 @@ def _component_best(sub: Graph, connected: bool, bound: int) -> frozenset[int] |
     loses anyway, one of equal size may still win on its sorted ids."""
     verify = is_connected_safe_mask if connected else is_safe_mask
     tp = twin_partition(sub)
-    ordered_classes = [sorted(c) for c in tp.classes]
+    prefixes = None  # built at the first guess with a PARTIAL class
     best: tuple[int, list[int]] | None = None  # (size, sorted ids)
     limit = bound + 1  # stays min(bound + 1, size of best)
 
     for guess in enumerate_guesses(tp, lambda: limit):
         if not guess.partial:
-            # every class count is fixed, so the program would only repeat
-            # what the verifier says about the union of the full classes
+            # every class count is fixed: one verifier call on the union of
+            # the full classes
             if not verify(sub, guess.vertices):
                 continue
             wmask = guess.vertices
         else:
-            fam_s, single_s = build_families(tp, guess, "s")
-            if connected and len(fam_s) + len(single_s) != 1:
-                continue  # assemble_ip would reject it
-            fam_co, _ = build_families(tp, guess, "complement")
-            ip = assemble_ip(tp, guess, fam_s, fam_co, single_s, connected)
+            lone = None
+            if connected:
+                fam_s, single_s = build_families(tp, guess)
+                if len(fam_s) + len(single_s) != 1:
+                    continue  # the solution side is not one component
+                lone = single_s[0] if single_s else None
+            if prefixes is None:
+                prefixes = prefix_masks(tp)
+            ip = assemble_ip(tp, guess, prefixes, lambda mask: verify(sub, mask), lone)
             if ip is None:
                 continue
             got = solve_ip(ip)
             if got is None:
                 continue
             value, assignment = got
-            wmask = mask_of(
-                v for i in range(tp.width) for v in ordered_classes[i][: assignment[i]]
-            )
+            wmask = ip.mask(assignment)
             if wmask.bit_count() != value or not verify(sub, wmask):
                 raise WitnessError(
                     f"integer program accepted an unsafe witness {vertices_of(wmask)}"
@@ -331,8 +316,9 @@ def _component_best(sub: Graph, connected: bool, bound: int) -> frozenset[int] |
 
 
 def solve_nd(g: Graph, connected: bool = False) -> SolveResult:
-    """Exact minimum (connected) safe set via the twin-class program,
-    solved per component."""
+    """Exact minimum (connected) safe set via the twin-class guesses, solved
+    per component.  A guess with a PARTIAL class goes through a count
+    program whose only test is the verifier on a concrete set."""
     return solve_by_component(
         g, lambda sub, bound: _component_best(sub, connected, bound), "nd", connected
     )

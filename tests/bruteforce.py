@@ -135,23 +135,20 @@ def ref_approx_witness(g: Graph) -> frozenset[int] | None:
     return frozenset(min(cands)[1]) if cands else None
 
 
-def ref_count_program(ip) -> tuple[int, tuple[int, ...]] | None:
-    """``nd.solve_ip``'s answer by trying every count vector: the first one
-    in ``itertools.product`` order with the smallest total, among those
-    that meet every block constraint of the program ``ip``."""
+def ref_count_program(
+    g: Graph, classes, lo, hi, connected: bool = False
+) -> tuple[int, tuple[int, ...]] | None:
+    """``nd.solve_ip``'s answer by trying every count vector between ``lo``
+    and ``hi``: the first one in ``itertools.product`` order with the
+    smallest total whose concrete set -- the first ``counts[i]`` vertices of
+    each class in sorted order -- ``ref_is_safe`` accepts."""
+    ordered = [sorted(cls) for cls in classes]
     best = None
-    for counts in itertools.product(*(range(a, b + 1) for a, b in zip(ip.lo, ip.hi))):
-        ok = True
-        for j, h in ip.touching:
-            solution_block = sum(counts[i] for i in ip.blocks_s[j])
-            total, classes = ip.blocks_co[h]
-            if solution_block < total - sum(counts[i] for i in classes):
-                ok = False
-        for h in ip.capped:
-            total, classes = ip.blocks_co[h]
-            if total - sum(counts[i] for i in classes) > 1:
-                ok = False
-        if ok and (best is None or sum(counts) < best[0]):
+    for counts in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
+        if best is not None and sum(counts) >= best[0]:
+            continue
+        chosen = {v for cls, count in zip(ordered, counts) for v in cls[:count]}
+        if ref_is_safe(g, chosen, connected):
             best = (sum(counts), counts)
     return best
 

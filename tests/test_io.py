@@ -74,6 +74,36 @@ def test_bigraph_round_trip_and_errors():
         parse_bigraph("1 1 2\n0 0\n0 0")
 
 
+# every bigraph FormatError, with its full message
+BIGRAPH_ERRORS = [
+    ("", "line 1: missing 'r b m' header"),
+    ("# only a comment\n", "line 1: missing 'r b m' header"),
+    ("1 x 0\n", "line 1: expected integers, got '1 x 0'"),
+    ("1 1\n", "line 1: expected 3 integers, got '1 1'"),
+    ("\n2 -1 0\n", "line 2: negative counts in header"),
+    ("-1 2 0\n", "line 1: negative counts in header"),
+    ("1 1 -1\n", "line 1: negative counts in header"),
+    (f"{MAX_VERTICES} 1 0\n", "line 1: header announces 1048577 vertices, more than 1048576"),
+    ("2 2 2\n0 1\n", "line 1: header promises 2 edges, file has 1 edge lines"),
+    ("2 2 0\n0 1\n", "line 1: header promises 0 edges, file has 1 edge lines"),
+    ("2 2 1\n# c\n2 0\n", "line 3: red index 2 out of range [0, 2)"),
+    ("2 2 1\n-1 0\n", "line 2: red index -1 out of range [0, 2)"),
+    ("2 2 1\n0 2\n", "line 2: blue index 2 out of range [0, 2)"),
+    ("2 2 1\n0 -1\n", "line 2: blue index -1 out of range [0, 2)"),
+    ("2 2 2\n0 1\n\n0 1\n", "line 4: duplicate pair (0, 1)"),
+    ("2 2 1\n0 1 1\n", "line 2: expected 2 integers, got '0 1 1'"),
+    ("2 2 1\n0 y\n", "line 2: expected integers, got '0 y'"),
+]
+
+
+@pytest.mark.parametrize("text,message", BIGRAPH_ERRORS)
+def test_bigraph_error_messages_are_pinned(text, message):
+    assert MAX_VERTICES == 1048576
+    with pytest.raises(FormatError) as info:
+        parse_bigraph(text)
+    assert str(info.value) == message
+
+
 def test_decomposition_json_round_trip():
     pd = PathDecomposition([{0, 1}, {1, 2}])
     assert decomposition_from_json(decomposition_to_json(pd)) == pd

@@ -19,9 +19,12 @@ from safeset.branching import branch_solve
 from safeset.graph import (
     Graph,
     explain_safety,
+    is_connected_safe_mask,
     is_connected_safe_set,
+    is_safe_mask,
     is_safe_set,
     mask_of,
+    vertices_of,
 )
 from safeset import nd
 from safeset.nd import (
@@ -32,6 +35,7 @@ from safeset.nd import (
     assemble_ip,
     build_families,
     enumerate_guesses,
+    prefix_masks,
     solve_ip,
     solve_nd,
     twin_partition,
@@ -194,7 +198,7 @@ def test_pruned_walk_rereads_a_falling_bound(g):
 def test_build_families_bipartite_both_partial():
     tp = twin_partition(complete_bipartite_graph(2, 3))
     guess = _guess(tp, (PARTIAL, PARTIAL))
-    fams, single = build_families(tp, guess, "s")
+    fams, single = build_families(tp, guess)
     assert fams == [frozenset({0, 1})]
     assert single == []
 
@@ -208,28 +212,45 @@ def test_build_families_star_full_empty():
     assignment[center] = FULL
     assignment[leaves] = EMPTY
     guess = _guess(tp, tuple(assignment))
-    fams, single = build_families(tp, guess, "s")
+    fams, single = build_families(tp, guess)
     assert fams == [] and single == [center]
-    fams_co, single_co = build_families(tp, guess, "complement")
-    assert fams_co == [] and single_co == [leaves]
 
 
 def test_build_families_clique_self_loop():
     tp = twin_partition(complete_graph(4))
-    fams, single = build_families(tp, _guess(tp, (PARTIAL,)), "s")
+    fams, single = build_families(tp, _guess(tp, (PARTIAL,)))
     assert fams == [frozenset({0})]
     assert single == []
 
 
+def _program(g, tp, guess, connected):
+    """The count program _component_best builds for ``guess``, or None when
+    it rejects the guess: in connected mode the solution side must be one
+    block, and a lone independent class is capped at one vertex."""
+    verify = is_connected_safe_mask if connected else is_safe_mask
+    lone = None
+    if connected:
+        fam_s, single_s = build_families(tp, guess)
+        if len(fam_s) + len(single_s) != 1:
+            return None
+        lone = single_s[0] if single_s else None
+    return assemble_ip(tp, guess, prefix_masks(tp), lambda mask: verify(g, mask), lone)
+
+
 def test_k4_program_reaches_two():
-    tp = twin_partition(complete_graph(4))
-    guess = _guess(tp, (PARTIAL,))
-    fams_s, single_s = build_families(tp, guess, "s")
-    fams_co, _ = build_families(tp, guess, "complement")
-    ip = assemble_ip(tp, guess, fams_s, fams_co, single_s, False)
+    g = complete_graph(4)
+    tp = twin_partition(g)
+    ip = _program(g, tp, _guess(tp, (PARTIAL,)), False)
     assert ip is not None
+    assert (ip.lo, ip.hi) == ((1,), (3,))
     got = solve_ip(ip)
-    assert got is not None and got[0] == 2
+    assert got == (2, (2,))
+
+
+def test_prefix_masks_take_each_class_in_sorted_order():
+    g = Graph(5, [(0, 2), (0, 4), (1, 2), (1, 4)])  # classes {0, 1}, {2, 4}, {3}
+    tp = twin_partition(g)
+    assert prefix_masks(tp) == [[0, 0b1, 0b11], [0, 0b100, 0b10100], [0, 0b1000]]
 
 
 def _fixed_count_graphs():
@@ -277,9 +298,7 @@ def test_fixed_count_guess_program_agrees_with_verifier(connected):
         for guess in enumerate_guesses(tp):
             if guess.partial:
                 continue
-            fam_s, single_s = build_families(tp, guess, "s")
-            fam_co, _ = build_families(tp, guess, "complement")
-            ip = assemble_ip(tp, guess, fam_s, fam_co, single_s, connected)
+            ip = _program(g, tp, guess, connected)
             full = set().union(
                 *(cls for cls, a in zip(tp.classes, guess.assignment) if a == FULL)
             )
@@ -308,30 +327,76 @@ def _blowup(rng):
     return Graph(off, edges)
 
 
+def _box(tp, assignment):
+    """Per-class count bounds of a guess: FULL the whole class, PARTIAL 1
+    to size - 1, EMPTY 0."""
+    sizes = [len(cls) for cls in tp.classes]
+    lo = [n if a == FULL else int(a == PARTIAL) for n, a in zip(sizes, assignment)]
+    hi = [n if a == FULL else n - 1 if a == PARTIAL else 0 for n, a in zip(sizes, assignment)]
+    return lo, hi
+
+
 @pytest.mark.parametrize("connected", [False, True])
 def test_solve_ip_matches_the_count_enumeration(connected):
-    # the same total and the same first count vector as trying every
-    # vector, and the vector spells a safe set
+    # the same total and the same first count vector as trying every vector
+    # of the guess's box on the set-based verifier; a guess the program
+    # rejects (not one block, or a lone class taken twice) has none
     rng = random.Random(12)
     programs = feasible = 0
     for _ in range(60):
         g = _blowup(rng)
         tp = twin_partition(g)
-        ordered = [sorted(cls) for cls in tp.classes]
         for guess in enumerate_guesses(tp):
-            fam_s, single_s = build_families(tp, guess, "s")
-            fam_co, _ = build_families(tp, guess, "complement")
-            ip = assemble_ip(tp, guess, fam_s, fam_co, single_s, connected)
+            ip = _program(g, tp, guess, connected)
+            got = None if ip is None else solve_ip(ip)
+            lo, hi = _box(tp, guess.assignment)
+            want = ref_count_program(g, tp.classes, lo, hi, connected)
+            assert got == want, (g.edges, guess.assignment)
             if ip is None:
                 continue
-            got = solve_ip(ip)
-            assert got == ref_count_program(ip), (g.edges, guess.assignment)
             programs += 1
             if got is not None:
                 feasible += 1
-                witness = {v for cls, c in zip(ordered, got[1]) for v in cls[:c]}
-                assert ref_is_safe(g, witness, connected), (g.edges, got)
+                assert ref_is_safe(g, vertices_of(ip.mask(got[1])), connected)
     assert programs > 500 and feasible > 100, (programs, feasible)
+
+
+@pytest.mark.parametrize("connected", [False, True])
+def test_raising_a_count_keeps_an_accepted_set_accepted(connected):
+    # the assumption solve_ip rests on, checked on the set-based verifier:
+    # it tests every count at hi first and drops a prefix that fails with
+    # the later counts at hi
+    rng = random.Random(5)
+    raised = 0
+    for _ in range(40):
+        g = _blowup(rng)
+        tp = twin_partition(g)
+        ordered = [sorted(cls) for cls in tp.classes]
+        for guess in enumerate_guesses(tp):
+            if not guess.partial:
+                continue
+            lo, hi = _box(tp, guess.assignment)
+            if connected:
+                fam_s, single_s = build_families(tp, guess)
+                if len(fam_s) + len(single_s) != 1:
+                    continue
+                if single_s:
+                    hi[single_s[0]] = 1
+            box = list(itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))))
+            accepted = {
+                counts
+                for counts in box
+                if ref_is_safe(
+                    g, {v for cls, c in zip(ordered, counts) for v in cls[:c]}, connected
+                )
+            }
+            for counts in accepted:
+                for i in range(tp.width):
+                    if counts[i] < hi[i]:
+                        up = counts[:i] + (counts[i] + 1,) + counts[i + 1 :]
+                        assert up in accepted, (g.edges, guess.assignment, counts, i)
+                        raised += 1
+    assert raised > 1000, raised
 
 
 def test_twin_free_graph_solves_no_program(monkeypatch):
@@ -493,6 +558,24 @@ PINNED_SPLIT = {  # (clique, attach) of _split
 }
 
 
+# Blow-ups whose winning guesses have a PARTIAL class, so the count search
+# picks these witnesses: the seed of _blowup(random.Random(seed)).
+PINNED_BLOWUP = {
+    9: ([0, 1, 2, 3, 5, 6], [0, 1, 2, 3, 5, 6]),  # n=12
+    12: ([0, 1, 2, 5], [0, 1, 2, 5]),  # n=11
+    17: ([0, 1, 2, 3, 14, 15], [0, 1, 2, 3, 14, 15]),  # n=16
+    27: ([0, 1, 2, 3, 7, 8], [0, 1, 2, 3, 7, 8]),  # n=12
+    35: ([3, 4, 5, 6, 7], [0, 1, 3, 4, 5, 6]),  # n=11
+    44: ([0, 1, 2, 3, 4, 5, 8, 9], [0, 1, 2, 3, 4, 5, 8, 9]),  # n=15
+    65: ([5, 9, 10, 11, 12], [5, 9, 10, 11, 12]),  # n=13
+    75: ([0, 1, 2, 3, 4, 10], [0, 1, 2, 3, 4, 10]),  # n=11
+    84: ([8, 9, 10, 11, 12], [0, 8, 9, 10, 11, 12]),  # n=13
+    88: ([0, 6, 10, 11], [0, 6, 10, 11]),  # n=12
+    134: ([9, 10, 11, 12, 13, 14], [0, 9, 10, 11, 12, 13, 14]),  # n=15
+    195: ([3, 4, 10, 11], [0, 5, 6, 10, 11]),  # n=12
+}
+
+
 PINNED_UNIONS = [  # in union_corpus() order
     ([2, 9], [1, 9]),
     ([4, 9], [1, 9]),
@@ -520,6 +603,18 @@ def test_nd_witnesses_are_pinned():
     for g, (plain, conn) in cases:
         assert sorted(solve_nd(g).witness) == plain
         assert sorted(solve_nd(g, connected=True).witness) == conn
+    for seed, (plain, conn) in PINNED_BLOWUP.items():
+        g = _blowup(random.Random(seed))
+        tp = twin_partition(g)
+        for connected, want in ((False, plain), (True, conn)):
+            got = solve_nd(g, connected=connected)
+            assert sorted(got.witness) == want, (seed, connected)
+            oracle = connected_safe_number_bf(g) if connected else safe_number_bf(g)
+            assert got.size == oracle.size, (seed, connected)
+        # the witness of at least one mode meets some class only in part
+        assert any(
+            0 < len(set(w) & cls) < len(cls) for w in (plain, conn) for cls in tp.classes
+        ), seed
 
 
 # Beyond the n <= 8 corpora: (seed, n, extra) of random_connected_graph.
