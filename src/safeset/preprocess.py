@@ -3,7 +3,8 @@ s(G) + 1 of the safe number s(G)."""
 
 from __future__ import annotations
 
-from .graph import (
+# components_mask is no longer called here; it stays bound for perfbench's tracer.
+from .graph import (  # noqa: F401
     Graph,
     bfs_order,
     components_mask,
@@ -14,13 +15,15 @@ from .graph import (
 from .oracle import SolveResult, solve_by_component
 
 
-def _absorb_component(g: Graph, border: int, comp: int, want: int) -> int:
-    """Connected chunk of `comp` with `want` vertices, grown from the
-    smallest vertex of comp inside `border`, the set's neighborhood."""
-    touch = comp & border
+def _absorb_component(g: Graph, border: int, rest: int, want: int) -> int:
+    """BFS prefix of at most `want` vertices inside `rest`, grown from the
+    smallest vertex of rest inside `border`, the set's neighborhood.  It
+    stays inside that vertex's component of rest, and is the whole
+    component when it has fewer than `want` vertices."""
+    touch = rest & border
     start = (touch & -touch).bit_length() - 1
     chunk = 0
-    for v in bfs_order(g, start, comp):
+    for v in bfs_order(g, start, rest):
         chunk |= 1 << v
         want -= 1
         if want == 0:
@@ -28,41 +31,48 @@ def _absorb_component(g: Graph, border: int, comp: int, want: int) -> int:
     return chunk
 
 
-def _approx_component(g: Graph) -> frozenset[int]:
-    """Best set found over all guesses of the safe number in the connected
-    graph g."""
-    comp = g.full_mask()
-    order = list(bfs_order(g, 0, comp))
+def _guess_mask(g: Graph, s: int, seed: int, border: int, limit: int) -> int | None:
+    """Guess s's set in the connected graph g, grown from `seed` with
+    neighborhood `border`, or None once it has more than `limit` vertices."""
+    smask = seed
+    rest = g.full_mask() & ~seed
+    while rest:
+        piece = _absorb_component(g, border, rest, s + 1)
+        rest &= ~piece
+        if piece.bit_count() > s:
+            smask |= piece
+            if smask.bit_count() > limit:
+                return None
+            border |= neighborhood_mask(g, piece)
+    return smask
+
+
+def _approx_component(g: Graph, limit: int) -> frozenset[int] | None:
+    """Best set of at most `limit` vertices found over the guesses of the
+    safe number in the connected graph g, or None."""
+    order = list(bfs_order(g, 0, g.full_mask()))
     seed = 1 << order[0]
-    seed_border = g.adjacency_mask(order[0])
+    border = g.adjacency_mask(order[0])
     best: tuple[int, tuple[int, ...]] | None = None
-    for s in range(1, g.n + 1):
-        if best is not None and s >= best[0]:
+    # Guess s takes at least min(s + 1, n) vertices; every guess s >= n - 1
+    # takes them all, so the last one run is n - 1 (or 1 when n = 1).
+    for s in range(1, max(g.n, 2)):
+        if min(s + 1, g.n) > limit:
             break
-        if s + 1 >= g.n:
-            smask = comp
-        else:
+        if s < g.n:
             seed |= 1 << order[s]
-            seed_border |= g.adjacency_mask(order[s])
-            smask, border = seed, seed_border
-            # The complement's components with more than s vertices.  No edge
-            # joins two of them, so cutting one never changes another, and
-            # the order they are cut in does not change the result.
-            big = [c for c in components_mask(g, comp & ~smask) if c.bit_count() > s]
-            while big:
-                oversized = big.pop()
-                chunk = _absorb_component(g, border, oversized, s + 1)
-                smask |= chunk
-                border |= neighborhood_mask(g, chunk)
-                big += [c for c in components_mask(g, oversized & ~chunk) if c.bit_count() > s]
+            border |= g.adjacency_mask(order[s])
+        smask = _guess_mask(g, s, seed, border, limit)
+        if smask is None:
+            continue
         members = vertices_of(smask)
         if not is_safe_set(g, members):  # pragma: no cover - defensive
             continue
         cand = (len(members), tuple(members))
         if best is None or cand < best:
             best = cand
-    assert best is not None
-    return frozenset(best[1])
+            limit = best[0]
+    return None if best is None else frozenset(best[1])
 
 
 def approx_safe_set(g: Graph) -> SolveResult:
@@ -76,13 +86,21 @@ def approx_safe_set(g: Graph) -> SolveResult:
     guesses.  Each swallowed block must intersect every safe set of size s,
     which is what caps the total at s(s+1).
 
-    The guesses stop at the first s that is at least the best size found:
-    guess s only adds to a seed of s+1 vertices, so it and every later
-    guess return more vertices than the best and cannot win.  The answer
-    is the one a scan over all n guesses would give, and a connected graph
-    with n >= 2 runs exactly (returned size - 1) guesses.  All guesses
-    grow their seed along one BFS order, and after each swallow only the
-    component just cut is split again; components of at most s vertices
-    never change.
+    The guesses stop at the first s that is at least the best size found,
+    or the component's bound from `solve_by_component`: guess s only adds
+    to a seed of s+1 vertices, so it and every later guess cannot win.  A
+    guess stops as soon as its set passes that size, since the set only
+    grows.  The answer is the one a scan over all n guesses would give,
+    and a connected graph with n >= 2 starts exactly (returned size - 1)
+    guesses.
+
+    All guesses grow their seed along one BFS order.  A guess walks the
+    leftover vertices once: it runs a BFS, capped at s+1 vertices, from
+    the smallest leftover vertex next to the set.  A full block is
+    swallowed; a shorter one is a whole component of the complement with
+    at most s vertices, which no later swallow touches, so it is set
+    aside.  Swallowing changes the set's neighborhood only inside the
+    component it cuts, so this order of cuts gives the same set as any
+    other.
     """
-    return solve_by_component(g, lambda sub, _bound: _approx_component(sub), "approx", False)
+    return solve_by_component(g, _approx_component, "approx", False)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -12,11 +13,12 @@ from safeset.generators import (
     random_connected_graph,
     star_graph,
 )
-from safeset.graph import Graph, InputError, components, is_safe_set
+from safeset.graph import Graph, InputError, components, is_safe_set, vertices_of
 from safeset.oracle import safe_number_bf
-from safeset.preprocess import approx_safe_set
+from safeset.preprocess import _approx_component, approx_safe_set
 
 from bruteforce import degree_bound_check, highdegree_rule, ref_approx_witness
+from corpus import shuffled
 
 
 def test_approx_star_is_tiny():
@@ -84,22 +86,140 @@ def test_approx_matches_set_based_reference():
     assert 100 <= disconnected <= 200
 
 
+def _sparse_graph(rng, n):
+    """A uniform random recursive tree plus n further distinct edges."""
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(edges) < 2 * n - 1:
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    return Graph(n, sorted(edges))
+
+
+def _grid(rows, cols):
+    return Graph(
+        rows * cols,
+        [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+        + [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)],
+    )
+
+
+def _caterpillar(rng, spine, legs):
+    edges = [(v, v + 1) for v in range(spine - 1)]
+    edges += [(rng.randrange(spine), spine + i) for i in range(legs)]
+    return Graph(spine + legs, edges)
+
+
+def _large_family_graphs():
+    rng = random.Random(61)
+    graphs = [path_graph(60), path_graph(150), cycle_graph(75), cycle_graph(140), star_graph(80)]
+    graphs += [_grid(8, 8), _grid(6, 15), _grid(10, 12), _grid(12, 12)]
+    graphs += [_caterpillar(rng, spine, legs) for spine, legs in [(30, 40), (50, 50), (40, 90), (70, 60)]]
+    graphs += [_sparse_graph(rng, n) for n in (60, 70, 80, 90, 100, 110, 120, 130, 140, 150)]
+    graphs += [random_connected_graph(rng, n, 0.02) for n in (90, 120)]
+    return [shuffled(g, seed) for seed, g in enumerate(graphs)]
+
+
+def test_approx_matches_reference_on_large_families():
+    graphs = _large_family_graphs()
+    assert len(graphs) == 25 and all(60 <= g.n <= 150 for g in graphs)
+    for g in graphs:
+        assert approx_safe_set(g).witness == ref_approx_witness(g)
+
+
+# sha256 of repr(sorted witness), first 16 hex digits, for graphs drawn like
+# the benchmark's approx-sparse pool; recorded before the single-walk guess.
+SPARSE_PINS = {
+    200: (86, "4dfd34dccfb90e25"),
+    215: (98, "c9f2d9ab35df315e"),
+    230: (109, "290230de567abc11"),
+    245: (109, "06147c84e21658b6"),
+    260: (122, "06b0acf7ce15e4e9"),
+    275: (128, "fefc5e631469bfbb"),
+    290: (132, "2b246ad835272fb0"),
+    305: (144, "0ca7c508533a8a2a"),
+    320: (150, "c059ab06710c50c5"),
+    335: (156, "cc80a49544bc3eee"),
+}
+
+
+def test_approx_sparse_witnesses_are_pinned():
+    rng = random.Random(16)
+    for n, (size, digest) in SPARSE_PINS.items():
+        w = sorted(approx_safe_set(_sparse_graph(rng, n)).witness)
+        assert (len(w), hashlib.sha256(repr(w).encode()).hexdigest()[:16]) == (size, digest)
+
+
 @pytest.mark.parametrize(
     "g",
     [path_graph(9), cycle_graph(12), random_connected_graph(random.Random(5), 30, 0.1)],
     ids=["path", "cycle", "random"],
 )
 def test_approx_runs_size_minus_one_guesses(g, monkeypatch):
-    calls = []
+    guesses, verified = [], []
+    guess_mask = safeset.preprocess._guess_mask
 
-    def counting(graph, members):
-        calls.append(len(members))
+    def counting_guess(*args):
+        guesses.append(guess_mask(*args))
+        return guesses[-1]
+
+    def counting_verify(graph, members):
+        verified.append(list(members))
         return is_safe_set(graph, members)
 
-    monkeypatch.setattr(safeset.preprocess, "is_safe_set", counting)
+    monkeypatch.setattr(safeset.preprocess, "_guess_mask", counting_guess)
+    monkeypatch.setattr(safeset.preprocess, "is_safe_set", counting_verify)
     r = approx_safe_set(g)
     assert r.size >= 2
-    assert len(calls) == r.size - 1
+    assert len(guesses) == r.size - 1
+    assert verified == [vertices_of(m) for m in guesses if m is not None]
+
+
+def test_approx_bound_starts_no_guess_that_cannot_win(monkeypatch):
+    big = _sparse_graph(random.Random(3), 200)
+    g = Graph(201, [(u + 1, v + 1) for u, v in big.edges])
+    sizes = []
+    guess_mask = safeset.preprocess._guess_mask
+
+    def counting_guess(graph, *args):
+        sizes.append(graph.n)
+        return guess_mask(graph, *args)
+
+    monkeypatch.setattr(safeset.preprocess, "_guess_mask", counting_guess)
+    assert approx_safe_set(g).witness == frozenset({0})
+    assert sizes == [1]
+
+
+def test_approx_component_keeps_a_set_of_exactly_the_bound():
+    graphs = [path_graph(9), cycle_graph(12), _grid(5, 6)]
+    graphs += [_sparse_graph(random.Random(seed), 20 + seed) for seed in range(40)]
+    for g in graphs:
+        w = _approx_component(g, g.n)
+        assert w == ref_approx_witness(g)
+        assert _approx_component(g, len(w)) == w
+        assert _approx_component(g, len(w) - 1) is None
+
+
+def test_approx_walk_count_bound(monkeypatch):
+    g = _sparse_graph(random.Random(300), 300)
+    yields, started, split = [0], [0], []
+    bfs, guess_mask = safeset.preprocess.bfs_order, safeset.preprocess._guess_mask
+
+    def counting_bfs(*args):
+        for v in bfs(*args):
+            yields[0] += 1
+            yield v
+
+    def counting_guess(*args):
+        started[0] += 1
+        return guess_mask(*args)
+
+    monkeypatch.setattr(safeset.preprocess, "bfs_order", counting_bfs)
+    monkeypatch.setattr(safeset.preprocess, "_guess_mask", counting_guess)
+    monkeypatch.setattr(safeset.preprocess, "components_mask", lambda *a: split.append(a))
+    approx_safe_set(g)
+    assert started[0] >= 1
+    assert yields[0] <= g.n + started[0] * g.n
+    assert split == []
 
 
 @st.composite
