@@ -17,7 +17,6 @@ from typing import Iterator
 from .graph import (
     Graph,
     InputError,
-    bfs_order,
     check_vertex_set,
     components_mask,
     is_connected_safe_set,
@@ -160,11 +159,21 @@ def find_problematic(
 
 def _expand_ordered(g: Graph, u: int, m: int, union: int) -> list[int]:
     """The first m+1 vertices of a breadth-first search from the problematic
-    vertex u outside the partial solution: a connected set around u."""
-    out: list[int] = []
-    for v in bfs_order(g, u, g.full_mask() & ~union):
-        out.append(v)
-        if len(out) == m + 1:
+    vertex u outside the partial solution: a connected set around u.  The
+    walk stops at the (m+1)-th vertex it discovers."""
+    masks = g._masks
+    seen = union | 1 << u
+    out = [u]
+    want = m
+    for v in out:  # the loop also visits what it appends
+        new = masks[v] & ~seen
+        while new and want:
+            b = new & -new
+            new ^= b
+            seen |= b
+            out.append(b.bit_length() - 1)
+            want -= 1
+        if not want:
             break
     return out
 

@@ -3,7 +3,7 @@ s(G) + 1 of the safe number s(G)."""
 
 from __future__ import annotations
 
-# components_mask is no longer called here; it stays bound for perfbench's tracer.
+# components_mask and neighborhood_mask stay bound for perfbench's tracer.
 from .graph import (  # noqa: F401
     Graph,
     bfs_order,
@@ -15,35 +15,38 @@ from .graph import (  # noqa: F401
 from .oracle import SolveResult, solve_by_component
 
 
-def _absorb_component(g: Graph, border: int, rest: int, want: int) -> int:
-    """BFS prefix of at most `want` vertices inside `rest`, grown from the
-    smallest vertex of rest inside `border`, the set's neighborhood.  It
-    stays inside that vertex's component of rest, and is the whole
-    component when it has fewer than `want` vertices."""
-    touch = rest & border
-    start = (touch & -touch).bit_length() - 1
-    chunk = 0
-    for v in bfs_order(g, start, rest):
-        chunk |= 1 << v
-        want -= 1
-        if want == 0:
-            break
-    return chunk
-
-
 def _guess_mask(g: Graph, s: int, seed: int, border: int, limit: int) -> int | None:
     """Guess s's set in the connected graph g, grown from `seed` with
-    neighborhood `border`, or None once it has more than `limit` vertices."""
+    neighborhood `border`, or None once it has more than `limit` vertices.
+    Each block is a BFS inside `rest` from its least vertex in `border`,
+    stopped at the (s+1)-th discovered vertex; a shorter block is a whole
+    component of rest."""
+    masks = g._masks
     smask = seed
     rest = g.full_mask() & ~seed
     while rest:
-        piece = _absorb_component(g, border, rest, s + 1)
-        rest &= ~piece
-        if piece.bit_count() > s:
-            smask |= piece
+        touch = rest & border
+        b = touch & -touch
+        before = rest
+        rest ^= b
+        queue = [b.bit_length() - 1]
+        want = s
+        for v in queue:  # the loop also visits what it appends
+            new = masks[v] & rest
+            while new and want:
+                b = new & -new
+                new ^= b
+                rest ^= b
+                queue.append(b.bit_length() - 1)
+                want -= 1
+            if not want:
+                break
+        if not want:
+            smask |= before ^ rest
             if smask.bit_count() > limit:
                 return None
-            border |= neighborhood_mask(g, piece)
+            for v in queue:
+                border |= masks[v]
     return smask
 
 
@@ -95,12 +98,13 @@ def approx_safe_set(g: Graph) -> SolveResult:
     guesses.
 
     All guesses grow their seed along one BFS order.  A guess walks the
-    leftover vertices once: it runs a BFS, capped at s+1 vertices, from
-    the smallest leftover vertex next to the set.  A full block is
-    swallowed; a shorter one is a whole component of the complement with
-    at most s vertices, which no later swallow touches, so it is set
-    aside.  Swallowing changes the set's neighborhood only inside the
-    component it cuts, so this order of cuts gives the same set as any
-    other.
+    leftover vertices once: it runs a BFS from the smallest leftover vertex
+    next to the set and stops at the (s+1)-th vertex it discovers, so it
+    expands no vertex past that block.  A full block is swallowed and the
+    neighborhoods of its vertices join the set's; a shorter one is a whole
+    component of the complement with at most s vertices, which no later
+    swallow touches, so it is set aside.  Swallowing changes the set's
+    neighborhood only inside the component it cuts, so this order of cuts
+    gives the same set as any other.
     """
     return solve_by_component(g, _approx_component, "approx", False)

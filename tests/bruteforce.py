@@ -4,7 +4,9 @@ The ``ref_*`` verifiers and searches deliberately avoid the bitmask
 machinery of the package, so that the package verifiers are checked
 through an independent route.  ``ref_parse_graph`` and ``ref_sidecar_text``
 are the line-by-line graph reader and the ``json.dumps`` sidecar text that
-the package's faster I/O must match exactly.  The brute force below them -- treedepth,
+the package's faster I/O must match exactly, and ``ref_guess_mask`` is the
+approximation's guess walked through ``bfs_order``, which its inline mask
+walk must match.  The brute force below them -- treedepth,
 vertex cover, cw summaries and the paper's two solution-size refusal rules
 -- is built on the package's own ``components_mask``, which the set-based
 references above check.
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 from safeset.graph import (
     Graph,
     InputError,
+    bfs_order,
     components_mask,
     mask_of,
     max_degree,
@@ -133,6 +136,29 @@ def ref_approx_witness(g: Graph) -> frozenset[int] | None:
     tuple), or None for the empty graph."""
     cands = [_ref_approx_in(g, comp) for comp in ref_components(g, set(g.vertices()))]
     return frozenset(min(cands)[1]) if cands else None
+
+
+def ref_guess_mask(g: Graph, s: int, seed: int, border: int, limit: int) -> int | None:
+    """The approximation's guess s walked through ``bfs_order``: from the
+    smallest vertex of ``rest`` in ``border``, take a BFS prefix of at most
+    s+1 vertices inside rest; a full block joins the set and its
+    neighborhood joins the border, a shorter one is set aside.  None once
+    the set has more than ``limit`` vertices."""
+    smask = seed
+    rest = g.full_mask() & ~seed
+    while rest:
+        touch = rest & border
+        start = (touch & -touch).bit_length() - 1
+        piece = 0
+        for v in itertools.islice(bfs_order(g, start, rest), s + 1):
+            piece |= 1 << v
+        rest &= ~piece
+        if piece.bit_count() > s:
+            smask |= piece
+            if smask.bit_count() > limit:
+                return None
+            border |= neighborhood_mask(g, piece)
+    return smask
 
 
 def ref_count_program(

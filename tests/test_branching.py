@@ -21,6 +21,7 @@ from safeset.generators import (
 from safeset.graph import (
     Graph,
     InputError,
+    bfs_order,
     is_connected_safe_set,
     is_safe_set,
     mask_of,
@@ -219,6 +220,24 @@ def test_expand_ordered_examples():
     assert _expand_ordered(path_graph(10), 0, 2, 0) == [0, 1, 2]
     assert _expand_ordered(cycle_graph(8), 1, 4, mask_of({0})) == [1, 2, 3, 4, 5]
     assert _expand_ordered(star_graph(3), 0, 1, 0) == [0, 1]
+
+
+def test_expand_ordered_is_a_bfs_order_prefix():
+    rng = random.Random(161)
+    graphs = union_corpus() + [random_connected_graph(rng, n, 0.15) for n in (8, 15, 25)]
+    checked = 0
+    for g in graphs:
+        for _ in range(6):
+            union = mask_of(v for v in g.vertices() if rng.random() < 0.3)
+            outside = vertices_of(g.full_mask() & ~union)
+            if not outside:
+                continue
+            u = rng.choice(outside)
+            walk = list(bfs_order(g, u, g.full_mask() & ~union))
+            for m in range(len(walk) + 1):
+                assert _expand_ordered(g, u, m, union) == walk[: m + 1]
+                checked += 1
+    assert checked > 500
 
 
 def test_branch_star_and_cycle():

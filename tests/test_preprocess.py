@@ -8,16 +8,30 @@ from hypothesis import strategies as st
 import safeset.preprocess
 from safeset.generators import (
     all_connected_graphs,
+    complete_graph,
     cycle_graph,
     path_graph,
     random_connected_graph,
     star_graph,
 )
-from safeset.graph import Graph, InputError, components, is_safe_set, vertices_of
+from safeset.graph import (
+    Graph,
+    InputError,
+    bfs_order,
+    components,
+    components_mask,
+    is_safe_set,
+    vertices_of,
+)
 from safeset.oracle import safe_number_bf
-from safeset.preprocess import _approx_component, approx_safe_set
+from safeset.preprocess import _approx_component, _guess_mask, approx_safe_set
 
-from bruteforce import degree_bound_check, highdegree_rule, ref_approx_witness
+from bruteforce import (
+    degree_bound_check,
+    highdegree_rule,
+    ref_approx_witness,
+    ref_guess_mask,
+)
 from corpus import shuffled
 
 
@@ -201,25 +215,72 @@ def test_approx_component_keeps_a_set_of_exactly_the_bound():
 
 def test_approx_walk_count_bound(monkeypatch):
     g = _sparse_graph(random.Random(300), 300)
-    yields, started, split = [0], [0], []
-    bfs, guess_mask = safeset.preprocess.bfs_order, safeset.preprocess._guess_mask
+    started, reads, split = [0], [0], []
+    guess_mask = safeset.preprocess._guess_mask
 
-    def counting_bfs(*args):
-        for v in bfs(*args):
-            yields[0] += 1
-            yield v
+    class CountingMasks(tuple):
+        def __getitem__(self, i):
+            reads[0] += 1
+            return tuple.__getitem__(self, i)
 
-    def counting_guess(*args):
+    def counting_guess(graph, *args):
         started[0] += 1
-        return guess_mask(*args)
+        masks = graph._masks
+        graph._masks = CountingMasks(masks)
+        try:
+            return guess_mask(graph, *args)
+        finally:
+            graph._masks = masks
 
-    monkeypatch.setattr(safeset.preprocess, "bfs_order", counting_bfs)
     monkeypatch.setattr(safeset.preprocess, "_guess_mask", counting_guess)
     monkeypatch.setattr(safeset.preprocess, "components_mask", lambda *a: split.append(a))
     approx_safe_set(g)
+    # A guess expands each vertex at most once and reads each swallowed
+    # vertex's mask once more for the border.
     assert started[0] >= 1
-    assert yields[0] <= g.n + started[0] * g.n
+    assert 0 < reads[0] <= started[0] * 2 * g.n
     assert split == []
+
+
+def _spider(legs, length):
+    """`legs` paths of `length` vertices hanging off vertex 0."""
+    edges = []
+    for leg in range(legs):
+        first = 1 + leg * length
+        edges.append((0, first))
+        edges += [(v, v + 1) for v in range(first, first + length - 1)]
+    return Graph(1 + legs * length, edges)
+
+
+def _guess_corpus():
+    rng = random.Random(17)
+    graphs = [path_graph(n) for n in (1, 2, 5, 12)] + [cycle_graph(n) for n in (3, 8, 15)]
+    graphs += [star_graph(k) for k in (1, 4, 9)] + [complete_graph(n) for n in (2, 5, 8)]
+    graphs += [_grid(3, 4), _grid(5, 5), _grid(4, 7)]
+    graphs += [_spider(legs, length) for legs in (3, 5) for length in (2, 3, 4, 6)]
+    graphs += [_sparse_graph(rng, n) for n in (20, 30, 40, 50, 60)]
+    return graphs + [shuffled(g, seed) for seed, g in enumerate(graphs[-8:])]
+
+
+def test_guess_mask_matches_the_bfs_order_walk():
+    leftover_sizes, cut = set(), 0
+    for g in _guess_corpus():
+        order = list(bfs_order(g, 0, g.full_mask()))
+        seed, border = 1 << order[0], g.adjacency_mask(order[0])
+        for s in range(1, g.n):
+            seed |= 1 << order[s]
+            border |= g.adjacency_mask(order[s])
+            sizes = {c.bit_count() for c in components_mask(g, g.full_mask() & ~seed)}
+            leftover_sizes |= {size - s for size in sizes} & {0, 1}
+            full = ref_guess_mask(g, s, seed, border, g.n)
+            grown = full.bit_count()
+            for limit in {g.n, grown - 1, (grown + seed.bit_count()) // 2}:
+                want = ref_guess_mask(g, s, seed, border, limit)
+                assert _guess_mask(g, s, seed, border, limit) == want
+                cut += want is None
+    # some leftover component has exactly s and some exactly s + 1 vertices
+    assert leftover_sizes == {0, 1}
+    assert cut > 0
 
 
 @st.composite
