@@ -68,15 +68,17 @@ def solve_by_component(
 
     A minimum safe set never straddles components: restricting a safe set
     to one component keeps it safe, and sizes add up.  ``solve(sub, bound)``
-    returns a witness in the ids of a component's induced subgraph, or
-    None; ``bound`` = min(sub.n, limit, best size so far) is the largest
-    size still worth finding.  Witnesses are mapped back to ``g``'s ids,
-    ranked by (size, order(witness)), and the winner is verified.
+    returns a witness in the ids of a component's induced subgraph (``g``
+    itself when connected), or None; ``bound`` = min(sub.n, limit, best
+    size so far) is the largest size still worth finding.  Witnesses are
+    mapped back to ``g``'s ids, ranked by (size, order(witness)), and the
+    winner is verified.
     """
     t0 = time.perf_counter()
     best: tuple[int, Any, frozenset[int]] | None = None
-    for comp in components_mask(g, g.full_mask()):
-        sub, ids = induced_subgraph(g, vertices_of(comp))
+    full = g.full_mask()
+    for comp in components_mask(g, full):
+        sub, ids = (g, range(g.n)) if comp == full else induced_subgraph(g, vertices_of(comp))
         bound = sub.n if limit is None else min(sub.n, limit)
         if best is not None:
             bound = min(bound, best[0])

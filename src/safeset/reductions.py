@@ -4,8 +4,8 @@ Two constructions are provided:
 
 * ``ds_to_ss``: given (g, k), build a graph that has a connected safe set of
   a computed target size whenever g has a dominating set of size k.  The
-  output has small pathwidth (at most 2k + 4) witnessed by an explicit path
-  decomposition.
+  output has small pathwidth (at most 2k + 3) witnessed by an explicit path
+  decomposition whose bags hold at most 2k + 4 vertices.
 
 * ``rbds_to_ss``: given a bipartite red/blue instance and k, build a graph
   whose minimum safe set size is at most k + r + 1 exactly when k blue
@@ -249,78 +249,55 @@ def ds_forward_certificate(g: Graph, K, output: ReductionOutput) -> frozenset[in
     return frozenset(s)
 
 
-def ds_path_decomposition(output: ReductionOutput) -> PathDecomposition:
-    """Explicit path decomposition of the generated graph, bags of size <= 2k+5.
+def _decomposition_of_order(g: Graph, order: list[int]) -> PathDecomposition:
+    """Bag i holds ``order[i]`` and every earlier vertex with a neighbour at
+    position >= i.  Any order of all of g's vertices gives a valid path
+    decomposition (each edge lies in the bag of its later end, each vertex v
+    in the bags up to ``last[v]``); only the bag sizes depend on the order."""
+    pos = {v: i for i, v in enumerate(order)}
+    last = pos.copy()  # the largest position in v's closed neighbourhood
+    for u, v in g.edges:  # not the masks: each holds the universal vertex's bit
+        last[u] = max(last[u], pos[v])
+        last[v] = max(last[v], pos[u])
+    active: set[int] = set()
+    bags = []
+    for i, v in enumerate(order):
+        active.add(v)
+        bags.append(frozenset(active))
+        active = {u for u in active if last[u] > i}
+    return PathDecomposition(bags)
 
-    Per block: walk the k line paths one at a time (bags of size <= k+1),
-    add the block's gadget center to every internal bag, and hang each leaf
-    (guards, center pads, choice pads, releases) and each choice vertex off
-    a duplicated bag containing its neighbor.  Blocks are glued on shared
-    boundary bags; finally the universal vertex and the k line starts join
-    every bag.
+
+def ds_path_decomposition(output: ReductionOutput) -> PathDecomposition:
+    """Path decomposition of the generated graph: one bag per vertex, each
+    of at most 2k + 4 vertices, so pathwidth at most 2k + 3.
+
+    The bags are the sweep of one vertex order.  The universal vertex and
+    the k line starts come first and stay in every bag.  Then, per block:
+    its center and center pads, and the k line paths one after another,
+    each line vertex followed by its leaves (its guards at the block's first
+    position; its choice, choice pads and release).  A bag holds those k + 1,
+    the center, one vertex per line, and at most a choice and one leaf.
     """
     k = output.source["k"]
     n = output.source["n"]
     ids = output.ids
-    line_v, choice, release = ids["line"], ids["choice"], ids["release"]
-
-    all_bags: list[frozenset[int]] = []
+    line_v, choice = ids["line"], ids["choice"]
+    order = [ids["universal"], *(line_v[(j, 0)] for j in range(k))]
     for b in range(n):
-        paths = []
+        order.append(ids["center"][b])
+        order.extend(ids["center_pad"][b])
         for j in range(k):
-            p = [line_v[(j, q)] for q in range(b * n, b * n + n)]
-            if b < n - 1:
-                p.append(line_v[(j, (b + 1) * n)])
-            paths.append(p)
-        starts = [paths[j][0] for j in range(k)]
-        walk: list[frozenset[int]] = [frozenset(starts)]
-        first_bag = {v: 0 for v in starts}
-        fronts = list(starts)
-        for j in range(k):
-            for idx in range(len(paths[j]) - 1):
-                nxt = paths[j][idx + 1]
-                walk.append(frozenset(fronts) | {nxt})
-                first_bag.setdefault(nxt, len(walk) - 1)
-                fronts[j] = nxt
-                walk.append(frozenset(fronts))
-
-        inserts: dict[int, list[frozenset[int]]] = {}
-
-        def hang(anchor: int, extra: frozenset[int]) -> None:
-            inserts.setdefault(anchor, []).append(extra)
-
-        for j in range(k):
-            anchor = first_bag[paths[j][0]]
-            for gv in ids["guard"][(j, b)]:
-                hang(anchor, walk[anchor] | {gv})
-        for w_pad in ids["center_pad"][b]:
-            hang(0, walk[0] | {w_pad})
-        for j in range(k):
-            for w in ids["members"][b]:
-                anchor = first_bag[line_v[(j, b * n + w)]]
-                bx = walk[anchor] | {choice[(b, j, w)]}
-                hang(anchor, bx)
-                hang(anchor, bx | {release[(b, j, w)]})
-                for q in ids["choice_pad"][(b, j, w)]:
-                    hang(anchor, bx | {q})
-
-        z = ids["center"][b]
-        block_bags: list[frozenset[int]] = []
-        for i, bag in enumerate(walk):
-            block_bags.append(bag | {z})
-            for extra in inserts.get(i, ()):
-                block_bags.append(extra | {z})
-
-        seq = [frozenset(starts)] + block_bags
-        if b < n - 1:
-            seq.append(frozenset(paths[j][-1] for j in range(k)))
-        if b > 0:
-            assert all_bags[-1] == seq[0]
-            seq = seq[1:]
-        all_bags.extend(seq)
-
-    glob = frozenset({ids["universal"]} | {line_v[(j, 0)] for j in range(k)})
-    return PathDecomposition([bag | glob for bag in all_bags])
+            for q in range(n):
+                if b or q:
+                    order.append(line_v[(j, b * n + q)])
+                if q == 0:
+                    order.extend(ids["guard"][(j, b)])
+                if (b, j, q) in choice:
+                    order.append(choice[(b, j, q)])
+                    order.extend(ids["choice_pad"][(b, j, q)])
+                    order.append(ids["release"][(b, j, q)])
+    return _decomposition_of_order(output.graph, order)
 
 
 # --------------------------------------------------------------------------

@@ -6,10 +6,11 @@ through an independent route.  ``ref_parse_graph`` and ``ref_sidecar_text``
 are the line-by-line graph reader and the ``json.dumps`` sidecar text that
 the package's faster I/O must match exactly, and ``ref_guess_mask`` is the
 approximation's guess walked through ``bfs_order``, which its inline mask
-walk must match.  The brute force below them -- treedepth,
-vertex cover, cw summaries and the paper's two solution-size refusal rules
--- is built on the package's own ``components_mask``, which the set-based
-references above check.
+walk must match; ``ref_order_bags`` is the path decomposition a vertex
+order defines, which the ds decomposition's sweep must match.  The brute
+force below them -- treedepth, vertex cover, cw summaries and the paper's
+two solution-size refusal rules -- is built on the package's own
+``components_mask``, which the set-based references above check.
 """
 
 from __future__ import annotations
@@ -107,6 +108,15 @@ def ref_bfs(g: Graph, start: int, within: set[int]) -> list[int]:
                 seen.add(w)
                 order.append(w)
     return order
+
+
+def ref_order_bags(g: Graph, order: list[int]) -> list[frozenset[int]]:
+    """The bags of a vertex order by definition: bag i is ``order[i]`` plus
+    every earlier vertex with a neighbour at position >= i."""
+    return [
+        frozenset({order[i]} | {u for u in order[:i] if g.neighbors(u) & set(order[i:])})
+        for i in range(len(order))
+    ]
 
 
 def _ref_approx_in(g: Graph, comp: set[int]) -> tuple[int, tuple[int, ...]]:

@@ -159,9 +159,16 @@ def test_criterion_6_dominating_set_construction_forward():
                     failures.append(f"certificate size {len(cert)} != {expected} (n={n}, k={k})")
                 if not is_connected_safe_set(out.graph, cert):
                     failures.append(f"certificate not a connected safe set (n={n}, k={k})")
-                width = validate_path_decomposition(out.graph, ds_path_decomposition(out))
-                if not isinstance(width, int) or width > 2 * k + 5:
+                pd = ds_path_decomposition(out)
+                width = validate_path_decomposition(out.graph, pd)
+                if not isinstance(width, int) or width > 2 * k + 4:
                     failures.append(f"decomposition bad for n={n}, k={k}: {width}")
+                # each bag adds one vertex, its place in the order the bags sweep
+                order = [
+                    v for prev, bag in zip((frozenset(),) + pd.bags, pd.bags) for v in bag - prev
+                ]
+                if len(pd.bags) != out.graph.n or sorted(order) != list(out.graph.vertices()):
+                    failures.append(f"bags do not sweep an order of all vertices (n={n}, k={k})")
     assert covered >= 15
     conclude(6, failures, f"certificates and decompositions check out on {covered} base instances")
 

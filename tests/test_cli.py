@@ -475,7 +475,8 @@ def test_gen_ds_writes_instance_certificate_and_decomposition(run, tmp_path):
 
     pd = decomposition_from_json(decomp.read_text())
     width = validate_path_decomposition(produced, pd)
-    assert isinstance(width, int) and width <= 2 * 1 + 5
+    assert isinstance(width, int) and width <= 2 * 1 + 4
+    assert len(pd.bags) == produced.n
 
 
 def test_gen_ds_rejects_zero_budget(run, tmp_path):

@@ -192,6 +192,23 @@ def test_solve_by_component_passes_bound_and_maps_ids():
     assert res.witness == frozenset({2})
 
 
+def test_solve_by_component_copies_only_real_components():
+    seen = []
+
+    def solve(sub, bound):
+        seen.append(sub)
+        return list(sub.vertices())
+
+    star = star_graph(3)
+    solve_by_component(star, solve, "t", False)
+    assert len(seen) == 1 and seen[0] is star
+
+    seen.clear()
+    res = solve_by_component(Graph(5, [(0, 3), (3, 4), (1, 2)]), solve, "t", False)
+    assert seen == [path_graph(3), path_graph(2)]
+    assert res.witness == frozenset({1, 2})
+
+
 def test_check_survives_optimized_mode():
     script = (
         "from safeset.generators import path_graph\n"

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -24,7 +25,7 @@ from safeset.reductions import (
     rbds_to_ss,
 )
 
-from bruteforce import ref_is_safe, vertex_cover_bf
+from bruteforce import ref_is_safe, ref_order_bags, vertex_cover_bf
 
 
 def test_ds_target_frozen_values():
@@ -95,13 +96,27 @@ def test_ds_certificate_pads_small_dominating_sets():
     assert is_safe_set(out.graph, s)
 
 
+def test_order_sweep_matches_its_definition():
+    rng = random.Random(18)
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        p = rng.random()
+        g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+        order = rng.sample(range(n), n)
+        pd = reductions._decomposition_of_order(g, order)
+        assert list(pd.bags) == ref_order_bags(g, order)
+        assert isinstance(validate_path_decomposition(g, pd), int)
+        assert len(pd.bags) == g.n
+
+
 def test_ds_decomposition_small_instances():
     for g, k in [(complete_graph(3), 1), (path_graph(2), 1), (star_graph(3), 1)]:
         out = ds_to_ss(g, k)
         pd = ds_path_decomposition(out)
         width = validate_path_decomposition(out.graph, pd)
         assert isinstance(width, int)
-        assert width <= 2 * k + 5
+        assert width <= 2 * k + 4
+        assert len(pd.bags) == out.graph.n
 
 
 def test_ds_decomposition_bags_keep_leaves_with_their_neighbors():
@@ -132,7 +147,8 @@ def test_ds_forward_soundness_small_sweep():
             assert is_connected_safe_set(out.graph, s)
             pd = ds_path_decomposition(out)
             width = validate_path_decomposition(out.graph, pd)
-            assert isinstance(width, int) and width <= 2 * k + 5
+            assert isinstance(width, int) and width <= 2 * k + 4
+            assert len(pd.bags) == out.graph.n
 
 
 def _located(output, role):
