@@ -17,6 +17,7 @@ from typing import Iterator
 from .graph import (
     Graph,
     InputError,
+    bfs_prefix,
     check_vertex_set,
     components_mask,
     is_connected_safe_set,
@@ -157,27 +158,6 @@ def find_problematic(
     return low.bit_length() - 1, min([k] + [k_i for nbr, k_i in zip(nbrs, targets) if nbr & low])
 
 
-def _expand_ordered(g: Graph, u: int, m: int, union: int) -> list[int]:
-    """The first m+1 vertices of a breadth-first search from the problematic
-    vertex u outside the partial solution: a connected set around u.  The
-    walk stops at the (m+1)-th vertex it discovers."""
-    masks = g._masks
-    seen = union | 1 << u
-    out = [u]
-    want = m
-    for v in out:  # the loop also visits what it appends
-        new = masks[v] & ~seen
-        while new and want:
-            b = new & -new
-            new ^= b
-            seen |= b
-            out.append(b.bit_length() - 1)
-            want -= 1
-        if not want:
-            break
-    return out
-
-
 def _complete_leaf(
     g: Graph, sets: tuple[int, ...], targets: tuple[int, ...], connected: bool
 ) -> frozenset[int] | None:
@@ -240,7 +220,7 @@ def _search(
             return got
     else:
         u, m = prob
-        for w in _expand_ordered(g, u, m, _union(sets)):
+        for w in bfs_prefix(g, u, g.full_mask() & ~_union(sets), m + 1)[0]:
             for i, s_i in enumerate(sets):
                 if s_i.bit_count() >= targets[i]:
                     continue

@@ -175,6 +175,28 @@ def components(g: Graph, within: Iterable[int]) -> list[frozenset[int]]:
     return [frozenset(vertices_of(c)) for c in components_mask(g, mask_of(w))]
 
 
+def bfs_prefix(g: Graph, start: int, allowed: int, count: int) -> tuple[list[int], int]:
+    """The first ``count`` >= 1 vertices that a BFS from ``start``, a member
+    of ``allowed``, discovers inside ``allowed``, as a list and as a mask
+    (fewer when its component is smaller).  Neighbors are expanded in
+    ascending id order, and the walk stops at the ``count``-th vertex."""
+    masks = g._masks
+    rest = allowed ^ 1 << start
+    out = [start]
+    want = count - 1
+    for v in out:  # the loop also visits what it appends
+        new = masks[v] & rest
+        while new and want:
+            b = new & -new
+            new ^= b
+            rest ^= b
+            out.append(b.bit_length() - 1)
+            want -= 1
+        if not want:
+            break
+    return out, allowed ^ rest
+
+
 def bfs_order(g: Graph, start: int, within_mask: int) -> Iterator[int]:
     """Breadth-first visit order from ``start`` inside ``within_mask``.
 
@@ -182,16 +204,7 @@ def bfs_order(g: Graph, start: int, within_mask: int) -> Iterator[int]:
     """
     if not (within_mask >> start) & 1:
         raise InputError("bfs start vertex not inside the allowed set")
-    seen = 1 << start
-    queue = [start]
-    head = 0
-    while head < len(queue):
-        v = queue[head]
-        head += 1
-        yield v
-        for w in vertices_of(g._masks[v] & within_mask & ~seen):
-            seen |= 1 << w
-            queue.append(w)
+    yield from bfs_prefix(g, start, within_mask, g.n)[0]
 
 
 def _decide_safe(g: Graph, smask: int, connected: bool) -> bool:

@@ -3,10 +3,11 @@ s(G) + 1 of the safe number s(G)."""
 
 from __future__ import annotations
 
-# components_mask and neighborhood_mask stay bound for perfbench's tracer.
+# components_mask, is_safe_set and neighborhood_mask stay bound for
+# perfbench's tracer.
 from .graph import (  # noqa: F401
     Graph,
-    bfs_order,
+    bfs_prefix,
     components_mask,
     is_safe_set,
     neighborhood_mask,
@@ -18,34 +19,22 @@ from .oracle import SolveResult, solve_by_component
 def _guess_mask(g: Graph, s: int, seed: int, border: int, limit: int) -> int | None:
     """Guess s's set in the connected graph g, grown from `seed` with
     neighborhood `border`, or None once it has more than `limit` vertices.
-    Each block is a BFS inside `rest` from its least vertex in `border`,
-    stopped at the (s+1)-th discovered vertex; a shorter block is a whole
-    component of rest."""
+    Each block is the first s+1 vertices of a BFS inside `rest` from its
+    least vertex in `border` (`bfs_prefix`); a full block is swallowed and
+    its vertices' neighborhoods join `border`, a shorter one is a whole
+    component of rest and is set aside."""
     masks = g._masks
     smask = seed
     rest = g.full_mask() & ~seed
     while rest:
         touch = rest & border
-        b = touch & -touch
-        before = rest
-        rest ^= b
-        queue = [b.bit_length() - 1]
-        want = s
-        for v in queue:  # the loop also visits what it appends
-            new = masks[v] & rest
-            while new and want:
-                b = new & -new
-                new ^= b
-                rest ^= b
-                queue.append(b.bit_length() - 1)
-                want -= 1
-            if not want:
-                break
-        if not want:
-            smask |= before ^ rest
+        block, bmask = bfs_prefix(g, (touch & -touch).bit_length() - 1, rest, s + 1)
+        rest ^= bmask
+        if len(block) > s:
+            smask |= bmask
             if smask.bit_count() > limit:
                 return None
-            for v in queue:
+            for v in block:
                 border |= masks[v]
     return smask
 
@@ -53,7 +42,7 @@ def _guess_mask(g: Graph, s: int, seed: int, border: int, limit: int) -> int | N
 def _approx_component(g: Graph, limit: int) -> frozenset[int] | None:
     """Best set of at most `limit` vertices found over the guesses of the
     safe number in the connected graph g, or None."""
-    order = list(bfs_order(g, 0, g.full_mask()))
+    order = bfs_prefix(g, 0, g.full_mask(), g.n)[0]
     seed = 1 << order[0]
     border = g.adjacency_mask(order[0])
     best: tuple[int, tuple[int, ...]] | None = None
@@ -69,8 +58,6 @@ def _approx_component(g: Graph, limit: int) -> frozenset[int] | None:
         if smask is None:
             continue
         members = vertices_of(smask)
-        if not is_safe_set(g, members):  # pragma: no cover - defensive
-            continue
         cand = (len(members), tuple(members))
         if best is None or cand < best:
             best = cand
@@ -98,13 +85,16 @@ def approx_safe_set(g: Graph) -> SolveResult:
     guesses.
 
     All guesses grow their seed along one BFS order.  A guess walks the
-    leftover vertices once: it runs a BFS from the smallest leftover vertex
-    next to the set and stops at the (s+1)-th vertex it discovers, so it
-    expands no vertex past that block.  A full block is swallowed and the
-    neighborhoods of its vertices join the set's; a shorter one is a whole
-    component of the complement with at most s vertices, which no later
-    swallow touches, so it is set aside.  Swallowing changes the set's
-    neighborhood only inside the component it cuts, so this order of cuts
-    gives the same set as any other.
+    leftover vertices once: each block is `graph.bfs_prefix` from the
+    smallest leftover vertex next to the set, stopped at the (s+1)-th vertex
+    it discovers, so it expands no vertex past that block.  A full block is
+    swallowed and the neighborhoods of its vertices join the set's; a
+    shorter one is a whole component of the complement with at most s
+    vertices, which no later swallow touches, so it is set aside.
+    Swallowing changes the set's neighborhood only inside the component it
+    cuts, so this order of cuts gives the same set as any other.  A
+    finished guess is thus a connected set of more than s vertices whose
+    leftover components have at most s each, which is safe, so no guess is
+    verified; `oracle.verified_result` checks the returned witness.
     """
     return solve_by_component(g, _approx_component, "approx", False)

@@ -4,13 +4,15 @@ The ``ref_*`` verifiers and searches deliberately avoid the bitmask
 machinery of the package, so that the package verifiers are checked
 through an independent route.  ``ref_parse_graph`` and ``ref_sidecar_text``
 are the line-by-line graph reader and the ``json.dumps`` sidecar text that
-the package's faster I/O must match exactly, and ``ref_guess_mask`` is the
-approximation's guess walked through ``bfs_order``, which its inline mask
-walk must match; ``ref_order_bags`` is the path decomposition a vertex
-order defines, which the ds decomposition's sweep must match.  The brute
-force below them -- treedepth, vertex cover, cw summaries and the paper's
-two solution-size refusal rules -- is built on the package's own
-``components_mask``, which the set-based references above check.
+the package's faster I/O must match exactly.  ``ref_bfs_order`` is the
+whole BFS queue walk on plain sets, which ``bfs_prefix`` and ``bfs_order``
+must match, and ``ref_guess_mask`` is the approximation's guess walked
+through it, which its block walk must match; ``ref_order_bags`` is the path
+decomposition a vertex order defines, which the ds decomposition's sweep
+must match.  The brute force below them -- treedepth, vertex cover, cw
+summaries and the paper's two solution-size refusal rules -- is built on
+the package's own ``components_mask``, which the set-based references above
+check.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from dataclasses import dataclass
 from safeset.graph import (
     Graph,
     InputError,
-    bfs_order,
     components_mask,
     mask_of,
     max_degree,
@@ -148,8 +149,22 @@ def ref_approx_witness(g: Graph) -> frozenset[int] | None:
     return frozenset(min(cands)[1]) if cands else None
 
 
+def ref_bfs_order(g: Graph, start: int, allowed: int) -> list[int]:
+    """Breadth-first visit order from ``start`` inside the vertex mask
+    ``allowed``, expanding neighbors in ascending id order, with the whole
+    queue walked on plain sets."""
+    inside = {v for v in g.vertices() if allowed >> v & 1}
+    seen = {start}
+    queue = [start]
+    for v in queue:  # the loop also visits what it appends
+        for w in sorted(g.neighbors(v) & inside - seen):
+            seen.add(w)
+            queue.append(w)
+    return queue
+
+
 def ref_guess_mask(g: Graph, s: int, seed: int, border: int, limit: int) -> int | None:
-    """The approximation's guess s walked through ``bfs_order``: from the
+    """The approximation's guess s walked through ``ref_bfs_order``: from the
     smallest vertex of ``rest`` in ``border``, take a BFS prefix of at most
     s+1 vertices inside rest; a full block joins the set and its
     neighborhood joins the border, a shorter one is set aside.  None once
@@ -160,7 +175,7 @@ def ref_guess_mask(g: Graph, s: int, seed: int, border: int, limit: int) -> int 
         touch = rest & border
         start = (touch & -touch).bit_length() - 1
         piece = 0
-        for v in itertools.islice(bfs_order(g, start, rest), s + 1):
+        for v in ref_bfs_order(g, start, rest)[: s + 1]:
             piece |= 1 << v
         rest &= ~piece
         if piece.bit_count() > s:

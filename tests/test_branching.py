@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from safeset.branching import (
-    _expand_ordered,
     branch_solve,
     find_problematic,
     steiner_exact,
@@ -21,7 +20,7 @@ from safeset.generators import (
 from safeset.graph import (
     Graph,
     InputError,
-    bfs_order,
+    bfs_prefix,
     is_connected_safe_set,
     is_safe_set,
     mask_of,
@@ -30,7 +29,7 @@ from safeset.graph import (
 from safeset.oracle import connected_safe_number_bf, safe_number_bf
 
 from corpus import union_corpus
-from bruteforce import ref_components, ref_min_steiner
+from bruteforce import ref_bfs_order, ref_components, ref_min_steiner
 
 
 def test_steiner_single_terminal():
@@ -216,13 +215,19 @@ def test_find_problematic_matches_the_vertex_walk():
     assert found > 200
 
 
-def test_expand_ordered_examples():
-    assert _expand_ordered(path_graph(10), 0, 2, 0) == [0, 1, 2]
-    assert _expand_ordered(cycle_graph(8), 1, 4, mask_of({0})) == [1, 2, 3, 4, 5]
-    assert _expand_ordered(star_graph(3), 0, 1, 0) == [0, 1]
+def _expand(g, u, m, union):
+    """Branch's expansion around the problematic vertex u: the first m + 1
+    vertices of a BFS from u outside the partial solution ``union``."""
+    return bfs_prefix(g, u, g.full_mask() & ~union, m + 1)[0]
 
 
-def test_expand_ordered_is_a_bfs_order_prefix():
+def test_bfs_prefix_expansion_examples():
+    assert _expand(path_graph(10), 0, 2, 0) == [0, 1, 2]
+    assert _expand(cycle_graph(8), 1, 4, mask_of({0})) == [1, 2, 3, 4, 5]
+    assert _expand(star_graph(3), 0, 1, 0) == [0, 1]
+
+
+def test_bfs_prefix_expansion_is_a_bfs_order_prefix():
     rng = random.Random(161)
     graphs = union_corpus() + [random_connected_graph(rng, n, 0.15) for n in (8, 15, 25)]
     checked = 0
@@ -233,9 +238,9 @@ def test_expand_ordered_is_a_bfs_order_prefix():
             if not outside:
                 continue
             u = rng.choice(outside)
-            walk = list(bfs_order(g, u, g.full_mask() & ~union))
+            walk = ref_bfs_order(g, u, g.full_mask() & ~union)
             for m in range(len(walk) + 1):
-                assert _expand_ordered(g, u, m, union) == walk[: m + 1]
+                assert _expand(g, u, m, union) == walk[: m + 1]
                 checked += 1
     assert checked > 500
 

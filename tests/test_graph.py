@@ -21,6 +21,8 @@ from safeset.graph import (
     Graph,
     InputError,
     PathDecomposition,
+    bfs_order,
+    bfs_prefix,
     components,
     explain_safety,
     induced_subgraph,
@@ -35,7 +37,7 @@ from safeset.graph import (
 )
 
 from corpus import union_corpus
-from bruteforce import ref_adjacent, ref_is_safe
+from bruteforce import ref_adjacent, ref_bfs_order, ref_is_safe
 
 
 def test_graph_rejects_bad_edges():
@@ -70,6 +72,27 @@ def test_components_range_check():
 TWO_PART = [(1, 2), (2, 3), (3, 4), (4, 5), (0, 6)]
 # a path of six vertices with no edge to the rest
 FAR_PATH = [(7, 8), (8, 9), (9, 10), (10, 11), (11, 12)]
+
+
+def test_bfs_prefix_and_bfs_order_match_the_reference_walk():
+    rng = random.Random(19)
+    checked = 0
+    for _ in range(150):
+        n = rng.randint(1, 14)
+        p = rng.choice([0.1, 0.2, 0.35, 0.6])
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        start = rng.randrange(n)
+        allowed = mask_of(v for v in g.vertices() if rng.random() < 0.7) | 1 << start
+        walk = ref_bfs_order(g, start, allowed)
+        assert list(bfs_order(g, start, allowed)) == walk
+        for count in range(1, n + 2):
+            prefix, pmask = bfs_prefix(g, start, allowed, count)
+            assert prefix == walk[:count]
+            assert pmask == mask_of(prefix)
+            checked += len(walk) > count
+    assert checked > 200
+    with pytest.raises(InputError):
+        list(bfs_order(path_graph(3), 0, 0b110))
 
 
 def test_safe_set_star():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import safeset.preprocess
+from safeset.cli import main
 from safeset.generators import (
     all_connected_graphs,
     complete_graph,
@@ -17,19 +18,19 @@ from safeset.generators import (
 from safeset.graph import (
     Graph,
     InputError,
-    bfs_order,
     components,
     components_mask,
     is_safe_set,
-    vertices_of,
 )
-from safeset.oracle import safe_number_bf
+from safeset.io import format_graph
+from safeset.oracle import WitnessError, safe_number_bf
 from safeset.preprocess import _approx_component, _guess_mask, approx_safe_set
 
 from bruteforce import (
     degree_bound_check,
     highdegree_rule,
     ref_approx_witness,
+    ref_bfs_order,
     ref_guess_mask,
 )
 from corpus import shuffled
@@ -169,6 +170,7 @@ def test_approx_sparse_witnesses_are_pinned():
     ids=["path", "cycle", "random"],
 )
 def test_approx_runs_size_minus_one_guesses(g, monkeypatch):
+    # a finished guess is safe by construction, so none is verified
     guesses, verified = [], []
     guess_mask = safeset.preprocess._guess_mask
 
@@ -185,7 +187,21 @@ def test_approx_runs_size_minus_one_guesses(g, monkeypatch):
     r = approx_safe_set(g)
     assert r.size >= 2
     assert len(guesses) == r.size - 1
-    assert verified == [vertices_of(m) for m in guesses if m is not None]
+    assert verified == []
+
+
+def test_approx_unsafe_guess_raises_witness_error(monkeypatch, tmp_path, capsys):
+    # {0} is unsafe in C8 and smaller than any real guess, so it wins
+    monkeypatch.setattr(safeset.preprocess, "_guess_mask", lambda g, *args: 1)
+    g = cycle_graph(8)
+    with pytest.raises(WitnessError, match=r"approx reported \[0\]"):
+        approx_safe_set(g)
+    path = tmp_path / "c8.gr"
+    path.write_text(format_graph(g))
+    assert main(["solve", "--algo", "approx", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: WitnessError: approx reported [0]")
 
 
 def test_approx_bound_starts_no_guess_that_cannot_win(monkeypatch):
@@ -265,7 +281,7 @@ def _guess_corpus():
 def test_guess_mask_matches_the_bfs_order_walk():
     leftover_sizes, cut = set(), 0
     for g in _guess_corpus():
-        order = list(bfs_order(g, 0, g.full_mask()))
+        order = ref_bfs_order(g, 0, g.full_mask())
         seed, border = 1 << order[0], g.adjacency_mask(order[0])
         for s in range(1, g.n):
             seed |= 1 << order[s]

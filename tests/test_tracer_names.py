@@ -1,18 +1,30 @@
-"""The benchmark tracer still finds every name it patches in the package."""
+"""The benchmark tracer still finds every name it patches in the package,
+and the package still answers as before with the tracer installed."""
 
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
+import pytest
+
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+# an 8-cycle (1 2 3 9 8 4 5 6) with the paths 5-0-7 and 6-10-11 hanging off it
+EDGES = [
+    (0, 5), (0, 7), (1, 2), (1, 6), (2, 3), (3, 9),
+    (4, 5), (4, 8), (5, 6), (6, 10), (8, 9), (10, 11),
+]
 
 
 def _safeset_modules() -> dict:
     return {name: m for name, m in sys.modules.items() if name.split(".")[0] == "safeset"}
 
 
-def test_tracer_installs_and_uninstalls_on_a_fresh_package():
+@pytest.fixture
+def fresh():
+    """The tracer module and a freshly imported package, name -> module."""
     spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
     tracer_module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer_module)
@@ -23,14 +35,40 @@ def test_tracer_installs_and_uninstalls_on_a_fresh_package():
         # the benchmark imports these two; cli imports every other module
         importlib.import_module("safeset.cli")
         importlib.import_module("safeset.generators")
-        fresh = _safeset_modules()
-        graph = fresh["safeset.graph"].Graph
-        before = ({name: dict(vars(m)) for name, m in fresh.items()}, graph.__init__)
-        tracer = tracer_module.Tracer()
-        tracer.install(fresh)
-        tracer.uninstall()
-        assert ({name: dict(vars(m)) for name, m in fresh.items()}, graph.__init__) == before
+        yield tracer_module, _safeset_modules()
     finally:
         for name in _safeset_modules():
             del sys.modules[name]
         sys.modules.update(saved)
+
+
+def test_tracer_installs_and_uninstalls_on_a_fresh_package(fresh):
+    tracer_module, modules = fresh
+    graph = modules["safeset.graph"].Graph
+    before = ({name: dict(vars(m)) for name, m in modules.items()}, graph.__init__)
+    tracer = tracer_module.Tracer()
+    tracer.install(modules)
+    tracer.uninstall()
+    assert ({name: dict(vars(m)) for name, m in modules.items()}, graph.__init__) == before
+
+
+def test_traced_package_gives_the_same_answers(fresh, tmp_path, capsys):
+    tracer_module, modules = fresh
+    graph = modules["safeset.graph"]
+    g = graph.Graph(12, EDGES)
+    path = tmp_path / "g.gr"
+    path.write_text(modules["safeset.io"].format_graph(g))
+    tracer = tracer_module.Tracer()
+    tracer.install(modules)
+    try:
+        # bfs_order is wrapped as a generator span, so it must stay a generator
+        assert list(graph.bfs_order(g, 3, g.full_mask())) == [3, 2, 9, 1, 8, 6, 4, 5, 10, 0, 11, 7]
+        assert list(graph.bfs_order(g, 3, g.full_mask() & ~(1 << 5))) == [3, 2, 9, 1, 8, 6, 4, 10, 11]
+        counts = tracer.take_counts()
+        assert (counts["graph.bfs_order.calls"], counts["graph.bfs_order.yielded"]) == (2, 21)
+        assert modules["safeset.cli"].main(["solve", "--algo", "approx", str(path)]) == 0
+    finally:
+        tracer.uninstall()
+    report = json.loads(capsys.readouterr().out)
+    assert (report["size"], report["witness"]) == (6, [0, 4, 5, 6, 7, 8])
+    assert tracer.take_counts()["cli.main.calls"] == 1
