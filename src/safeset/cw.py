@@ -6,12 +6,9 @@ records, per exact label set, the combined and extremal sizes of the
 selected and unselected components carrying that label set, plus extremal
 sizes over adjacent selected/unselected component pairs.  Distinct
 selections often collapse to the same summary, which keeps the families
-far smaller than the number of selections; each summary retains one
-concrete witness selection so answers can be verified directly.
-
-A summary is stored as its own sort key, seven columns of sorted
-``(label set, value)`` items, so families are deduplicated and ordered on
-the stored form itself; the witness is a vertex bitmask.
+far smaller than the number of selections; each summary retains its
+least witness selection (first by sorted vertex ids), so the answer is the
+least minimum set and can be verified directly.
 """
 
 from __future__ import annotations
@@ -52,11 +49,8 @@ class DpEntry(NamedTuple):
        unselected label set): the smallest selected component, the largest
        unselected one, and the smallest selected-minus-unselected gap.
 
-    Keys compare column by column, every total ahead of any extreme.  That
-    order sorts each family and decides which witness each summary keeps
-    (see ``_dedup``), and the tests pin the witnesses it yields.
-    ``witness`` is one selection realizing the summary, as a vertex
-    bitmask (bit v stands for vertex v).
+    ``witness`` is the least selection realizing the summary (see
+    ``_dedup``), as a vertex bitmask (bit v stands for vertex v).
     """
 
     key: tuple[Column, ...]
@@ -77,12 +71,20 @@ def _pooled(col: Column, items: Iterable[tuple], rule) -> Column:
 
 
 def _dedup(entries: Iterable[tuple[tuple, int]]) -> list[DpEntry]:
-    """Collapse equal (key, witness) summaries keeping the first witness,
-    sort for output."""
+    """Collapse equal summaries, each keeping its least witness.
+
+    Equal keys select equally many vertices (column 0 sums to the count),
+    so the least witness is the one holding the lowest differing vertex.
+    Equal keys have identical futures and witnesses of disjoint subtrees
+    combine by union, which leaves that vertex in place, so the root keeps
+    every summary's least selection.
+    """
     seen: dict[tuple, int] = {}
     for key, witness in entries:
-        seen.setdefault(key, witness)
-    return [DpEntry(key, seen[key]) for key in sorted(seen)]
+        old = seen.get(key)
+        if old is None or (d := old ^ witness) & -d & witness:
+            seen[key] = witness
+    return [DpEntry(key, witness) for key, witness in seen.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +276,8 @@ def solve_cw(expr: CExpression, connected: bool = False) -> SolveResult:
         if connected and (len(inside) != 1 or inside[0][1] != minima[0][1]):
             continue
         candidates.append(e.witness)
-    # the lexicographically least vertex list among the smallest selections
+    # by (size, sorted ids), the rule each summary's witness is kept by, so
+    # the answer is the least minimum (connected) safe set
     size = min((w.bit_count() for w in candidates), default=0)
     witness = min((vertices_of(w) for w in candidates if w.bit_count() == size), default=None)
     return verified_result(g, witness, "cw", connected, t0)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from .graph import Graph, components_mask
+from .graph import Graph, InputError, components_mask
 
 
 def empty_graph(n: int) -> Graph:
@@ -18,7 +18,7 @@ def path_graph(n: int) -> Graph:
 
 def cycle_graph(n: int) -> Graph:
     if n < 3:
-        raise ValueError("cycles need at least 3 vertices")
+        raise InputError("cycles need at least 3 vertices")
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
@@ -45,7 +45,7 @@ def cycle_with_apex(n: int, attach: tuple[int, int]) -> Graph:
 def random_connected_graph(rng: random.Random, n: int, extra: float = 0.3) -> Graph:
     """Random connected graph: a random tree plus extra edges with prob ``extra``."""
     if n <= 0:
-        raise ValueError("need at least one vertex")
+        raise InputError("need at least one vertex")
     order = list(range(n))
     rng.shuffle(order)
     edges = set()

@@ -2,7 +2,8 @@
 
 The ``ref_*`` verifiers and searches deliberately avoid the bitmask
 machinery of the package, so that the package verifiers are checked
-through an independent route.  ``ref_parse_graph`` and ``ref_sidecar_text``
+through an independent route; ``ref_least_safe_set`` is the answer cw must
+give by definition.  ``ref_parse_graph`` and ``ref_sidecar_text``
 are the line-by-line graph reader and the ``json.dumps`` sidecar text that
 the package's faster I/O must match exactly.  ``ref_bfs_order`` is the
 whole BFS queue walk on plain sets, which ``bfs_prefix`` and ``bfs_order``
@@ -73,13 +74,20 @@ def ref_is_safe(g: Graph, s: set[int], connected: bool = False) -> bool:
     return True
 
 
-def ref_safe_number(g: Graph, connected: bool = False) -> int | None:
-    """Minimum safe set size by scanning subsets in sorted-tuple order."""
+def ref_least_safe_set(g: Graph, connected: bool = False) -> frozenset[int] | None:
+    """The least minimum (connected) safe set by (size, sorted ids): the
+    first hit of a subset scan by size, each size in sorted-tuple order."""
     for size in range(1, g.n + 1):
         for combo in itertools.combinations(range(g.n), size):
             if ref_is_safe(g, set(combo), connected):
-                return size
+                return frozenset(combo)
     return None
+
+
+def ref_safe_number(g: Graph, connected: bool = False) -> int | None:
+    """Minimum safe set size, the size of ``ref_least_safe_set``."""
+    least = ref_least_safe_set(g, connected)
+    return None if least is None else len(least)
 
 
 def ref_min_steiner(g: Graph, terminals: set[int], forbidden: set[int]) -> int | None:
@@ -346,26 +354,6 @@ def ref_summary(g: Graph, labels: list[int], subset) -> tuple[dict, dict, dict]:
                 a, b, d = pairs.get((clab, dlab), (csize, dsize, csize - dsize))
                 pairs[clab, dlab] = (min(a, csize), max(b, dsize), min(d, csize - dsize))
     return inside, outside, pairs
-
-
-def ref_signature(inside: dict, outside: dict, pairs: dict) -> tuple:
-    """The order a cw summary family is sorted in, from its three maps:
-    seven columns of sorted (label set, value) items."""
-    # column by column, every total ahead of any extreme: the family
-    # order decides which witness each summary keeps (see cw._dedup), and
-    # the tests pin the witnesses this order yields
-    inside = sorted(inside.items())
-    outside = sorted(outside.items())
-    pairs = sorted(pairs.items())
-    return (
-        tuple((m, t) for m, (t, _) in inside),
-        tuple((m, t) for m, (t, _) in outside),
-        tuple((m, s) for m, (_, s) in inside),
-        tuple((m, s) for m, (_, s) in outside),
-        tuple((p, a) for p, (a, _, _) in pairs),
-        tuple((p, b) for p, (_, b, _) in pairs),
-        tuple((p, d) for p, (_, _, d) in pairs),
-    )
 
 
 # The paper's two refusal rules for "is there a safe set of size at most k"

@@ -1,14 +1,14 @@
 """The tree-based safe-set solver, checked against direct recomputation."""
 
-import logging
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import random_expression
-from bruteforce import ref_signature, ref_summary
+from corpus import expression_corpus, random_expression
+from bruteforce import ref_least_safe_set, ref_summary
 from safeset.cexpr import (
     CExpression,
     Leaf,
@@ -47,6 +47,12 @@ NESTED_JOIN_TEXT = (
 def by_witness(entries, witness):
     matches = [e for e in entries if e.witness == mask_of(witness)]
     assert len(matches) == 1, f"no unique entry with witness {witness}"
+    return matches[0]
+
+
+def by_summary(entries, summary):
+    matches = [e for e in entries if maps(e) == summary]
+    assert len(matches) == 1, f"no unique entry with summary {summary}"
     return matches[0]
 
 
@@ -177,11 +183,10 @@ def test_join_revalues_gap_when_fused_mask_equals_old_key():
     expr = parse_cexpression(text)
     g, labels = eval_graph(expr)
     assert g.edges == Graph(5, [(0, 2), (1, 2), (0, 3), (1, 3), (2, 3), (2, 4)]).edges
-    entry = by_witness(dp_evaluate(expr)[expr.root], (1,))
+    entry = by_summary(dp_evaluate(expr)[expr.root], ref_summary(g, labels, {1}))
     _, outside, pairs = maps(entry)
     assert outside == {7: (4, 4)}
     assert pairs == {(1, 7): (1, 4, -3)}
-    assert maps(entry) == ref_summary(g, labels, {1})
 
 
 def test_transitions_reject_equal_labels():
@@ -206,6 +211,12 @@ def assert_tables_definitional(expr):
         assert g.n == size
         entries = tables[node]
         assert len(entries) <= 2 ** size
+        # every selection's summary, with the least selection reaching it:
+        # sizes ascending, each in sorted-tuple order, the first one kept
+        least = {}
+        for k in range(size + 1):
+            for subset in itertools.combinations(range(size), k):
+                least.setdefault(frozen(ref_summary(g, labels, subset)), list(subset))
         summaries = set()
         for entry in entries:
             inside, outside, _ = maps(entry)
@@ -214,17 +225,12 @@ def assert_tables_definitional(expr):
             local = {v - base for v in vertices_of(entry.witness)}
             assert all(0 <= v < size for v in local)
             assert maps(entry) == ref_summary(g, labels, local)
+            assert sorted(local) == least[frozen(maps(entry))]
             totals = [t for t, _ in inside.values()] + [t for t, _ in outside.values()]
             assert sum(totals) == size
             summaries.add(frozen(maps(entry)))
         assert len(summaries) == len(entries)
-        order = [ref_signature(*maps(entry)) for entry in entries]
-        assert all(a < b for a, b in zip(order, order[1:]))
-        expected = set()
-        for mask in range(1 << size):
-            subset = {v for v in range(size) if mask >> v & 1}
-            expected.add(frozen(ref_summary(g, labels, subset)))
-        assert summaries == expected
+        assert summaries == set(least)
 
 
 @settings(max_examples=60, deadline=None)
@@ -309,10 +315,9 @@ def test_solve_is_deterministic():
     assert first.witness == second.witness and first.size == second.size
 
 
-# Frozen witnesses.  Which of several optimal selections the solver reports
-# depends on the order of every summary family, because each summary keeps
-# the first witness that reaches it; these pin that order, plain and
-# connected, on cycles and on seeded random trees (3 labels, <= 10 leaves).
+# Frozen witnesses, plain and connected, on cycles and on seeded random
+# trees (3 labels, <= 10 leaves): each is the least minimum set by sorted
+# ids, which the definition test below recomputes by brute force.
 CYCLE_WITNESSES = {
     5: ([0, 1, 2], [0, 1, 2]),
     6: ([0, 1, 2], [0, 1, 2]),
@@ -324,23 +329,23 @@ CYCLE_WITNESSES = {
 }
 RANDOM_TREE_WITNESSES = [
     ([0], [0]),
-    ([2], [2]),
-    ([0], [0]),
-    ([2], [2]),
-    ([0, 1], [1, 3]),
-    ([3], [3]),
     ([0], [0]),
     ([0], [0]),
-    ([1], [1]),
+    ([0], [0]),
+    ([0, 1], [0, 2]),
+    ([0], [0]),
+    ([0], [0]),
+    ([0], [0]),
+    ([0], [0]),
     ([0], [0]),
     ([0, 1, 2, 3], [0, 1, 2, 3]),
-    ([5], [5]),
+    ([0], [0]),
     ([0], [0]),
     ([1], [1]),
-    ([1], [1]),
+    ([0], [0]),
     ([0], [0]),
     ([4], [4]),
-    ([8], [8]),
+    ([0], [0]),
     ([0], [0]),
     ([0], [0]),
 ]
@@ -348,6 +353,21 @@ RANDOM_TREE_WITNESSES = [
 
 def solved_witnesses(expr):
     return tuple(sorted(solve_cw(expr, connected=c).witness) for c in (False, True))
+
+
+def test_solve_is_the_least_minimum_safe_set():
+    # the criterion-3 corpus, then 150 trees with 3 labels and <= 10 leaves
+    # and 150 with 4 labels and <= 8 leaves
+    rng = random.Random(20)
+    exprs = expression_corpus(200) + [
+        random_expression(rng, label_count, max_leaves)
+        for label_count, max_leaves in [(3, 10)] * 150 + [(4, 8)] * 150
+    ]
+    for idx, expr in enumerate(exprs):
+        g, _ = eval_graph(expr)
+        for connected in (False, True):
+            got = solve_cw(expr, connected=connected).witness
+            assert got == ref_least_safe_set(g, connected), (idx, connected)
 
 
 @pytest.mark.parametrize("n", sorted(CYCLE_WITNESSES))
@@ -363,9 +383,8 @@ def test_random_tree_witnesses_are_pinned():
     assert got == RANDOM_TREE_WITNESSES
 
 
-# Whole root families, in family order: each summary's three maps and its
-# witness.  The order and the witness each summary keeps are what the
-# pinned witnesses above rest on.
+# Whole root families, in no particular order: each summary's three maps
+# and the least witness it keeps.
 CYCLE4_ROOT = [
     (({}, {7: (4, 4)}, {}), []),
     (({1: (1, 1)}, {6: (3, 3)}, {(1, 6): (1, 3, -2)}), [0]),
@@ -387,17 +406,17 @@ CYCLE4_ROOT = [
     (({5: (3, 3)}, {2: (1, 1)}, {(5, 2): (3, 1, 2)}), [0, 1, 2]),
     (({6: (2, 2)}, {5: (2, 2)}, {(6, 5): (2, 2, 0)}), [2, 3]),
     (({6: (3, 3)}, {1: (1, 1)}, {(6, 1): (3, 1, 2)}), [1, 2, 3]),
-    (({7: (3, 3)}, {4: (1, 1)}, {(7, 4): (3, 1, 2)}), [0, 2, 3]),
+    (({7: (3, 3)}, {4: (1, 1)}, {(7, 4): (3, 1, 2)}), [0, 1, 3]),
     (({7: (4, 4)}, {}, {}), [0, 1, 2, 3]),
 ]
 RANDOM0_ROOT = [
     (({}, {3: (4, 4)}, {}), []),
-    (({1: (1, 1)}, {3: (3, 3)}, {(1, 3): (1, 3, -2)}), [2]),
-    (({1: (2, 1)}, {3: (2, 2)}, {(1, 3): (1, 2, -1)}), [1, 2]),
+    (({1: (1, 1)}, {3: (3, 3)}, {(1, 3): (1, 3, -2)}), [0]),
+    (({1: (2, 1)}, {3: (2, 2)}, {(1, 3): (1, 2, -1)}), [0, 1]),
     (({1: (3, 1)}, {2: (1, 1)}, {(1, 2): (1, 1, 0)}), [0, 1, 2]),
     (({2: (1, 1)}, {1: (3, 1)}, {(2, 1): (1, 1, 0)}), [3]),
-    (({3: (2, 2)}, {1: (2, 1)}, {(3, 1): (2, 1, 1)}), [2, 3]),
-    (({3: (3, 3)}, {1: (1, 1)}, {(3, 1): (3, 1, 2)}), [1, 2, 3]),
+    (({3: (2, 2)}, {1: (2, 1)}, {(3, 1): (2, 1, 1)}), [0, 3]),
+    (({3: (3, 3)}, {1: (1, 1)}, {(3, 1): (3, 1, 2)}), [0, 1, 3]),
     (({3: (4, 4)}, {}, {}), [0, 1, 2, 3]),
 ]
 
@@ -409,7 +428,10 @@ def test_root_family_is_pinned():
     ]
     for expr, family in cases:
         root = dp_evaluate(expr)[expr.root]
-        assert [(maps(e), vertices_of(e.witness)) for e in root] == family
+        assert len(root) == len(family)
+        got = {(frozen(maps(e)), tuple(vertices_of(e.witness))) for e in root}
+        assert got == {(frozen(m), tuple(w)) for m, w in family}
+
 
 def test_solve_rejects_repeated_join():
     expr = parse_cexpression("(e 1 2 (e 1 2 (u (v 1) (v 2))))")
@@ -430,22 +452,18 @@ CROSSED_RING_TEXT = (
 )
 
 
-def test_connected_scan_skips_disconnected_summary(caplog):
+def test_connected_scan_skips_disconnected_summary():
     expr = parse_cexpression(CROSSED_RING_TEXT)
     g, labels = eval_graph(expr)
     assert g == Graph(4, [(0, 2), (1, 2), (1, 3), (0, 3)])
     assert labels == [1, 1, 1, 1]
-    with caplog.at_level(logging.WARNING, logger="safeset.cw"):
-        res = solve_cw(expr, connected=True)
+    res = solve_cw(expr, connected=True)
     assert res.size == 2
     assert is_connected_safe_set(g, res.witness)
-    assert not caplog.records
 
 
-def test_plain_scan_accepts_disconnected_optimum(caplog):
+def test_plain_scan_accepts_disconnected_optimum():
     expr = parse_cexpression(CROSSED_RING_TEXT)
-    with caplog.at_level(logging.WARNING, logger="safeset.cw"):
-        res = solve_cw(expr)
+    res = solve_cw(expr)
     assert res.size == 2
     assert res.witness == frozenset({0, 1})
-    assert not caplog.records

@@ -51,6 +51,13 @@ def test_graph_rejects_bad_edges():
         Graph(-1)
 
 
+def test_generators_reject_bad_sizes_with_input_error():
+    with pytest.raises(InputError, match="at least 3"):
+        cycle_graph(2)
+    with pytest.raises(InputError, match="at least one"):
+        random_connected_graph(random.Random(0), 0)
+
+
 def test_components_path():
     g = path_graph(4)
     assert components(g, {0, 1, 3}) == [frozenset({0, 1}), frozenset({3})]
