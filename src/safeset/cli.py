@@ -100,11 +100,11 @@ def cmd_solve(args) -> int:
         res = branch_solve(g, args.k, connected=args.connected)
     elif args.algo == "nd":
         nd_width = len(twin_partition(g).classes)
-        res = solve_nd(g, connected=args.connected)
+        res = solve_nd(g, connected=args.connected, limit=args.k)
     elif args.algo == "approx":
         if args.connected:
             raise InputError("the approximation covers the plain problem only")
-        res = approx_safe_set(g)
+        res = approx_safe_set(g, limit=args.k)
     else:
         if args.expr is None:
             raise InputError("--algo cw needs --expr")
@@ -116,13 +116,7 @@ def cmd_solve(args) -> int:
                 "the expression builds a different graph than the input "
                 f"(n={built.n}, m={built.m} versus n={g.n}, m={g.m})"
             )
-        res = solve_cw(expr, connected=args.connected)
-
-    # for solvers without a native bound, -k turns the run into the
-    # question "is there a solution of size at most k"
-    if args.k is not None and args.algo not in ("oracle", "branch"):
-        if res.feasible and res.size > args.k:
-            res = SolveResult(False, None, None, res.algorithm, res.elapsed)
+        res = solve_cw(expr, connected=args.connected, limit=args.k)
 
     _emit(_report(args, g, res, nd_width, label_count))
     return 0 if res.feasible else 1

@@ -2,13 +2,25 @@
 
 The state kept per tree node is a family of summaries, one for each
 achievable way to select vertices inside the node's graph.  A summary
-records, per exact label set, the combined and extremal sizes of the
-selected and unselected components carrying that label set, plus extremal
-sizes over adjacent selected/unselected component pairs.  Distinct
-selections often collapse to the same summary, which keeps the families
-far smaller than the number of selections; each summary retains its
-least witness selection (first by sorted vertex ids), so the answer is the
-least minimum set and can be verified directly.
+records, per label set, the combined and extremal sizes of the selected
+and unselected components carrying that label set, plus extremal sizes
+over adjacent selected/unselected component pairs.
+
+Each summary is projected onto the labels still *live* at its node: those
+that some join above the node can still see, following relabels upward.  A
+component whose label set holds no live label never fuses and never gains
+a neighbour again, so little of it matters later: an unselected one stays
+only in its pairs, selected ones pool into label set 0, which counts them
+up to two, and a pair of two such components is either safe for good or
+makes the whole selection unsafe for good.  In connected mode such a
+selected component next to any other selected one can never join it.  At
+the root nothing is live, so the root family holds only safe selections
+and tells apart only whether one is empty, one component or more.
+
+Distinct selections collapse to the same summary, which keeps the families
+far smaller than the number of selections; each summary retains its least
+witness selection (by size, then by sorted vertex ids), so the answer is
+the least minimum set and can be verified directly.
 """
 
 from __future__ import annotations
@@ -20,6 +32,7 @@ from typing import Iterable, NamedTuple
 from .cexpr import (
     CExpression,
     DisjointUnion,
+    Join,
     Leaf,
     Node,
     Relabel,
@@ -37,8 +50,9 @@ class DpEntry(NamedTuple):
     """Summary of one selection within a subtree's graph.
 
     ``key`` holds seven columns, each a tuple of ``(label set, value)``
-    items sorted by label set (a bitmask, bit k standing for label k+1);
-    only label sets that actually have components appear:
+    items sorted by label set (a bitmask, bit k standing for label k+1); a
+    component is filed under its label set's live labels, and only label
+    sets that actually have components appear:
 
     0. inside totals: combined size of the selected components carrying
        exactly that label set;
@@ -48,6 +62,13 @@ class DpEntry(NamedTuple):
     4.-6. over adjacent component pairs, keyed by (selected label set,
        unselected label set): the smallest selected component, the largest
        unselected one, and the smallest selected-minus-unselected gap.
+
+    Label set 0 holds the selected components with no live label.  Its
+    total is 1 for one such component and 2 for more, and its minimum is
+    1, so as elsewhere a label set holds one component exactly when its
+    total equals its minimum, and column 0 need not sum to the number of
+    selected vertices.  Outside columns have no label set 0, and pairs
+    none with both sides 0.
 
     ``witness`` is the least selection realizing the summary (see
     ``_dedup``), as a vertex bitmask (bit v stands for vertex v).
@@ -70,19 +91,35 @@ def _pooled(col: Column, items: Iterable[tuple], rule) -> Column:
     return tuple(sorted(d.items()))
 
 
-def _dedup(entries: Iterable[tuple[tuple, int]]) -> list[DpEntry]:
-    """Collapse equal summaries, each keeping its least witness.
+def _renamed(cols: tuple[Column, ...], rules: tuple, new: list) -> tuple[Column, ...]:
+    """Columns sharing one list of label sets, moved to the ``new`` ones and
+    pooled by ``rules`` where those coincide."""
+    return tuple(
+        _pooled((), zip(new, [v for _, v in col]), rule) for col, rule in zip(cols, rules)
+    )
 
-    Equal keys select equally many vertices (column 0 sums to the count),
-    so the least witness is the one holding the lowest differing vertex.
-    Equal keys have identical futures and witnesses of disjoint subtrees
-    combine by union, which leaves that vertex in place, so the root keeps
-    every summary's least selection.
+
+def _dedup(entries: Iterable[tuple[tuple, int] | None]) -> list[DpEntry]:
+    """Collapse equal summaries, each keeping its least witness; a None
+    entry is a dropped summary.
+
+    The least witness is the one with fewer vertices and, among equally
+    many, the one holding the lowest differing vertex: the order of (size,
+    sorted ids).  Equal keys have identical futures, and witnesses of
+    disjoint subtrees combine by union with one fixed set, which keeps that
+    order, so the root keeps every summary's least selection.
     """
     seen: dict[tuple, int] = {}
-    for key, witness in entries:
+    for entry in entries:
+        if entry is None:
+            continue
+        key, witness = entry
         old = seen.get(key)
-        if old is None or (d := old ^ witness) & -d & witness:
+        if (
+            old is None
+            or (c := witness.bit_count() - old.bit_count()) < 0
+            or not c and (d := old ^ witness) & -d & witness
+        ):
             seen[key] = witness
     return [DpEntry(key, witness) for key, witness in seen.items()]
 
@@ -102,16 +139,24 @@ def dp_leaf(label: int, vertex: int = 0) -> list[DpEntry]:
 
 
 def dp_union(left: list[DpEntry], right: list[DpEntry]) -> list[DpEntry]:
-    """Side-by-side placement: aggregates combine pointwise, nothing merges."""
+    """Side-by-side placement: aggregates combine pointwise, nothing merges.
 
-    def combined(a: DpEntry, b: DpEntry) -> tuple[tuple, int]:
-        key = tuple(
-            _pooled(x, y, rule) if x and y else x or y
-            for x, y, rule in zip(a.key, b.key, _RULES)
-        )
-        return key, a.witness | b.witness
-
-    return _dedup(combined(a, b) for a in left for b in right)
+    Entries share column values, so each column pools every distinct left
+    value with every distinct right value once.
+    """
+    merged = []
+    for c, rule in enumerate(_RULES):
+        xs: dict[Column, int] = {}
+        ys: dict[Column, int] = {}
+        at_x = [xs.setdefault(a.key[c], len(xs)) for a in left]
+        at_y = [ys.setdefault(b.key[c], len(ys)) for b in right]
+        table = [[_pooled(x, y, rule) if x and y else x or y for y in ys] for x in xs]
+        merged.append((at_x, at_y, table))
+    return _dedup(
+        (tuple(t[ax[p]][ay[q]] for ax, ay, t in merged), a.witness | b.witness)
+        for p, a in enumerate(left)
+        for q, b in enumerate(right)
+    )
 
 
 def dp_relabel(source: int, target: int, child: list[DpEntry]) -> list[DpEntry]:
@@ -124,21 +169,14 @@ def dp_relabel(source: int, target: int, child: list[DpEntry]) -> list[DpEntry]:
     def remap(mask: int) -> int:
         return (mask & ~sbit) | tbit if mask & sbit else mask
 
-    def renamed(cols: tuple[Column, ...], rules: tuple, new: list) -> tuple[Column, ...]:
-        """Columns sharing one list of label sets, moved to the ``new`` ones
-        and pooled where those coincide."""
-        return tuple(
-            _pooled((), zip(new, [v for _, v in col]), rule) for col, rule in zip(cols, rules)
-        )
-
     def relabelled(e: DpEntry) -> tuple[tuple, int]:
         it, ot, imin, omax, sel, unsel, gap = e.key
         if any(m & sbit for m, _ in it):
-            it, imin = renamed((it, imin), (add, min), [remap(m) for m, _ in it])
+            it, imin = _renamed((it, imin), (add, min), [remap(m) for m, _ in it])
         if any(m & sbit for m, _ in ot):
-            ot, omax = renamed((ot, omax), (add, max), [remap(m) for m, _ in ot])
+            ot, omax = _renamed((ot, omax), (add, max), [remap(m) for m, _ in ot])
         if any((p | q) & sbit for (p, q), _ in sel):
-            sel, unsel, gap = renamed(
+            sel, unsel, gap = _renamed(
                 (sel, unsel, gap), (min, max, min), [(remap(p), remap(q)) for (p, q), _ in sel]
             )
         return (it, ot, imin, omax, sel, unsel, gap), e.witness
@@ -221,24 +259,161 @@ def dp_join(first: int, second: int, child: list[DpEntry]) -> list[DpEntry]:
     return _dedup(_join_entry(bit_i, bit_j, e) for e in child)
 
 
-def dp_evaluate(expr: CExpression) -> dict[Node, list[DpEntry]]:
-    """Run the program bottom-up; returns the summary family at every node.
+# ---------------------------------------------------------------------------
+# forgetting dead labels
 
-    Leaves come out of the post-order walk left to right, so counting them
-    numbers the vertices as ``eval_graph`` does.
+
+def _live_labels(order: list[Node]) -> dict[Node, int]:
+    """The labels, as a bitmask, that a join above each node can still see
+    in the node's output; ``order`` is the post-order walk, so it ends at
+    the root, which has none.
+
+    A join adds its two labels for its child.  ``Relabel(s, t)`` gives its
+    child s exactly when t is live above it, and leaves t and the other
+    labels as they are.  A union passes its own set to both children.
     """
+    live = {order[-1]: 0}
+    for node in reversed(order):
+        mask = live[node]
+        if isinstance(node, Join):
+            live[node.child] = mask | 1 << (node.first - 1) | 1 << (node.second - 1)
+        elif isinstance(node, Relabel):
+            sbit = 1 << (node.source - 1)
+            live[node.child] = mask & ~sbit | (sbit if mask >> (node.target - 1) & 1 else 0)
+        elif isinstance(node, DisjointUnion):
+            live[node.left] = live[node.right] = mask
+    return live
+
+
+def _forgotten(entries: list[DpEntry], dying: int, live: int, connected: bool) -> list[DpEntry]:
+    """The family with the labels ``dying`` removed from every label set,
+    which leaves only ``live`` ones; summaries that coincide then collapse,
+    and a summary no later step can make acceptable is dropped.
+
+    Buckets that end up on one label set pool by their columns' rules.  An
+    outside bucket left with no label, and a pair left with none on either
+    side and a gap >= 0, are dropped; such a pair with a negative gap stays
+    unsafe for good, and so does its selection.  Label set 0 of the inside
+    columns (see ``DpEntry``) is brought back to total 1 or 2 and minimum
+    1.  In connected mode, a dead selected component next to any other
+    selected component can never join it, so its selection is dropped too.
+    """
+    if not live:
+        # every label set becomes 0: a summary keeps only whether it is
+        # safe and how many components it selects
+        def settled(e: DpEntry) -> tuple[tuple, int] | None:
+            it, _, imin, _, _, _, gap = e.key
+            if any(d < 0 for _, d in gap):
+                return None
+            parts = sum(1 if t == x else 2 for (_, t), (_, x) in zip(it, imin))
+            if not parts:
+                return ((),) * 7, e.witness
+            if connected and parts > 1:
+                return None
+            return (((0, min(parts, 2)),), (), ((0, 1),), (), (), (), ()), e.witness
+
+        return _dedup(settled(e) for e in entries)
+
+    keep = ~dying
+    # many summaries share a column group, so each group is projected once
+    memo: dict[tuple, tuple | None] = {}
+
+    def inside(cols: tuple[Column, Column]) -> tuple | None:
+        it, imin = cols
+        if any(m & dying for m, _ in it):
+            it, imin = _renamed(cols, (add, min), [m & keep for m, _ in it])
+        if it and not it[0][0]:
+            one = it[0][1] == imin[0][1]
+            if connected and (not one or len(it) > 1):
+                return None
+            if imin[0][1] != 1 or it[0][1] > 2:
+                it = ((0, 1 if one else 2),) + it[1:]
+                imin = ((0, 1),) + imin[1:]
+        return it, imin
+
+    def outside(cols: tuple[Column, Column]) -> tuple:
+        ot, omax = cols
+        if not any(m & dying for m, _ in ot):
+            return cols
+        ot, omax = _renamed(cols, (add, max), [m & keep for m, _ in ot])
+        return (ot[1:], omax[1:]) if not ot[0][0] else (ot, omax)
+
+    def pairs(cols: tuple[Column, Column, Column]) -> tuple | None:
+        if not any((p | q) & dying for (p, q), _ in cols[0]):
+            return cols
+        sel, unsel, gap = _renamed(
+            cols, (min, max, min), [(p & keep, q & keep) for (p, q), _ in cols[0]]
+        )
+        if sel[0][0] != (0, 0):
+            return sel, unsel, gap
+        return None if gap[0][1] < 0 else (sel[1:], unsel[1:], gap[1:])
+
+    def projected(cols: tuple, group) -> tuple | None:
+        key = (group, cols)
+        if key not in memo:
+            memo[key] = group(cols)
+        return memo[key]
+
+    def forget(e: DpEntry) -> tuple[tuple, int] | None:
+        it, ot, imin, omax, sel, unsel, gap = e.key
+        if (ins := projected((it, imin), inside)) is None:
+            return None
+        if (adj := projected((sel, unsel, gap), pairs)) is None:
+            return None
+        ot, omax = projected((ot, omax), outside)
+        return (ins[0], ot, ins[1], omax, *adj), e.witness
+
+    return _dedup(forget(e) for e in entries)
+
+
+def _recapped(entries: list[DpEntry], connected: bool) -> list[DpEntry]:
+    """A union's family with label set 0 (see ``DpEntry``) back at total at
+    most 2, where the union added up two of them; in connected mode, a
+    selection with a dead component next to any other selected component
+    is dropped instead."""
+    kept: list[DpEntry] = []
+    capped = False
+    for e in entries:
+        it = e.key[0]
+        if it and not it[0][0] and (it[0][1] > 2 or connected and (it[0][1] > 1 or len(it) > 1)):
+            if connected:
+                continue
+            e = DpEntry((((0, 2),) + it[1:],) + e.key[1:], e.witness)
+            capped = True
+        kept.append(e)
+    return _dedup(kept) if capped else kept
+
+
+def dp_evaluate(expr: CExpression, connected: bool = False) -> dict[Node, list[DpEntry]]:
+    """Run the program bottom-up; returns the summary family at every node,
+    projected onto the node's live labels (``_live_labels``).
+
+    Labels die only at leaves and joins: a relabel maps live labels to
+    live ones, and a union's children share its live set, so there only
+    label set 0 is re-capped.  ``connected`` drops the selections that can
+    no longer become one component.  Leaves come out of the post-order walk
+    left to right, so counting them numbers the vertices as ``eval_graph``
+    does.
+    """
+    order = list(iter_nodes(expr.root))
+    live = _live_labels(order)
     tables: dict[Node, list[DpEntry]] = {}
     vertex = 0
-    for node in iter_nodes(expr.root):
+    for node in order:
         if isinstance(node, Leaf):
-            tables[node] = dp_leaf(node.label, vertex)
+            table = dp_leaf(node.label, vertex)
             vertex += 1
+            if dying := 1 << (node.label - 1) & ~live[node]:
+                table = _forgotten(table, dying, live[node], connected)
         elif isinstance(node, DisjointUnion):
-            tables[node] = dp_union(tables[node.left], tables[node.right])
+            table = _recapped(dp_union(tables[node.left], tables[node.right]), connected)
         elif isinstance(node, Relabel):
-            tables[node] = dp_relabel(node.source, node.target, tables[node.child])
+            table = dp_relabel(node.source, node.target, tables[node.child])
         else:
-            tables[node] = dp_join(node.first, node.second, tables[node.child])
+            table = dp_join(node.first, node.second, tables[node.child])
+            if dying := (1 << (node.first - 1) | 1 << (node.second - 1)) & ~live[node]:
+                table = _forgotten(table, dying, live[node], connected)
+        tables[node] = table
     return tables
 
 
@@ -246,13 +421,13 @@ def dp_evaluate(expr: CExpression) -> dict[Node, list[DpEntry]]:
 # solving
 
 
-def solve_cw(expr: CExpression, connected: bool = False) -> SolveResult:
+def solve_cw(expr: CExpression, connected: bool = False, limit: int | None = None) -> SolveResult:
     """Minimum safe set of the expression's graph, via the tree program.
 
-    A summary is acceptable when something is selected and every adjacent
-    selected/unselected pair has gap >= 0.  For connected solutions, a
-    summary qualifies when its selection is one component: a single label
-    set whose smallest component is as large as its total.
+    No label is live at the root, so ``_forgotten`` left only summaries of
+    safe selections there, in connected mode only of those that are one
+    component; the summary of the empty selection does not count.  With
+    ``limit`` set, a minimum larger than it is reported as infeasible.
     """
     t0 = time.perf_counter()
     check_expression(expr)
@@ -264,20 +439,11 @@ def solve_cw(expr: CExpression, connected: bool = False) -> SolveResult:
             "re-adds an existing edge"
         )
     g = Graph(len(labels), edges)
-    root_entries = dp_evaluate(expr)[expr.root]
-
-    candidates = []
-    for e in root_entries:
-        inside, _, minima, _, _, _, gaps = e.key
-        if not inside:
-            continue
-        if any(d < 0 for _, d in gaps):
-            continue
-        if connected and (len(inside) != 1 or inside[0][1] != minima[0][1]):
-            continue
-        candidates.append(e.witness)
+    candidates = [e.witness for e in dp_evaluate(expr, connected)[expr.root] if e.key[0]]
     # by (size, sorted ids), the rule each summary's witness is kept by, so
     # the answer is the least minimum (connected) safe set
     size = min((w.bit_count() for w in candidates), default=0)
-    witness = min((vertices_of(w) for w in candidates if w.bit_count() == size), default=None)
+    witness = None
+    if limit is None or size <= limit:
+        witness = min((vertices_of(w) for w in candidates if w.bit_count() == size), default=None)
     return verified_result(g, witness, "cw", connected, t0)

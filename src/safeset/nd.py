@@ -315,10 +315,12 @@ def _component_best(sub: Graph, connected: bool, bound: int) -> frozenset[int] |
     return None if best is None else frozenset(best[1])
 
 
-def solve_nd(g: Graph, connected: bool = False) -> SolveResult:
+def solve_nd(g: Graph, connected: bool = False, limit: int | None = None) -> SolveResult:
     """Exact minimum (connected) safe set via the twin-class guesses, solved
     per component.  A guess with a PARTIAL class goes through a count
-    program whose only test is the verifier on a concrete set."""
+    program whose only test is the verifier on a concrete set.  With
+    ``limit`` set, only sets of at most that many vertices are looked for,
+    so the walk skips every guess whose floor is larger."""
     return solve_by_component(
-        g, lambda sub, bound: _component_best(sub, connected, bound), "nd", connected
+        g, lambda sub, bound: _component_best(sub, connected, bound), "nd", connected, limit
     )

@@ -70,9 +70,9 @@ def solve_by_component(
     to one component keeps it safe, and sizes add up.  ``solve(sub, bound)``
     returns a witness in the ids of a component's induced subgraph (``g``
     itself when connected), or None; ``bound`` = min(sub.n, limit, best
-    size so far) is the largest size still worth finding.  Witnesses are
-    mapped back to ``g``'s ids, ranked by (size, order(witness)), and the
-    winner is verified.
+    size so far) is the largest size still worth finding, and a larger
+    witness is ignored.  Witnesses are mapped back to ``g``'s ids, ranked
+    by (size, order(witness)), and the winner is verified.
     """
     t0 = time.perf_counter()
     best: tuple[int, Any, frozenset[int]] | None = None
@@ -83,7 +83,7 @@ def solve_by_component(
         if best is not None:
             bound = min(bound, best[0])
         got = solve(sub, bound)
-        if got is not None:
+        if got is not None and len(got) <= bound:
             witness = frozenset(ids[v] for v in got)
             cand = (len(witness), order(witness), witness)
             if best is None or cand[:2] < best[:2]:

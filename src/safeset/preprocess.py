@@ -65,7 +65,7 @@ def _approx_component(g: Graph, limit: int) -> frozenset[int] | None:
     return None if best is None else frozenset(best[1])
 
 
-def approx_safe_set(g: Graph) -> SolveResult:
+def approx_safe_set(g: Graph, limit: int | None = None) -> SolveResult:
     """Safe set of size at most s(G) * (s(G) + 1), connected inside its
     component, found in polynomial time.
 
@@ -82,7 +82,8 @@ def approx_safe_set(g: Graph) -> SolveResult:
     guess stops as soon as its set passes that size, since the set only
     grows.  The answer is the one a scan over all n guesses would give,
     and a connected graph with n >= 2 starts exactly (returned size - 1)
-    guesses.
+    guesses.  ``limit`` caps that bound, so with it set only sets of at
+    most ``limit`` vertices are looked for.
 
     All guesses grow their seed along one BFS order.  A guess walks the
     leftover vertices once: each block is `graph.bfs_prefix` from the
@@ -97,4 +98,4 @@ def approx_safe_set(g: Graph) -> SolveResult:
     leftover components have at most s each, which is safe, so no guess is
     verified; `oracle.verified_result` checks the returned witness.
     """
-    return solve_by_component(g, _approx_component, "approx", False)
+    return solve_by_component(g, _approx_component, "approx", False, limit)

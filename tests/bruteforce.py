@@ -13,7 +13,8 @@ decomposition a vertex order defines, which the ds decomposition's sweep
 must match.  The brute force below them -- treedepth, vertex cover, cw
 summaries and the paper's two solution-size refusal rules -- is built on
 the package's own ``components_mask``, which the set-based references above
-check.
+check.  ``ref_live_labels`` finds the labels a join above each tree node
+can still see by walking up the tree, label by label.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import itertools
 import json
 from dataclasses import dataclass
 
+from safeset.cexpr import CExpression, DisjointUnion, Join, Leaf, Relabel, iter_nodes
 from safeset.graph import (
     Graph,
     InputError,
@@ -320,12 +322,47 @@ def vertex_cover_bf(g: Graph, cap: int = DEFAULT_SUBSET_CAP) -> int:
     raise AssertionError("unreachable: V itself covers all edges")
 
 
-def ref_summary(g: Graph, labels: list[int], subset) -> tuple[dict, dict, dict]:
+def ref_live_labels(expr: CExpression) -> dict:
+    """Each node's live labels as a bitmask (bit k stands for label k+1): a
+    label is live when, walking up from the node and renaming it at every
+    relabel of it on the way, some join names it."""
+    parent = {}
+    for node in iter_nodes(expr.root):
+        if isinstance(node, DisjointUnion):
+            parent[node.left] = parent[node.right] = node
+        elif not isinstance(node, Leaf):
+            parent[node.child] = node
+    live = {}
+    for node in iter_nodes(expr.root):
+        live[node] = 0
+        for label in range(1, expr.label_count + 1):
+            cur, up = label, parent.get(node)
+            while up is not None:
+                if isinstance(up, Relabel) and up.source == cur:
+                    cur = up.target
+                elif isinstance(up, Join) and cur in (up.first, up.second):
+                    live[node] |= 1 << (label - 1)
+                    break
+                up = parent.get(up)
+    return live
+
+
+def ref_summary(
+    g: Graph, labels: list[int], subset, live: int = -1, connected: bool = False
+) -> tuple[dict, dict, dict] | None:
     """A selection's cw summary maps ``(inside, outside, pairs)``,
     recomputed from the graph: list the components on both sides, bucket
-    them by exact label set (bit k stands for label k+1), and scan adjacent
-    selected/unselected component pairs for the extremal sizes.  This is
-    the meaning the solver's transitions are tested against."""
+    them by label set (bit k stands for label k+1) cut down to the ``live``
+    labels, and scan adjacent selected/unselected component pairs for the
+    extremal sizes.  This is the meaning the solver's transitions are
+    tested against.
+
+    A component left with no live label never changes again.  Selected
+    ones are counted, up to two, under label set 0 with minimum 1;
+    unselected ones are left out of ``outside``; a pair of two of them is
+    left out when its gap is >= 0, and makes the summary None when it is
+    < 0.  With ``connected``, the summary is also None when a selected
+    component with no live label is not the only selected one."""
     smask = mask_of(subset)
 
     def side(mask: int) -> list[tuple[int, int, int]]:
@@ -334,7 +371,7 @@ def ref_summary(g: Graph, labels: list[int], subset) -> tuple[dict, dict, dict]:
             lab = 0
             for v in vertices_of(comp):
                 lab |= 1 << (labels[v] - 1)
-            out.append((comp, lab, comp.bit_count()))
+            out.append((comp, lab & live, comp.bit_count()))
         return out
 
     ins, outs = side(smask), side(g.full_mask() & ~smask)
@@ -342,15 +379,25 @@ def ref_summary(g: Graph, labels: list[int], subset) -> tuple[dict, dict, dict]:
     for _, lab, size in ins:
         total, mn = inside.get(lab, (0, size))
         inside[lab] = (total + size, min(mn, size))
+    dead = sum(1 for _, lab, _ in ins if not lab)
+    if dead:
+        if connected and len(ins) > 1:
+            return None
+        inside[0] = (min(dead, 2), 1)
     outside: dict[int, tuple[int, int]] = {}
     for _, lab, size in outs:
-        total, mx = outside.get(lab, (0, size))
-        outside[lab] = (total + size, max(mx, size))
+        if lab:
+            total, mx = outside.get(lab, (0, size))
+            outside[lab] = (total + size, max(mx, size))
     pairs: dict[tuple[int, int], tuple[int, int, int]] = {}
     for cmask, clab, csize in ins:
         reach = neighborhood_mask(g, cmask)
         for dmask, dlab, dsize in outs:
             if reach & dmask:
+                if not clab and not dlab:
+                    if csize < dsize:
+                        return None
+                    continue
                 a, b, d = pairs.get((clab, dlab), (csize, dsize, csize - dsize))
                 pairs[clab, dlab] = (min(a, csize), max(b, dsize), min(d, csize - dsize))
     return inside, outside, pairs

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,11 +11,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from corpus import disjoint_union, random_expression, shuffled
 from test_cexpr import DEEP_CHAIN_TEXT, EXPR_TEXTS
 
 from safeset.cexpr import cycle_expression, eval_graph, format_cexpression, parse_cexpression
 from safeset.cli import main
-from safeset.generators import cycle_graph, complete_graph, star_graph
+from safeset.cw import solve_cw
+from safeset.generators import complete_graph, cycle_graph, random_connected_graph, star_graph
 from safeset.graph import (
     Graph,
     InputError,
@@ -29,7 +32,9 @@ from safeset.io import (
     format_graph,
     load_graph,
 )
+from safeset.nd import solve_nd
 from safeset.oracle import verified_result
+from safeset.preprocess import approx_safe_set
 
 
 @pytest.fixture
@@ -396,6 +401,55 @@ def test_solve_size_bound_filters_other_algorithms(run, c8_path):
     assert code == 0 and report["size"] == 4
 
 
+def _bound_cases(algo: str):
+    """(graph, expression or None, connected, unbounded result): K4 and
+    seeded random graphs, every third one of two components, or random
+    trees for cw.  Under a bound of 1, nd's guess walk on K4 still finds a
+    set of 2, which the bound must discard."""
+    rng = random.Random(8)
+    for idx in range(12):
+        expr = None
+        if algo == "cw":
+            expr = random_expression(rng, label_count=3, max_leaves=9)
+            g, _ = eval_graph(expr)
+        else:
+            count = 2 if idx % 3 == 0 else 1
+            parts = [
+                random_connected_graph(rng, rng.randint(3, 9), rng.choice([0.1, 0.3, 0.6]))
+                for _ in range(count)
+            ]
+            g = complete_graph(4) if idx == 0 else shuffled(disjoint_union(*parts), idx)
+        for connected in (False,) if algo == "approx" else (False, True):
+            if algo == "nd":
+                res = solve_nd(g, connected)
+            elif algo == "cw":
+                res = solve_cw(expr, connected)
+            else:
+                res = approx_safe_set(g)
+            yield g, expr, connected, res
+
+
+@pytest.mark.parametrize("algo", ["nd", "approx", "cw"])
+def test_size_bound_answers_as_a_filter_on_the_full_run(run, tmp_path, algo):
+    # -k bounds the search, yet the answer is that of the unbounded run
+    # with a size above k read as infeasible
+    for idx, (g, expr, connected, full) in enumerate(_bound_cases(algo)):
+        path = tmp_path / f"g{idx}.gr"
+        path.write_text(format_graph(g))
+        argv = ["solve", "--algo", algo, str(path)] + ["--connected"] * connected
+        if expr is not None:
+            expr_path = tmp_path / f"g{idx}.expr"
+            expr_path.write_text(format_cexpression(expr))
+            argv += ["--expr", str(expr_path)]
+        best = full.size if full.feasible else g.n
+        for k in sorted({best - 1, best, best + 2, g.n} - {0}):
+            code, report, _ = run(argv + ["-k", str(k)])
+            fits = full.feasible and full.size <= k
+            assert code == (0 if fits else 1), (idx, connected, k)
+            assert report["size"] == (full.size if fits else None)
+            assert report["witness"] == (sorted(full.witness) if fits else None)
+
+
 def test_solve_oracle_respects_size_bound(run, c8_path):
     code, report, _ = run(["solve", "--algo", "oracle", "-k", "3", c8_path])
     assert code == 1 and report["feasible"] is False
@@ -580,7 +634,7 @@ def test_bf_cap_flag(run, c8_path):
 
 
 def test_solver_crash_exits_3(run, c8_path, monkeypatch):
-    def crash(g, connected=False):
+    def crash(g, connected=False, limit=None):
         raise RecursionError("maximum recursion depth exceeded")
 
     monkeypatch.setattr("safeset.cli.solve_nd", crash)
@@ -590,7 +644,7 @@ def test_solver_crash_exits_3(run, c8_path, monkeypatch):
 
 
 def test_unsafe_solver_witness_exits_3(run, c8_path, monkeypatch):
-    def unsafe(g, connected=False):
+    def unsafe(g, connected=False, limit=None):
         return verified_result(g, {0}, "nd", connected, 0.0)
 
     monkeypatch.setattr("safeset.cli.solve_nd", unsafe)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import expression_corpus, random_expression
-from bruteforce import ref_least_safe_set, ref_summary
+from bruteforce import ref_least_safe_set, ref_live_labels, ref_summary
 from safeset.cexpr import (
     CExpression,
     Leaf,
@@ -19,6 +19,7 @@ from safeset.cexpr import (
     parse_cexpression,
 )
 from safeset.cw import (
+    _live_labels,
     dp_evaluate,
     dp_join,
     dp_leaf,
@@ -172,10 +173,12 @@ def test_join_without_both_classes_is_identity():
 
 
 def test_join_revalues_gap_when_fused_mask_equals_old_key():
-    # The two unselected components have label sets {1,2,3} and {2}; the
-    # join fuses them, and the fused set is again {1,2,3}.  The adjacency
-    # key stays put while the component behind it grows, so the stored
-    # gap must still be recomputed.
+    # Below the root join only labels 2 and 3 are live.  The two unselected
+    # components there have label sets {2,3} and {2}; the join fuses them,
+    # and the fused set is again {2,3}.  The adjacency key stays put while
+    # the component behind it grows, so the stored gap must still be
+    # recomputed.  Nothing is live at the root, so the join runs on the
+    # child's table here.
     text = (
         "(e 2 3 (u (e 1 2 (u (e 1 3 (u (r 3 1 (u (r 2 3 (v 2)) (v 3)))"
         " (r 1 3 (v 1)))) (r 1 2 (v 1)))) (v 2)))"
@@ -183,10 +186,11 @@ def test_join_revalues_gap_when_fused_mask_equals_old_key():
     expr = parse_cexpression(text)
     g, labels = eval_graph(expr)
     assert g.edges == Graph(5, [(0, 2), (1, 2), (0, 3), (1, 3), (2, 3), (2, 4)]).edges
-    entry = by_summary(dp_evaluate(expr)[expr.root], ref_summary(g, labels, {1}))
+    child = dp_evaluate(expr)[expr.root.child]
+    entry = by_summary(dp_join(2, 3, child), ref_summary(g, labels, {1}, live=0b110))
     _, outside, pairs = maps(entry)
-    assert outside == {7: (4, 4)}
-    assert pairs == {(1, 7): (1, 4, -3)}
+    assert outside == {6: (4, 4)}
+    assert pairs == {(0, 6): (1, 4, -3)}
 
 
 def test_transitions_reject_equal_labels():
@@ -201,36 +205,71 @@ def test_transitions_reject_equal_labels():
 
 
 def assert_tables_definitional(expr):
-    tables = dp_evaluate(expr)
+    """Every node's table, in both modes, is exactly the set of projected
+    summaries of the node's selections (``ref_summary`` on the node's live
+    labels, ``ref_live_labels``), each with its least selection."""
+    live = ref_live_labels(expr)
     spans = leaf_spans(expr)
-    for node in iter_nodes(expr.root):
-        base, end = spans[node]
-        size = end - base
-        sub = CExpression(node, expr.label_count)
-        g, labels = eval_graph(sub)
-        assert g.n == size
-        entries = tables[node]
-        assert len(entries) <= 2 ** size
-        # every selection's summary, with the least selection reaching it:
-        # sizes ascending, each in sorted-tuple order, the first one kept
-        least = {}
-        for k in range(size + 1):
-            for subset in itertools.combinations(range(size), k):
-                least.setdefault(frozen(ref_summary(g, labels, subset)), list(subset))
-        summaries = set()
-        for entry in entries:
-            inside, outside, _ = maps(entry)
-            assert all(t > 0 for t, _ in inside.values())
-            assert all(t > 0 for t, _ in outside.values())
-            local = {v - base for v in vertices_of(entry.witness)}
-            assert all(0 <= v < size for v in local)
-            assert maps(entry) == ref_summary(g, labels, local)
-            assert sorted(local) == least[frozen(maps(entry))]
-            totals = [t for t, _ in inside.values()] + [t for t, _ in outside.values()]
-            assert sum(totals) == size
-            summaries.add(frozen(maps(entry)))
-        assert len(summaries) == len(entries)
-        assert summaries == set(least)
+    for connected in (False, True):
+        tables = dp_evaluate(expr, connected)
+        for node in iter_nodes(expr.root):
+            base, end = spans[node]
+            size = end - base
+            sub = CExpression(node, expr.label_count)
+            g, labels = eval_graph(sub)
+            assert g.n == size
+            entries = tables[node]
+            assert len(entries) <= 2 ** size
+
+            def summary(subset):
+                return ref_summary(g, labels, subset, live[node], connected)
+
+            # every kept selection's summary, with the least selection
+            # reaching it: sizes ascending, each in sorted-tuple order, the
+            # first one kept
+            least = {}
+            for k in range(size + 1):
+                for subset in itertools.combinations(range(size), k):
+                    if (got := summary(subset)) is not None:
+                        least.setdefault(frozen(got), list(subset))
+            summaries = set()
+            for entry in entries:
+                inside, outside, _ = maps(entry)
+                assert all(t > 0 for t, _ in inside.values())
+                assert all(t > 0 for t, _ in outside.values())
+                local = {v - base for v in vertices_of(entry.witness)}
+                assert all(0 <= v < size for v in local)
+                assert maps(entry) == summary(local)
+                assert sorted(local) == least[frozen(maps(entry))]
+                # live selected components hold exactly the witness's
+                # vertices when none is dead, and never more
+                in_live = sum(t for m, (t, _) in inside.items() if m)
+                assert in_live == entry.witness.bit_count() or (
+                    0 in inside and in_live < entry.witness.bit_count()
+                )
+                summaries.add(frozen(maps(entry)))
+            assert len(summaries) == len(entries)
+            assert summaries == set(least)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9))
+def test_live_labels_match_walking_up(seed):
+    rng = random.Random(seed)
+    expr = random_expression(rng, label_count=rng.randint(2, 4), max_leaves=9)
+    assert _live_labels(list(iter_nodes(expr.root))) == ref_live_labels(expr)
+
+
+def test_cycle_parks_vertices_on_a_dead_label():
+    # label 3 only parks interior path vertices, so it is dead everywhere;
+    # every leaf sits below a join of 2 and 4 and the closing join of 1
+    # and 2
+    expr = cycle_expression(5)
+    live = _live_labels(list(iter_nodes(expr.root)))
+    assert live[expr.root] == 0
+    assert live[expr.root.child] == 0b0011
+    assert all(not mask & 0b0100 for mask in live.values())
+    assert {live[n] for n in iter_nodes(expr.root) if isinstance(n, Leaf)} == {0b1011}
 
 
 @settings(max_examples=60, deadline=None)
@@ -383,42 +422,15 @@ def test_random_tree_witnesses_are_pinned():
     assert got == RANDOM_TREE_WITNESSES
 
 
-# Whole root families, in no particular order: each summary's three maps
-# and the least witness it keeps.
-CYCLE4_ROOT = [
-    (({}, {7: (4, 4)}, {}), []),
-    (({1: (1, 1)}, {6: (3, 3)}, {(1, 6): (1, 3, -2)}), [0]),
-    (
-        ({1: (1, 1), 4: (1, 1)}, {4: (1, 1), 2: (1, 1)},
-         {(1, 4): (1, 1, 0), (4, 4): (1, 1, 0), (4, 2): (1, 1, 0), (1, 2): (1, 1, 0)}),
-        [0, 2],
-    ),
-    (({2: (1, 1)}, {5: (3, 3)}, {(2, 5): (1, 3, -2)}), [3]),
-    (
-        ({4: (1, 1), 2: (1, 1)}, {1: (1, 1), 4: (1, 1)},
-         {(4, 1): (1, 1, 0), (4, 4): (1, 1, 0), (2, 4): (1, 1, 0), (2, 1): (1, 1, 0)}),
-        [1, 3],
-    ),
-    (({3: (2, 2)}, {4: (2, 2)}, {(3, 4): (2, 2, 0)}), [0, 3]),
-    (({4: (1, 1)}, {7: (3, 3)}, {(4, 7): (1, 3, -2)}), [1]),
-    (({4: (2, 2)}, {3: (2, 2)}, {(4, 3): (2, 2, 0)}), [1, 2]),
-    (({5: (2, 2)}, {6: (2, 2)}, {(5, 6): (2, 2, 0)}), [0, 1]),
-    (({5: (3, 3)}, {2: (1, 1)}, {(5, 2): (3, 1, 2)}), [0, 1, 2]),
-    (({6: (2, 2)}, {5: (2, 2)}, {(6, 5): (2, 2, 0)}), [2, 3]),
-    (({6: (3, 3)}, {1: (1, 1)}, {(6, 1): (3, 1, 2)}), [1, 2, 3]),
-    (({7: (3, 3)}, {4: (1, 1)}, {(7, 4): (3, 1, 2)}), [0, 1, 3]),
-    (({7: (4, 4)}, {}, {}), [0, 1, 2, 3]),
-]
-RANDOM0_ROOT = [
-    (({}, {3: (4, 4)}, {}), []),
-    (({1: (1, 1)}, {3: (3, 3)}, {(1, 3): (1, 3, -2)}), [0]),
-    (({1: (2, 1)}, {3: (2, 2)}, {(1, 3): (1, 2, -1)}), [0, 1]),
-    (({1: (3, 1)}, {2: (1, 1)}, {(1, 2): (1, 1, 0)}), [0, 1, 2]),
-    (({2: (1, 1)}, {1: (3, 1)}, {(2, 1): (1, 1, 0)}), [3]),
-    (({3: (2, 2)}, {1: (2, 1)}, {(3, 1): (2, 1, 1)}), [0, 3]),
-    (({3: (3, 3)}, {1: (1, 1)}, {(3, 1): (3, 1, 2)}), [0, 1, 3]),
-    (({3: (4, 4)}, {}, {}), [0, 1, 2, 3]),
-]
+# Whole root families, plain and connected, in no particular order: each
+# summary's three maps and the least witness it keeps.  No label is live at
+# the root, so a summary only tells apart an empty selection, a safe one of
+# one component and (plain only) a safe one of several.
+NOTHING = ({}, {}, {})
+ONE_PART = ({0: (1, 1)}, {}, {})
+MORE_PARTS = ({0: (2, 1)}, {}, {})
+CYCLE4_ROOT = [(NOTHING, []), (ONE_PART, [0, 1]), (MORE_PARTS, [0, 2])]
+RANDOM0_ROOT = [(NOTHING, []), (ONE_PART, [3]), (MORE_PARTS, [0, 1, 2])]
 
 
 def test_root_family_is_pinned():
@@ -427,10 +439,26 @@ def test_root_family_is_pinned():
         (random_expression(random.Random(0), label_count=3, max_leaves=6), RANDOM0_ROOT),
     ]
     for expr, family in cases:
-        root = dp_evaluate(expr)[expr.root]
-        assert len(root) == len(family)
-        got = {(frozen(maps(e)), tuple(vertices_of(e.witness))) for e in root}
-        assert got == {(frozen(m), tuple(w)) for m, w in family}
+        for connected in (False, True):
+            want = [(m, w) for m, w in family if not (connected and m == MORE_PARTS)]
+            root = dp_evaluate(expr, connected)[expr.root]
+            assert len(root) == len(want)
+            got = {(frozen(maps(e)), tuple(vertices_of(e.witness))) for e in root}
+            assert got == {(frozen(m), tuple(w)) for m, w in want}
+
+
+# Upper bounds on the table sizes of the 12-cycle's tree, (summed, largest),
+# plain and connected.  Before dead labels were forgotten both modes read
+# 30,798 and 3,546.
+CYCLE12_TABLES = {False: (12_306, 1_410), True: (2_559, 179)}
+
+
+@pytest.mark.parametrize("connected", [False, True])
+def test_cycle_tables_stay_small(connected):
+    sizes = [len(t) for t in dp_evaluate(cycle_expression(12), connected).values()]
+    total, largest = CYCLE12_TABLES[connected]
+    assert sum(sizes) <= total
+    assert max(sizes) <= largest
 
 
 def test_solve_rejects_repeated_join():
