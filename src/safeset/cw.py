@@ -10,12 +10,12 @@ Each summary is projected onto the labels still *live* at its node: those
 that some join above the node can still see, following relabels upward.  A
 component whose label set holds no live label never fuses and never gains
 a neighbour again, so little of it matters later: an unselected one stays
-only in its pairs, selected ones pool into label set 0, which counts them
-up to two, and a pair of two such components is either safe for good or
-makes the whole selection unsafe for good.  In connected mode such a
-selected component next to any other selected one can never join it.  At
-the root nothing is live, so the root family holds only safe selections
-and tells apart only whether one is empty, one component or more.
+only in its pairs, selected ones leave only a mark under label set 0, and
+a pair of two such components is either safe for good or makes the whole
+selection unsafe for good.  In connected mode such a selected component
+next to any other selected one can never join it.  At the root nothing is
+live, so the root family holds only safe selections and tells apart only
+whether one is empty.
 
 Distinct selections collapse to the same summary, which keeps the families
 far smaller than the number of selections; each summary retains its least
@@ -63,10 +63,9 @@ class DpEntry(NamedTuple):
        unselected label set): the smallest selected component, the largest
        unselected one, and the smallest selected-minus-unselected gap.
 
-    Label set 0 holds the selected components with no live label.  Its
-    total is 1 for one such component and 2 for more, and its minimum is
-    1, so as elsewhere a label set holds one component exactly when its
-    total equals its minimum, and column 0 need not sum to the number of
+    Label set 0 marks that the selection has components with no live
+    label, which no later step reads again: its total and minimum are both
+    1, however many there are, so column 0 need not sum to the number of
     selected vertices.  Outside columns have no label set 0, and pairs
     none with both sides 0.
 
@@ -80,6 +79,9 @@ class DpEntry(NamedTuple):
 
 # How two values under the same label set pool, one rule per column.
 _RULES = (add, add, min, max, min, max, min)
+
+# Label set 0 of the inside columns (see ``DpEntry``).
+_DEAD = ((0, 1),)
 
 
 def _pooled(col: Column, items: Iterable[tuple], rule) -> Column:
@@ -139,24 +141,16 @@ def dp_leaf(label: int, vertex: int = 0) -> list[DpEntry]:
 
 
 def dp_union(left: list[DpEntry], right: list[DpEntry]) -> list[DpEntry]:
-    """Side-by-side placement: aggregates combine pointwise, nothing merges.
+    """Side-by-side placement: aggregates combine pointwise, nothing merges."""
 
-    Entries share column values, so each column pools every distinct left
-    value with every distinct right value once.
-    """
-    merged = []
-    for c, rule in enumerate(_RULES):
-        xs: dict[Column, int] = {}
-        ys: dict[Column, int] = {}
-        at_x = [xs.setdefault(a.key[c], len(xs)) for a in left]
-        at_y = [ys.setdefault(b.key[c], len(ys)) for b in right]
-        table = [[_pooled(x, y, rule) if x and y else x or y for y in ys] for x in xs]
-        merged.append((at_x, at_y, table))
-    return _dedup(
-        (tuple(t[ax[p]][ay[q]] for ax, ay, t in merged), a.witness | b.witness)
-        for p, a in enumerate(left)
-        for q, b in enumerate(right)
-    )
+    def combined(a: DpEntry, b: DpEntry) -> tuple[tuple, int]:
+        key = tuple(
+            _pooled(x, y, rule) if x and y else x or y
+            for x, y, rule in zip(a.key, b.key, _RULES)
+        )
+        return key, a.witness | b.witness
+
+    return _dedup(combined(a, b) for a in left for b in right)
 
 
 def dp_relabel(source: int, target: int, child: list[DpEntry]) -> list[DpEntry]:
@@ -285,35 +279,20 @@ def _live_labels(order: list[Node]) -> dict[Node, int]:
     return live
 
 
-def _forgotten(entries: list[DpEntry], dying: int, live: int, connected: bool) -> list[DpEntry]:
-    """The family with the labels ``dying`` removed from every label set,
-    which leaves only ``live`` ones; summaries that coincide then collapse,
-    and a summary no later step can make acceptable is dropped.
+def _forgotten(entries: list[DpEntry], dying: int, connected: bool) -> list[DpEntry]:
+    """The family with the labels ``dying`` removed from every label set;
+    summaries that coincide then collapse, and a summary no later step can
+    make acceptable is dropped.
 
     Buckets that end up on one label set pool by their columns' rules.  An
     outside bucket left with no label, and a pair left with none on either
     side and a gap >= 0, are dropped; such a pair with a negative gap stays
     unsafe for good, and so does its selection.  Label set 0 of the inside
-    columns (see ``DpEntry``) is brought back to total 1 or 2 and minimum
-    1.  In connected mode, a dead selected component next to any other
-    selected component can never join it, so its selection is dropped too.
+    columns becomes the marker of ``DpEntry``.  In connected mode, a dead
+    selected component next to any other selected component can never join
+    it, so its selection is dropped too; a label set holds one component
+    exactly when its total equals its minimum.
     """
-    if not live:
-        # every label set becomes 0: a summary keeps only whether it is
-        # safe and how many components it selects
-        def settled(e: DpEntry) -> tuple[tuple, int] | None:
-            it, _, imin, _, _, _, gap = e.key
-            if any(d < 0 for _, d in gap):
-                return None
-            parts = sum(1 if t == x else 2 for (_, t), (_, x) in zip(it, imin))
-            if not parts:
-                return ((),) * 7, e.witness
-            if connected and parts > 1:
-                return None
-            return (((0, min(parts, 2)),), (), ((0, 1),), (), (), (), ()), e.witness
-
-        return _dedup(settled(e) for e in entries)
-
     keep = ~dying
     # many summaries share a column group, so each group is projected once
     memo: dict[tuple, tuple | None] = {}
@@ -323,12 +302,9 @@ def _forgotten(entries: list[DpEntry], dying: int, live: int, connected: bool) -
         if any(m & dying for m, _ in it):
             it, imin = _renamed(cols, (add, min), [m & keep for m, _ in it])
         if it and not it[0][0]:
-            one = it[0][1] == imin[0][1]
-            if connected and (not one or len(it) > 1):
+            if connected and (len(it) > 1 or it[0][1] != imin[0][1]):
                 return None
-            if imin[0][1] != 1 or it[0][1] > 2:
-                it = ((0, 1 if one else 2),) + it[1:]
-                imin = ((0, 1),) + imin[1:]
+            it, imin = _DEAD + it[1:], _DEAD + imin[1:]
         return it, imin
 
     def outside(cols: tuple[Column, Column]) -> tuple:
@@ -367,18 +343,18 @@ def _forgotten(entries: list[DpEntry], dying: int, live: int, connected: bool) -
 
 
 def _recapped(entries: list[DpEntry], connected: bool) -> list[DpEntry]:
-    """A union's family with label set 0 (see ``DpEntry``) back at total at
-    most 2, where the union added up two of them; in connected mode, a
-    selection with a dead component next to any other selected component
-    is dropped instead."""
+    """A union's family with label set 0 back at the marker of ``DpEntry``,
+    where the union added two of them up; in connected mode, a selection
+    with a dead component next to any other selected component is dropped
+    instead."""
     kept: list[DpEntry] = []
     capped = False
     for e in entries:
         it = e.key[0]
-        if it and not it[0][0] and (it[0][1] > 2 or connected and (it[0][1] > 1 or len(it) > 1)):
+        if it and not it[0][0] and (it[0][1] > 1 or connected and len(it) > 1):
             if connected:
                 continue
-            e = DpEntry((((0, 2),) + it[1:],) + e.key[1:], e.witness)
+            e = DpEntry((_DEAD + it[1:],) + e.key[1:], e.witness)
             capped = True
         kept.append(e)
     return _dedup(kept) if capped else kept
@@ -404,7 +380,7 @@ def dp_evaluate(expr: CExpression, connected: bool = False) -> dict[Node, list[D
             table = dp_leaf(node.label, vertex)
             vertex += 1
             if dying := 1 << (node.label - 1) & ~live[node]:
-                table = _forgotten(table, dying, live[node], connected)
+                table = _forgotten(table, dying, connected)
         elif isinstance(node, DisjointUnion):
             table = _recapped(dp_union(tables[node.left], tables[node.right]), connected)
         elif isinstance(node, Relabel):
@@ -412,7 +388,7 @@ def dp_evaluate(expr: CExpression, connected: bool = False) -> dict[Node, list[D
         else:
             table = dp_join(node.first, node.second, tables[node.child])
             if dying := (1 << (node.first - 1) | 1 << (node.second - 1)) & ~live[node]:
-                table = _forgotten(table, dying, live[node], connected)
+                table = _forgotten(table, dying, connected)
         tables[node] = table
     return tables
 

@@ -319,8 +319,9 @@ def solve_nd(g: Graph, connected: bool = False, limit: int | None = None) -> Sol
     """Exact minimum (connected) safe set via the twin-class guesses, solved
     per component.  A guess with a PARTIAL class goes through a count
     program whose only test is the verifier on a concrete set.  With
-    ``limit`` set, only sets of at most that many vertices are looked for,
-    so the walk skips every guess whose floor is larger."""
+    ``limit`` set, the walk skips every guess whose floor is larger; a
+    count program still runs to completion, and ``solve_by_component``
+    discards a set it finds above the bound."""
     return solve_by_component(
         g, lambda sub, bound: _component_best(sub, connected, bound), "nd", connected, limit
     )

@@ -358,7 +358,7 @@ def ref_summary(
     tested against.
 
     A component left with no live label never changes again.  Selected
-    ones are counted, up to two, under label set 0 with minimum 1;
+    ones leave label set 0 at total 1 and minimum 1, however many there are;
     unselected ones are left out of ``outside``; a pair of two of them is
     left out when its gap is >= 0, and makes the summary None when it is
     < 0.  With ``connected``, the summary is also None when a selected
@@ -379,11 +379,10 @@ def ref_summary(
     for _, lab, size in ins:
         total, mn = inside.get(lab, (0, size))
         inside[lab] = (total + size, min(mn, size))
-    dead = sum(1 for _, lab, _ in ins if not lab)
-    if dead:
+    if 0 in inside:
         if connected and len(ins) > 1:
             return None
-        inside[0] = (min(dead, 2), 1)
+        inside[0] = (1, 1)
     outside: dict[int, tuple[int, int]] = {}
     for _, lab, size in outs:
         if lab:
