@@ -190,12 +190,14 @@ class CountProgram(NamedTuple):
     """The class counts one guess leaves open.  Class i takes ``lo[i]`` to
     ``hi[i]`` vertices, its first ones in sorted order (``prefixes`` holds
     their masks), and a count vector holds when ``accepts`` takes the
-    union.  The objective is the total count."""
+    union.  The objective is the total count, and only a total of at most
+    ``cap`` is worth finding."""
 
     lo: tuple[int, ...]
     hi: tuple[int, ...]
     prefixes: list[list[int]]
     accepts: Callable[[int], bool]
+    cap: float = math.inf
 
     def mask(self, counts) -> int:
         out = 0
@@ -213,6 +215,7 @@ def assemble_ip(
     prefixes: list[list[int]],
     accepts: Callable[[int], bool],
     lone: int | None = None,
+    cap: float = math.inf,
 ) -> CountProgram | None:
     """Turn one guess into a count program, or reject it outright.
 
@@ -230,36 +233,39 @@ def assemble_ip(
         if lo[lone] > 1:
             return None
         hi[lone] = 1
-    return CountProgram(tuple(lo), tuple(hi), prefixes, accepts)
+    return CountProgram(tuple(lo), tuple(hi), prefixes, accepts, cap)
 
 
 def solve_ip(ip: CountProgram) -> tuple[int, tuple[int, ...]] | None:
     """Smallest total count and the first count vector, in class order,
-    that reaches it; None when the program is infeasible.
+    that reaches it; None when the program is infeasible or that total is
+    above ``ip.cap``.
 
     Raising a count never turns an accepted set into a rejected one, so a
     program is feasible exactly when it holds with every count at ``hi``.
     The search fixes the open classes in order, each with ascending values
     and the later ones at ``hi``, and drops a prefix that fails so or whose
-    lower bound reaches the best total.
+    lower bound reaches the best total or passes the cap.
     """
     lo, hi = ip.lo, ip.hi
     counts = list(hi)
-    if not ip.holds(counts):
+    if sum(lo) > ip.cap or not ip.holds(counts):
         return None
     free = [i for i in range(len(lo)) if lo[i] < hi[i]]
     best: tuple[int, tuple[int, ...]] | None = None
+    top = ip.cap + 1  # the least total that cannot win
 
     def dfs(d: int, floor: int) -> None:
         """Fix free[d:]; ``floor`` is the total with those at ``lo``."""
-        nonlocal best
+        nonlocal best, top
         if d == len(free):
             best = (floor, tuple(counts))
+            top = floor
             return
         i = free[d]
         for value in range(lo[i], hi[i] + 1):
             total = floor + value - lo[i]
-            if best is not None and total >= best[0]:
+            if total >= top:
                 break
             counts[i] = value
             if ip.holds(counts):
@@ -272,8 +278,9 @@ def solve_ip(ip: CountProgram) -> tuple[int, tuple[int, ...]] | None:
 
 def _component_best(sub: Graph, connected: bool, bound: int) -> frozenset[int] | None:
     """Best solution of the connected graph ``sub`` in guess order, looking
-    only at guesses whose floor is at most ``bound``: a larger solution
-    loses anyway, one of equal size may still win on its sorted ids."""
+    only at guesses whose floor is at most ``bound``, and only for sets of
+    at most ``bound`` vertices: a larger solution loses anyway, one of equal
+    size may still win on its sorted ids."""
     verify = is_connected_safe_mask if connected else is_safe_mask
     tp = twin_partition(sub)
     prefixes = None  # built at the first guess with a PARTIAL class
@@ -296,7 +303,9 @@ def _component_best(sub: Graph, connected: bool, bound: int) -> frozenset[int] |
                 lone = single_s[0] if single_s else None
             if prefixes is None:
                 prefixes = prefix_masks(tp)
-            ip = assemble_ip(tp, guess, prefixes, lambda mask: verify(sub, mask), lone)
+            ip = assemble_ip(
+                tp, guess, prefixes, lambda mask: verify(sub, mask), lone, min(bound, limit)
+            )
             if ip is None:
                 continue
             got = solve_ip(ip)
@@ -319,9 +328,8 @@ def solve_nd(g: Graph, connected: bool = False, limit: int | None = None) -> Sol
     """Exact minimum (connected) safe set via the twin-class guesses, solved
     per component.  A guess with a PARTIAL class goes through a count
     program whose only test is the verifier on a concrete set.  With
-    ``limit`` set, the walk skips every guess whose floor is larger; a
-    count program still runs to completion, and ``solve_by_component``
-    discards a set it finds above the bound."""
+    ``limit`` set, the walk skips every guess whose floor is larger, and a
+    count program stops at totals above it."""
     return solve_by_component(
         g, lambda sub, bound: _component_best(sub, connected, bound), "nd", connected, limit
     )

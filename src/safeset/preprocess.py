@@ -39,21 +39,51 @@ def _guess_mask(g: Graph, s: int, seed: int, border: int, limit: int) -> int | N
     return smask
 
 
+def _seed(g: Graph, order: list[int], s: int) -> tuple[int, int]:
+    """Guess s's seed, the first s+1 vertices of `order`, and the union of
+    their neighborhoods."""
+    masks = g._masks
+    seed = border = 0
+    for v in order[: s + 1]:
+        seed |= 1 << v
+        border |= masks[v]
+    return seed, border
+
+
 def _approx_component(g: Graph, limit: int) -> frozenset[int] | None:
     """Best set of at most `limit` vertices found over the guesses of the
     safe number in the connected graph g, or None."""
     order = bfs_prefix(g, 0, g.full_mask(), g.n)[0]
-    seed = 1 << order[0]
-    border = g.adjacency_mask(order[0])
+    # Bisect for the least guess hi that swallows nothing, whose set is its
+    # seed.  Guess max(n - 1, 1) has nothing left to swallow, and guess
+    # `limit`, when smaller, stands for "none that fits".  Every set found
+    # comes from `_guess_mask`: the last probe that swallowed nothing, or
+    # else guess max(n - 1, 1) run here.
+    lo, hi = 1, min(max(g.n - 1, 1), limit)
+    alone = None  # guess hi's set, once a probe finds it
+    while lo < hi:
+        mid = (lo + hi) // 2
+        smask = _guess_mask(g, mid, *_seed(g, order, mid), mid + 1)
+        if smask is None:
+            lo = mid + 1
+        else:
+            hi, alone = mid, smask
+    if alone is None and min(hi + 1, g.n) <= limit:
+        alone = _guess_mask(g, hi, *_seed(g, order, hi), limit)
     best: tuple[int, tuple[int, ...]] | None = None
-    # Guess s takes at least min(s + 1, n) vertices; every guess s >= n - 1
-    # takes them all, so the last one run is n - 1 (or 1 when n = 1).
-    for s in range(1, max(g.n, 2)):
-        if min(s + 1, g.n) > limit:
+    if alone is not None:
+        members = vertices_of(alone)
+        best = (len(members), tuple(members))
+        limit = best[0]
+    # Every guess s > hi takes s + 1 > hi + 1 vertices and cannot win.
+    # Every guess s < hi swallows a block, so it takes at least 2(s + 1).
+    masks = g._masks
+    seed, border = 1 << order[0], masks[order[0]]
+    for s in range(1, hi):
+        if 2 * (s + 1) > limit:
             break
-        if s < g.n:
-            seed |= 1 << order[s]
-            border |= g.adjacency_mask(order[s])
+        seed |= 1 << order[s]
+        border |= masks[order[s]]
         smask = _guess_mask(g, s, seed, border, limit)
         if smask is None:
             continue
@@ -76,14 +106,21 @@ def approx_safe_set(g: Graph, limit: int | None = None) -> SolveResult:
     guesses.  Each swallowed block must intersect every safe set of size s,
     which is what caps the total at s(s+1).
 
-    The guesses stop at the first s that is at least the best size found,
-    or the component's bound from `solve_by_component`: guess s only adds
-    to a seed of s+1 vertices, so it and every later guess cannot win.  A
+    Guess s *swallows nothing* when its seed leaves no component of more
+    than s vertices; its set is then the seed alone, with s+1 vertices.
+    The seeds are nested, so once a guess swallows nothing every later one
+    does too, and a bisection over s finds the first such guess s*
+    (``_guess_mask`` with limit s+1 returns None exactly when the guess
+    swallows a block).  Every guess s > s* takes at least s+1 > s*+1
+    vertices, so none of them can win.  Every guess s < s* swallows a block
+    of s+1 vertices, so it takes at least 2(s+1); those run in ascending
+    order only while 2(s+1) is at most the best size found, or the
+    component's bound from `solve_by_component` before one is found.  A
     guess stops as soon as its set passes that size, since the set only
-    grows.  The answer is the one a scan over all n guesses would give,
-    and a connected graph with n >= 2 starts exactly (returned size - 1)
-    guesses.  ``limit`` caps that bound, so with it set only sets of at
-    most ``limit`` vertices are looked for.
+    grows.  The answer is the one a scan over all n guesses would give, and
+    a connected graph with n >= 2 starts at most ceil(log2 n) +
+    floor(returned size / 2) guesses.  ``limit`` caps that bound, so with
+    it set only sets of at most ``limit`` vertices are looked for.
 
     All guesses grow their seed along one BFS order.  A guess walks the
     leftover vertices once: each block is `graph.bfs_prefix` from the

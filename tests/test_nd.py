@@ -362,6 +362,27 @@ def test_solve_ip_matches_the_count_enumeration(connected):
 
 
 @pytest.mark.parametrize("connected", [False, True])
+def test_solve_ip_finds_no_total_above_the_cap(connected):
+    # a capped program gives the uncapped answer when its total fits and
+    # None otherwise, also when every count is fixed
+    rng = random.Random(13)
+    fixed = cut = 0
+    for _ in range(40):
+        g = _blowup(rng)
+        tp = twin_partition(g)
+        for guess in enumerate_guesses(tp):
+            ip = _program(g, tp, guess, connected)
+            full = None if ip is None else solve_ip(ip)
+            if full is None:
+                continue
+            fixed += ip.lo == ip.hi
+            for cap in range(sum(ip.lo) - 1, full[0] + 1):
+                got = solve_ip(ip._replace(cap=cap))
+                assert got == (full if full[0] <= cap else None), (g.edges, cap)
+                cut += got is None
+    assert fixed > 0 and cut > 0, (fixed, cut)
+
+@pytest.mark.parametrize("connected", [False, True])
 def test_raising_a_count_keeps_an_accepted_set_accepted(connected):
     # the assumption solve_ip rests on, checked on the set-based verifier:
     # it tests every count at hi first and drops a prefix that fails with
@@ -409,6 +430,33 @@ def test_twin_free_graph_solves_no_program(monkeypatch):
     solve_nd(complete_bipartite_graph(2, 3))  # partial classes still go through it
     assert calls
 
+
+@pytest.mark.parametrize("connected", [False, True])
+def test_component_best_finds_no_set_above_its_bound(connected, monkeypatch):
+    # The reference is the same walk with every count program run to
+    # completion, whatever the bound.
+    def uncapped(ip):
+        return solve_ip(ip._replace(cap=math.inf))
+
+    rng = random.Random(47)
+    graphs = [complete_graph(4)]
+    graphs += [
+        random_connected_graph(rng, rng.randint(3, 10), rng.choice([0.1, 0.4, 0.8]))
+        for _ in range(120)
+    ]
+    assert nd._component_best(complete_graph(4), connected, 1) is None
+    over = 0
+    for g in graphs:
+        for bound in range(1, g.n + 1):
+            got = nd._component_best(g, connected, bound)
+            with monkeypatch.context() as patch:
+                patch.setattr(nd, "solve_ip", uncapped)
+                want = nd._component_best(g, connected, bound)
+            if want is not None and len(want) > bound:
+                over += 1
+                want = None
+            assert got == want, (g.edges, bound)
+    assert over > 0
 
 def test_solve_nd_known_values():
     assert solve_nd(cycle_graph(8)).size == 4

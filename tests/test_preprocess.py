@@ -164,13 +164,21 @@ def test_approx_sparse_witnesses_are_pinned():
         assert (len(w), hashlib.sha256(repr(w).encode()).hexdigest()[:16]) == (size, digest)
 
 
+def _sparse_pin_graphs():
+    rng = random.Random(16)
+    return [_sparse_graph(rng, n) for n in SPARSE_PINS]
+
+
 @pytest.mark.parametrize(
     "g",
-    [path_graph(9), cycle_graph(12), random_connected_graph(random.Random(5), 30, 0.1)],
-    ids=["path", "cycle", "random"],
+    [path_graph(9), cycle_graph(12), random_connected_graph(random.Random(5), 30, 0.1)]
+    + _sparse_pin_graphs(),
+    ids=["path", "cycle", "random"] + [f"sparse{n}" for n in SPARSE_PINS],
 )
-def test_approx_runs_size_minus_one_guesses(g, monkeypatch):
-    # a finished guess is safe by construction, so none is verified
+def test_approx_guess_calls_stay_within_log_n_plus_half_the_size(g, monkeypatch):
+    # The bisection probes at most ceil(log2 n) guesses, and a guess s that
+    # swallows a block takes at least 2(s + 1) vertices.  A finished guess
+    # is safe by construction, so none is verified.
     guesses, verified = [], []
     guess_mask = safeset.preprocess._guess_mask
 
@@ -186,7 +194,7 @@ def test_approx_runs_size_minus_one_guesses(g, monkeypatch):
     monkeypatch.setattr(safeset.preprocess, "is_safe_set", counting_verify)
     r = approx_safe_set(g)
     assert r.size >= 2
-    assert len(guesses) == r.size - 1
+    assert 0 < len(guesses) <= (g.n - 1).bit_length() + r.size // 2
     assert verified == []
 
 
@@ -228,6 +236,19 @@ def test_approx_component_keeps_a_set_of_exactly_the_bound():
         assert _approx_component(g, len(w)) == w
         assert _approx_component(g, len(w) - 1) is None
 
+
+def test_approx_component_keeps_to_smaller_bounds():
+    graphs = [path_graph(9), cycle_graph(12), _grid(5, 6)]
+    graphs += [_sparse_graph(random.Random(seed), 20 + seed) for seed in range(40)]
+    fits = cut = 0
+    for g in graphs:
+        w = ref_approx_witness(g)
+        for bound in {g.n // 2, g.n // 4, 1, 2, 3}:
+            want = w if len(w) <= bound else None
+            assert _approx_component(g, bound) == want, (g.edges, bound)
+            fits += want is not None
+            cut += want is None
+    assert fits > 0 and cut > 0
 
 def test_approx_walk_count_bound(monkeypatch):
     g = _sparse_graph(random.Random(300), 300)
@@ -298,6 +319,25 @@ def test_guess_mask_matches_the_bfs_order_walk():
     assert leftover_sizes == {0, 1}
     assert cut > 0
 
+
+def test_a_guess_that_swallows_nothing_stays_so_as_s_grows():
+    # The bisection for the first such guess rests on this: the seeds are
+    # nested, so the leftover components only shrink while s grows.
+    flips = 0
+    for g in _guess_corpus():
+        order = ref_bfs_order(g, 0, g.full_mask())
+        seed, border = 1 << order[0], g.adjacency_mask(order[0])
+        alone = []
+        for s in range(1, g.n):
+            seed |= 1 << order[s]
+            border |= g.adjacency_mask(order[s])
+            alone.append(_guess_mask(g, s, seed, border, s + 1) is not None)
+            leftover = components_mask(g, g.full_mask() & ~seed)
+            assert alone[-1] == all(c.bit_count() <= s for c in leftover)
+        assert alone == sorted(alone)
+        assert alone[-1:] in ([], [True])
+        flips += alone[:1] == [False]
+    assert flips > 0
 
 @st.composite
 def loose_graphs(draw):
