@@ -250,6 +250,7 @@ def test_approx_component_keeps_to_smaller_bounds():
             cut += want is None
     assert fits > 0 and cut > 0
 
+
 def test_approx_walk_count_bound(monkeypatch):
     g = _sparse_graph(random.Random(300), 300)
     started, reads, split = [0], [0], []
@@ -338,6 +339,7 @@ def test_a_guess_that_swallows_nothing_stays_so_as_s_grows():
         assert alone[-1:] in ([], [True])
         flips += alone[:1] == [False]
     assert flips > 0
+
 
 @st.composite
 def loose_graphs(draw):
