@@ -95,7 +95,9 @@ def _pooled(col: Column, items: Iterable[tuple], rule) -> Column:
 
 def _renamed(cols: tuple[Column, ...], rules: tuple, new: list) -> tuple[Column, ...]:
     """Columns sharing one list of label sets, moved to the ``new`` ones and
-    pooled by ``rules`` where those coincide."""
+    pooled by ``rules`` where those coincide, else only re-sorted."""
+    if len(set(new)) == len(new):
+        return tuple(tuple(sorted(zip(new, [v for _, v in col]))) for col in cols)
     return tuple(
         _pooled((), zip(new, [v for _, v in col]), rule) for col, rule in zip(cols, rules)
     )
@@ -124,6 +126,54 @@ def _dedup(entries: Iterable[tuple[tuple, int] | None]) -> list[DpEntry]:
         ):
             seen[key] = witness
     return [DpEntry(key, witness) for key, witness in seen.items()]
+
+
+def _projected(entries: list[DpEntry], moved: int, target: int, connected: bool) -> list[DpEntry]:
+    """The family with every label set m that meets ``moved`` renamed to
+    m & ~moved | target; summaries that coincide then collapse, and a
+    summary no later step can make acceptable is dropped.
+
+    Buckets that end up on one label set pool by their columns' rules.
+    Label set 0 of the inside columns becomes the marker of ``DpEntry``.
+    In connected mode, a dead selected component next to any other selected
+    component can never join it, so its selection is dropped instead; a
+    label set holds one component exactly when its total equals its
+    minimum.  An outside bucket on label set 0, and a pair with label set 0
+    on both sides and a gap >= 0, are dropped; such a pair with a negative
+    gap stays unsafe for good, and so does its selection.
+    """
+
+    def to(m: int) -> int:
+        return m & ~moved | target if m & moved else m
+
+    out: list[DpEntry] = []
+    changed = False
+    for e in entries:
+        it, ot, imin, omax, sel, unsel, gap = e.key
+        if moved:
+            if any(m & moved for m, _ in it):
+                it, imin = _renamed((it, imin), (add, min), [to(m) for m, _ in it])
+            if any(m & moved for m, _ in ot):
+                ot, omax = _renamed((ot, omax), (add, max), [to(m) for m, _ in ot])
+            if any((p | q) & moved for (p, q), _ in sel):
+                new = [(to(p), to(q)) for (p, q), _ in sel]
+                sel, unsel, gap = _renamed((sel, unsel, gap), (min, max, min), new)
+        if it and not it[0][0]:
+            if connected and (len(it) > 1 or it[0][1] != imin[0][1]):
+                continue
+            it, imin = _DEAD + it[1:], _DEAD + imin[1:]
+        if ot and not ot[0][0]:
+            ot, omax = ot[1:], omax[1:]
+        if sel and sel[0][0] == (0, 0):
+            if gap[0][1] < 0:
+                continue
+            sel, unsel, gap = sel[1:], unsel[1:], gap[1:]
+        key = (it, ot, imin, omax, sel, unsel, gap)
+        if key != e.key:
+            changed = True
+            e = DpEntry(key, e.witness)
+        out.append(e)
+    return _dedup(out) if changed else out
 
 
 # ---------------------------------------------------------------------------
@@ -157,25 +207,7 @@ def dp_relabel(source: int, target: int, child: list[DpEntry]) -> list[DpEntry]:
     """Rename a label: buckets whose label sets now coincide fuse."""
     if source == target:
         raise InputError("relabel needs two distinct labels")
-    sbit = 1 << (source - 1)
-    tbit = 1 << (target - 1)
-
-    def remap(mask: int) -> int:
-        return (mask & ~sbit) | tbit if mask & sbit else mask
-
-    def relabelled(e: DpEntry) -> tuple[tuple, int]:
-        it, ot, imin, omax, sel, unsel, gap = e.key
-        if any(m & sbit for m, _ in it):
-            it, imin = _renamed((it, imin), (add, min), [remap(m) for m, _ in it])
-        if any(m & sbit for m, _ in ot):
-            ot, omax = _renamed((ot, omax), (add, max), [remap(m) for m, _ in ot])
-        if any((p | q) & sbit for (p, q), _ in sel):
-            sel, unsel, gap = _renamed(
-                (sel, unsel, gap), (min, max, min), [(remap(p), remap(q)) for (p, q), _ in sel]
-            )
-        return (it, ot, imin, omax, sel, unsel, gap), e.witness
-
-    return _dedup(relabelled(e) for e in child)
+    return _projected(child, 1 << (source - 1), 1 << (target - 1), False)
 
 
 def _fuse(
@@ -281,18 +313,7 @@ def _live_labels(order: list[Node]) -> dict[Node, int]:
 
 def _forgotten(entries: list[DpEntry], dying: int, live: int, connected: bool) -> list[DpEntry]:
     """The family with the labels ``dying`` removed from every label set,
-    which leaves only ``live`` ones; summaries that coincide then collapse,
-    and a summary no later step can make acceptable is dropped.
-
-    Buckets that end up on one label set pool by their columns' rules.  An
-    outside bucket left with no label, and a pair left with none on either
-    side and a gap >= 0, are dropped; such a pair with a negative gap stays
-    unsafe for good, and so does its selection.  Label set 0 of the inside
-    columns becomes the marker of ``DpEntry``.  In connected mode, a dead
-    selected component next to any other selected component can never join
-    it, so its selection is dropped too; a label set holds one component
-    exactly when its total equals its minimum.
-    """
+    which leaves only ``live`` ones (``_projected``)."""
     if not live:
         # every label set becomes 0, which leaves only whether a summary
         # is safe and what it selects; the same keys as the general
@@ -310,71 +331,7 @@ def _forgotten(entries: list[DpEntry], dying: int, live: int, connected: bool) -
 
         return _dedup(settled(e) for e in entries)
 
-    keep = ~dying
-    # many summaries share a column group, so each group is projected once
-    memo: dict[tuple, tuple | None] = {}
-
-    def inside(cols: tuple[Column, Column]) -> tuple | None:
-        it, imin = cols
-        if any(m & dying for m, _ in it):
-            it, imin = _renamed(cols, (add, min), [m & keep for m, _ in it])
-        if it and not it[0][0]:
-            if connected and (len(it) > 1 or it[0][1] != imin[0][1]):
-                return None
-            it, imin = _DEAD + it[1:], _DEAD + imin[1:]
-        return it, imin
-
-    def outside(cols: tuple[Column, Column]) -> tuple:
-        ot, omax = cols
-        if not any(m & dying for m, _ in ot):
-            return cols
-        ot, omax = _renamed(cols, (add, max), [m & keep for m, _ in ot])
-        return (ot[1:], omax[1:]) if not ot[0][0] else (ot, omax)
-
-    def pairs(cols: tuple[Column, Column, Column]) -> tuple | None:
-        if not any((p | q) & dying for (p, q), _ in cols[0]):
-            return cols
-        sel, unsel, gap = _renamed(
-            cols, (min, max, min), [(p & keep, q & keep) for (p, q), _ in cols[0]]
-        )
-        if sel[0][0] != (0, 0):
-            return sel, unsel, gap
-        return None if gap[0][1] < 0 else (sel[1:], unsel[1:], gap[1:])
-
-    def projected(cols: tuple, group) -> tuple | None:
-        key = (group, cols)
-        if key not in memo:
-            memo[key] = group(cols)
-        return memo[key]
-
-    def forget(e: DpEntry) -> tuple[tuple, int] | None:
-        it, ot, imin, omax, sel, unsel, gap = e.key
-        if (ins := projected((it, imin), inside)) is None:
-            return None
-        if (adj := projected((sel, unsel, gap), pairs)) is None:
-            return None
-        ot, omax = projected((ot, omax), outside)
-        return (ins[0], ot, ins[1], omax, *adj), e.witness
-
-    return _dedup(forget(e) for e in entries)
-
-
-def _recapped(entries: list[DpEntry], connected: bool) -> list[DpEntry]:
-    """A union's family with label set 0 back at the marker of ``DpEntry``,
-    where the union added two of them up; in connected mode, a selection
-    with a dead component next to any other selected component is dropped
-    instead."""
-    kept: list[DpEntry] = []
-    capped = False
-    for e in entries:
-        it = e.key[0]
-        if it and not it[0][0] and (it[0][1] > 1 or connected and len(it) > 1):
-            if connected:
-                continue
-            e = DpEntry((_DEAD + it[1:],) + e.key[1:], e.witness)
-            capped = True
-        kept.append(e)
-    return _dedup(kept) if capped else kept
+    return _projected(entries, dying, 0, connected)
 
 
 def dp_evaluate(expr: CExpression, connected: bool = False) -> dict[Node, list[DpEntry]]:
@@ -382,8 +339,9 @@ def dp_evaluate(expr: CExpression, connected: bool = False) -> dict[Node, list[D
     projected onto the node's live labels (``_live_labels``).
 
     Labels die only at leaves and joins: a relabel maps live labels to
-    live ones, and a union's children share its live set, so there only
-    label set 0 is re-capped.  ``connected`` drops the selections that can
+    live ones, and a union's children share its live set, so there
+    ``_projected`` moves no label and only puts label set 0, which the union
+    added up, back at its marker.  ``connected`` drops the selections that can
     no longer become one component.  Leaves come out of the post-order walk
     left to right, so counting them numbers the vertices as ``eval_graph``
     does.
@@ -399,7 +357,7 @@ def dp_evaluate(expr: CExpression, connected: bool = False) -> dict[Node, list[D
             if dying := 1 << (node.label - 1) & ~live[node]:
                 table = _forgotten(table, dying, live[node], connected)
         elif isinstance(node, DisjointUnion):
-            table = _recapped(dp_union(tables[node.left], tables[node.right]), connected)
+            table = _projected(dp_union(tables[node.left], tables[node.right]), 0, 0, connected)
         elif isinstance(node, Relabel):
             table = dp_relabel(node.source, node.target, tables[node.child])
         else:

@@ -39,14 +39,12 @@ def _guess_mask(g: Graph, s: int, seed: int, border: int, limit: int) -> int | N
     return smask
 
 
-def _seed(g: Graph, order: list[int], s: int) -> tuple[int, int]:
-    """Guess s's seed, the first s+1 vertices of `order`, and the union of
-    their neighborhoods."""
-    masks = g._masks
-    seed = border = 0
-    for v in order[: s + 1]:
+def _grown(g: Graph, vertices: list[int], seed: int = 0, border: int = 0) -> tuple[int, int]:
+    """`seed` with `vertices` added, and its neighborhood `border` with
+    theirs.  Guess s's seed is the first s+1 vertices of the BFS order."""
+    for v in vertices:
         seed |= 1 << v
-        border |= masks[v]
+        border |= g._masks[v]
     return seed, border
 
 
@@ -63,13 +61,13 @@ def _approx_component(g: Graph, limit: int) -> frozenset[int] | None:
     alone = None  # guess hi's set, once a probe finds it
     while lo < hi:
         mid = (lo + hi) // 2
-        smask = _guess_mask(g, mid, *_seed(g, order, mid), mid + 1)
+        smask = _guess_mask(g, mid, *_grown(g, order[: mid + 1]), mid + 1)
         if smask is None:
             lo = mid + 1
         else:
             hi, alone = mid, smask
     if alone is None and min(hi + 1, g.n) <= limit:
-        alone = _guess_mask(g, hi, *_seed(g, order, hi), limit)
+        alone = _guess_mask(g, hi, *_grown(g, order[: hi + 1]), limit)
     best: tuple[int, tuple[int, ...]] | None = None
     if alone is not None:
         members = vertices_of(alone)
@@ -77,13 +75,11 @@ def _approx_component(g: Graph, limit: int) -> frozenset[int] | None:
         limit = best[0]
     # Every guess s > hi takes s + 1 > hi + 1 vertices and cannot win.
     # Every guess s < hi swallows a block, so it takes at least 2(s + 1).
-    masks = g._masks
-    seed, border = 1 << order[0], masks[order[0]]
+    seed, border = _grown(g, order[:1])
     for s in range(1, hi):
         if 2 * (s + 1) > limit:
             break
-        seed |= 1 << order[s]
-        border |= masks[order[s]]
+        seed, border = _grown(g, [order[s]], seed, border)
         smask = _guess_mask(g, s, seed, border, limit)
         if smask is None:
             continue

@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corpus import expression_corpus, random_expression
@@ -274,6 +274,13 @@ def test_cycle_parks_vertices_on_a_dead_label():
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**9))
+# fixed seeds, so that every run checks the label set 0 rules and the
+# collapse after a rename: 0 collapses summaries after a rename, 9 re-caps
+# after a union and drops a dead outside bucket, and 84 drops a dead bucket
+# of two components in connected mode
+@example(0)
+@example(9)
+@example(84)
 def test_summaries_match_direct_recomputation(seed):
     expr = random_expression(random.Random(seed), label_count=3, max_leaves=6)
     assert_tables_definitional(expr)

@@ -102,12 +102,20 @@ def test_approx_matches_set_based_reference():
 
 
 def _sparse_graph(rng, n):
-    """A uniform random recursive tree plus n further distinct edges."""
+    """A uniform random recursive tree plus n further distinct edges, or as
+    many as fit: the complete graph for n <= 4."""
     edges = {(rng.randrange(v), v) for v in range(1, n)}
-    while len(edges) < 2 * n - 1:
+    while len(edges) < min(2 * n - 1, n * (n - 1) // 2):
         u, v = sorted(rng.sample(range(n), 2))
         edges.add((u, v))
     return Graph(n, sorted(edges))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_sparse_graph_is_connected_with_capped_edge_count(n):
+    g = _sparse_graph(random.Random(n), n)
+    assert g.n == n and len(g.edges) == min(2 * n - 1, n * (n - 1) // 2)
+    assert len(components_mask(g, g.full_mask())) == 1
 
 
 def _grid(rows, cols):
