@@ -95,9 +95,8 @@ def cmd_solve(args) -> int:
         fn = connected_safe_number_bf if args.connected else safe_number_bf
         res = fn(g, cap=args.bf_cap, max_size=args.k)
     elif args.algo == "branch":
-        if args.k is None:
-            raise InputError("--algo branch needs -k")
-        res = branch_solve(g, args.k, connected=args.connected)
+        k = max(g.n, 1) if args.k is None else args.k
+        res = branch_solve(g, k, connected=args.connected)
     elif args.algo == "nd":
         nd_width = len(twin_partition(g).classes)
         res = solve_nd(g, connected=args.connected, limit=args.k)
@@ -164,11 +163,11 @@ def cmd_gen(args) -> int:
         output = ds_to_ss(g, args.k)
         if args.cert:
             dom = dominating_set_bf(g, args.k, cap=args.bf_cap)
-            if not dom.feasible:
+            if dom is None:
                 raise InputError(
                     f"no dominating set of size at most {args.k}; nothing to certify"
                 )
-            cert = ds_forward_certificate(g, dom.witness, output)
+            cert = ds_forward_certificate(g, dom, output)
             extras.append((args.cert, _vertex_set_text(cert)))
         if args.decomp:
             decomp_text = decomposition_to_json(ds_path_decomposition(output)) + "\n"

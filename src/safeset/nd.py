@@ -31,7 +31,7 @@ from .graph import (
     mask_of,
     vertices_of,
 )
-from .oracle import SolveResult, WitnessError, solve_by_component
+from .oracle import SolveResult, solve_by_component
 
 EMPTY = "empty"
 PARTIAL = "partial"
@@ -186,93 +186,81 @@ def prefix_masks(tp: TwinPartition) -> list[list[int]]:
     return [list(accumulate((1 << v for v in sorted(cls)), or_, initial=0)) for cls in tp.classes]
 
 
-class CountProgram(NamedTuple):
-    """The class counts one guess leaves open.  Class i takes ``lo[i]`` to
-    ``hi[i]`` vertices, its first ones in sorted order (``prefixes`` holds
-    their masks), and a count vector holds when ``accepts`` takes the
-    union.  The objective is the total count, and only a total of at most
-    ``cap`` is worth finding."""
-
-    lo: tuple[int, ...]
-    hi: tuple[int, ...]
-    prefixes: list[list[int]]
-    accepts: Callable[[int], bool]
-    cap: float = math.inf
-
-    def mask(self, counts) -> int:
-        out = 0
-        for table, count in zip(self.prefixes, counts):
-            out |= table[count]
-        return out
-
-    def holds(self, counts) -> bool:
-        return self.accepts(self.mask(counts))
-
-
 def assemble_ip(
-    tp: TwinPartition,
-    guess: GuessPartition,
-    prefixes: list[list[int]],
-    accepts: Callable[[int], bool],
-    lone: int | None = None,
-    cap: float = math.inf,
-) -> CountProgram | None:
-    """Turn one guess into a count program, or reject it outright.
+    tp: TwinPartition, guess: GuessPartition, connected: bool
+) -> tuple[list[int], list[int]] | None:
+    """Per-class count bounds ``(lo, hi)`` of one guess, or None when the
+    guess cannot hold: FULL takes the whole class, PARTIAL 1 to size - 1
+    vertices, EMPTY none.
 
-    There are no block constraints: ``accepts``, the verifier on the
-    component, is the test.  ``lone`` is, in connected mode, an independent
-    class that forms the solution side by itself: one vertex of it is
-    connected and two are not, so it is capped at one vertex.
+    In connected mode the solution side must be one block.  A block that is
+    one independent class is made of single vertices, so one vertex of it is
+    connected and two are not: taken whole with more than one vertex it is
+    rejected, and otherwise capped at one vertex.
     """
-    lo, hi = [], []  # FULL: the whole class, PARTIAL: 1 to size - 1, EMPTY: 0
+    lo, hi = [], []
     for i, cls in enumerate(tp.classes):
         full, partial = guess.full >> i & 1, guess.partial >> i & 1
         lo.append(len(cls) if full else partial)
         hi.append(len(cls) if full else partial * (len(cls) - 1))
-    if lone is not None:
-        if lo[lone] > 1:
+    if connected:
+        families, singletons = build_families(tp, guess)
+        if len(families) + len(singletons) != 1:
             return None
-        hi[lone] = 1
-    return CountProgram(tuple(lo), tuple(hi), prefixes, accepts, cap)
+        if singletons:
+            lone = singletons[0]
+            if lo[lone] > 1:
+                return None
+            hi[lone] = 1
+    return lo, hi
 
 
-def solve_ip(ip: CountProgram) -> tuple[int, tuple[int, ...]] | None:
-    """Smallest total count and the first count vector, in class order,
-    that reaches it; None when the program is infeasible or that total is
-    above ``ip.cap``.
+def solve_ip(
+    lo: list[int],
+    hi: list[int],
+    prefixes: list[list[int]],
+    accepts: Callable[[int], bool],
+    cap: float = math.inf,
+) -> tuple[int, int] | None:
+    """Smallest total count between ``lo`` and ``hi``, and the set of the
+    first count vector, in class order, that reaches it; None when no
+    vector is accepted or that total is above ``cap``.  Class i takes its
+    first ``count`` vertices, ``prefixes[i][count]``, and ``accepts``
+    decides the union.
 
     Raising a count never turns an accepted set into a rejected one, so a
-    program is feasible exactly when it holds with every count at ``hi``.
-    The search fixes the open classes in order, each with ascending values
-    and the later ones at ``hi``, and drops a prefix that fails so or whose
-    lower bound reaches the best total or passes the cap.
+    vector exists exactly when the one with every count at ``hi`` is
+    accepted.  The search fixes the open classes in order, each with
+    ascending values and the later ones at ``hi``, and drops a prefix that
+    fails so or whose lower bound reaches the best total or passes the cap.
     """
-    lo, hi = ip.lo, ip.hi
-    counts = list(hi)
-    if sum(lo) > ip.cap or not ip.holds(counts):
+    every = 0
+    for table, count in zip(prefixes, hi):
+        every |= table[count]
+    if sum(lo) > cap or not accepts(every):
         return None
     free = [i for i in range(len(lo)) if lo[i] < hi[i]]
-    best: tuple[int, tuple[int, ...]] | None = None
-    top = ip.cap + 1  # the least total that cannot win
+    best: tuple[int, int] | None = None
+    top = cap + 1  # the least total that cannot win
 
-    def dfs(d: int, floor: int) -> None:
-        """Fix free[d:]; ``floor`` is the total with those at ``lo``."""
+    def dfs(d: int, floor: int, mask: int) -> None:
+        """Fix free[d:]; ``floor`` is the total with those at ``lo``, and
+        ``mask`` the accepted set with them at ``hi``."""
         nonlocal best, top
         if d == len(free):
-            best = (floor, tuple(counts))
-            top = floor
+            best, top = (floor, mask), floor
             return
         i = free[d]
+        rest = mask & ~prefixes[i][hi[i]]
         for value in range(lo[i], hi[i] + 1):
             total = floor + value - lo[i]
             if total >= top:
                 break
-            counts[i] = value
-            if ip.holds(counts):
-                dfs(d + 1, total)
-        counts[i] = hi[i]
+            trial = rest | prefixes[i][value]
+            if accepts(trial):
+                dfs(d + 1, total, trial)
 
-    dfs(0, sum(lo))
+    dfs(0, sum(lo), every)
     return best
 
 
@@ -295,28 +283,15 @@ def _component_best(sub: Graph, connected: bool, bound: int) -> frozenset[int] |
                 continue
             wmask = guess.vertices
         else:
-            lone = None
-            if connected:
-                fam_s, single_s = build_families(tp, guess)
-                if len(fam_s) + len(single_s) != 1:
-                    continue  # the solution side is not one component
-                lone = single_s[0] if single_s else None
+            box = assemble_ip(tp, guess, connected)
+            if box is None:
+                continue
             if prefixes is None:
                 prefixes = prefix_masks(tp)
-            ip = assemble_ip(
-                tp, guess, prefixes, lambda mask: verify(sub, mask), lone, min(bound, limit)
-            )
-            if ip is None:
-                continue
-            got = solve_ip(ip)
+            got = solve_ip(*box, prefixes, lambda mask: verify(sub, mask), min(bound, limit))
             if got is None:
                 continue
-            value, assignment = got
-            wmask = ip.mask(assignment)
-            if wmask.bit_count() != value or not verify(sub, wmask):
-                raise WitnessError(
-                    f"integer program accepted an unsafe witness {vertices_of(wmask)}"
-                )
+            wmask = got[1]
         key = (wmask.bit_count(), vertices_of(wmask))
         if best is None or key < best:
             best = key
@@ -327,9 +302,9 @@ def _component_best(sub: Graph, connected: bool, bound: int) -> frozenset[int] |
 def solve_nd(g: Graph, connected: bool = False, limit: int | None = None) -> SolveResult:
     """Exact minimum (connected) safe set via the twin-class guesses, solved
     per component.  A guess with a PARTIAL class goes through a count
-    program whose only test is the verifier on a concrete set.  With
+    search whose only test is the verifier on a concrete set.  With
     ``limit`` set, the walk skips every guess whose floor is larger, and a
-    count program stops at totals above it."""
+    count search stops at totals above it."""
     return solve_by_component(
         g, lambda sub, bound: _component_best(sub, connected, bound), "nd", connected, limit
     )

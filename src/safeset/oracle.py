@@ -153,17 +153,16 @@ def connected_safe_number_bf(
     return solve_by_component(g, _first_safe(True), "oracle", True, max_size, mask_of)
 
 
-def dominating_set_bf(g: Graph, k: int, cap: int = DEFAULT_SUBSET_CAP) -> SolveResult:
-    """Smallest dominating set if one of size <= k exists."""
-    t0 = time.perf_counter()
+def dominating_set_bf(
+    g: Graph, k: int, cap: int = DEFAULT_SUBSET_CAP
+) -> frozenset[int] | None:
+    """Smallest dominating set if one of size <= k exists, else None."""
     _check_cap(g, cap, "dominating set brute force")
     if k < 0:
         raise InputError("k must be nonnegative")
     full = g.full_mask()
-    if g.n == 0:
-        return SolveResult(True, 0, frozenset(), "oracle", time.perf_counter() - t0)
     closed = [g.adjacency_mask(v) | 1 << v for v in g.vertices()]
-    for mask in subset_masks_by_size(g.n, 1, min(k, g.n)):
+    for mask in subset_masks_by_size(g.n, 0, min(k, g.n)):
         dominated = 0
         m = mask
         while m:
@@ -171,11 +170,5 @@ def dominating_set_bf(g: Graph, k: int, cap: int = DEFAULT_SUBSET_CAP) -> SolveR
             dominated |= closed[b.bit_length() - 1]
             m ^= b
         if dominated == full:
-            return SolveResult(
-                True,
-                mask.bit_count(),
-                frozenset(vertices_of(mask)),
-                "oracle",
-                time.perf_counter() - t0,
-            )
-    return SolveResult(False, None, None, "oracle", time.perf_counter() - t0)
+            return frozenset(vertices_of(mask))
+    return None

@@ -198,11 +198,12 @@ def ref_guess_mask(g: Graph, s: int, seed: int, border: int, limit: int) -> int 
 
 def ref_count_program(
     g: Graph, classes, lo, hi, connected: bool = False
-) -> tuple[int, tuple[int, ...]] | None:
+) -> tuple[int, int] | None:
     """``nd.solve_ip``'s answer by trying every count vector between ``lo``
-    and ``hi``: the first one in ``itertools.product`` order with the
-    smallest total whose concrete set -- the first ``counts[i]`` vertices of
-    each class in sorted order -- ``ref_is_safe`` accepts."""
+    and ``hi``: the smallest total and the mask of the concrete set -- the
+    first ``counts[i]`` vertices of each class in sorted order -- of the
+    first vector in ``itertools.product`` order that reaches it and that
+    ``ref_is_safe`` accepts."""
     ordered = [sorted(cls) for cls in classes]
     best = None
     for counts in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
@@ -210,7 +211,7 @@ def ref_count_program(
             continue
         chosen = {v for cls, count in zip(ordered, counts) for v in cls[:count]}
         if ref_is_safe(g, chosen, connected):
-            best = (sum(counts), counts)
+            best = (sum(counts), mask_of(chosen))
     return best
 
 

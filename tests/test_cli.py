@@ -368,9 +368,20 @@ def test_solve_refuses_expression_off_cw_before_solving(
         assert code == 2 and report is None and "--expr" in err, err
 
 
-def test_solve_branch_requires_bound(run, c8_path):
-    code, _, err = run(["solve", "--algo", "branch", c8_path])
-    assert code == 2 and "-k" in err
+def test_solve_branch_without_bound_searches_every_size(run, c8_path, tmp_path):
+    # sizes are tried in ascending order, so k = n reports what -k 8 does
+    for mode in ([], ["--connected"]):
+        reports = []
+        for bound in ([], ["-k", "8"]):
+            code, report, _ = run(["solve", "--algo", "branch", *mode, *bound, c8_path])
+            assert code == 0
+            del report["elapsed_ms"]
+            reports.append(report)
+        assert reports[0] == reports[1]
+    empty = tmp_path / "empty.gr"
+    empty.write_text("0 0\n")
+    code, report, _ = run(["solve", "--algo", "branch", str(empty)])
+    assert code == 1 and report["feasible"] is False
 
 
 @pytest.mark.parametrize("algo", ["oracle", "nd", "cw", "branch", "approx"])

@@ -223,28 +223,36 @@ def test_build_families_clique_self_loop():
     assert single == []
 
 
-def _program(g, tp, guess, connected):
-    """The count program _component_best builds for ``guess``, or None when
-    it rejects the guess: in connected mode the solution side must be one
-    block, and a lone independent class is capped at one vertex."""
+def _search(g, tp, box, connected, cap=math.inf):
+    """solve_ip on the count bounds ``box`` of one guess, with the verifier
+    _component_best uses."""
     verify = is_connected_safe_mask if connected else is_safe_mask
-    lone = None
-    if connected:
-        fam_s, single_s = build_families(tp, guess)
-        if len(fam_s) + len(single_s) != 1:
-            return None
-        lone = single_s[0] if single_s else None
-    return assemble_ip(tp, guess, prefix_masks(tp), lambda mask: verify(g, mask), lone)
+    return solve_ip(*box, prefix_masks(tp), lambda mask: verify(g, mask), cap)
 
 
 def test_k4_program_reaches_two():
     g = complete_graph(4)
     tp = twin_partition(g)
-    ip = _program(g, tp, _guess(tp, (PARTIAL,)), False)
-    assert ip is not None
-    assert (ip.lo, ip.hi) == ((1,), (3,))
-    got = solve_ip(ip)
-    assert got == (2, (2,))
+    box = assemble_ip(tp, _guess(tp, (PARTIAL,)), False)
+    assert box == ([1], [3])
+    assert _search(g, tp, box, False) == (2, 0b11)
+
+
+def test_assemble_ip_holds_the_connected_rule():
+    # K_{2,3} has two independent classes, {0, 1} and {2, 3, 4}
+    tp = twin_partition(complete_bipartite_graph(2, 3))
+    assert assemble_ip(tp, _guess(tp, (PARTIAL, PARTIAL)), True) == ([1, 1], [1, 2])
+    # one class alone is made of single vertices: capped at one vertex, and
+    # rejected when taken whole
+    assert assemble_ip(tp, _guess(tp, (PARTIAL, EMPTY)), True) == ([1, 0], [1, 0])
+    assert assemble_ip(tp, _guess(tp, (EMPTY, PARTIAL)), True) == ([0, 1], [0, 1])
+    assert assemble_ip(tp, _guess(tp, (FULL, EMPTY)), True) is None
+    assert assemble_ip(tp, _guess(tp, (FULL, EMPTY)), False) == ([2, 0], [2, 0])
+    # two classes with no edge between them are two blocks
+    g = disjoint_union(complete_graph(2), complete_graph(3))
+    tp = twin_partition(g)
+    assert assemble_ip(tp, _guess(tp, (PARTIAL, PARTIAL)), True) is None
+    assert assemble_ip(tp, _guess(tp, (PARTIAL, PARTIAL)), False) == ([1, 1], [1, 2])
 
 
 def test_prefix_masks_take_each_class_in_sorted_order():
@@ -298,11 +306,12 @@ def test_fixed_count_guess_program_agrees_with_verifier(connected):
         for guess in enumerate_guesses(tp):
             if guess.partial:
                 continue
-            ip = _program(g, tp, guess, connected)
+            box = assemble_ip(tp, guess, connected)
             full = set().union(
                 *(cls for cls, a in zip(tp.classes, guess.assignment) if a == FULL)
             )
-            assert (ip is not None and solve_ip(ip) is not None) == verify(g, full), (
+            got = None if box is None else _search(g, tp, box, connected)
+            assert (got is not None) == verify(g, full), (
                 g.edges, guess.assignment,
             )
             checked += 1
@@ -338,26 +347,27 @@ def _box(tp, assignment):
 
 @pytest.mark.parametrize("connected", [False, True])
 def test_solve_ip_matches_the_count_enumeration(connected):
-    # the same total and the same first count vector as trying every vector
-    # of the guess's box on the set-based verifier; a guess the program
-    # rejects (not one block, or a lone class taken twice) has none
+    # the same total and the same set as trying every count vector of the
+    # guess's box on the set-based verifier; a guess assemble_ip rejects
+    # (not one block, or a lone class taken twice) has none
     rng = random.Random(12)
     programs = feasible = 0
     for _ in range(60):
         g = _blowup(rng)
         tp = twin_partition(g)
         for guess in enumerate_guesses(tp):
-            ip = _program(g, tp, guess, connected)
-            got = None if ip is None else solve_ip(ip)
+            box = assemble_ip(tp, guess, connected)
+            got = None if box is None else _search(g, tp, box, connected)
             lo, hi = _box(tp, guess.assignment)
             want = ref_count_program(g, tp.classes, lo, hi, connected)
             assert got == want, (g.edges, guess.assignment)
-            if ip is None:
+            if box is None:
                 continue
             programs += 1
             if got is not None:
                 feasible += 1
-                assert ref_is_safe(g, vertices_of(ip.mask(got[1])), connected)
+                assert got[1].bit_count() == got[0]
+                assert ref_is_safe(g, vertices_of(got[1]), connected)
     assert programs > 500 and feasible > 100, (programs, feasible)
 
 
@@ -371,13 +381,14 @@ def test_solve_ip_finds_no_total_above_the_cap(connected):
         g = _blowup(rng)
         tp = twin_partition(g)
         for guess in enumerate_guesses(tp):
-            ip = _program(g, tp, guess, connected)
-            full = None if ip is None else solve_ip(ip)
+            box = assemble_ip(tp, guess, connected)
+            full = None if box is None else _search(g, tp, box, connected)
             if full is None:
                 continue
-            fixed += ip.lo == ip.hi
-            for cap in range(sum(ip.lo) - 1, full[0] + 1):
-                got = solve_ip(ip._replace(cap=cap))
+            lo, hi = box
+            fixed += lo == hi
+            for cap in range(sum(lo) - 1, full[0] + 1):
+                got = _search(g, tp, box, connected, cap)
                 assert got == (full if full[0] <= cap else None), (g.edges, cap)
                 cut += got is None
     assert fixed > 0 and cut > 0, (fixed, cut)
@@ -396,13 +407,10 @@ def test_raising_a_count_keeps_an_accepted_set_accepted(connected):
         for guess in enumerate_guesses(tp):
             if not guess.partial:
                 continue
-            lo, hi = _box(tp, guess.assignment)
-            if connected:
-                fam_s, single_s = build_families(tp, guess)
-                if len(fam_s) + len(single_s) != 1:
-                    continue
-                if single_s:
-                    hi[single_s[0]] = 1
+            bounds = assemble_ip(tp, guess, connected)
+            if bounds is None:
+                continue
+            lo, hi = bounds
             box = list(itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))))
             accepted = {
                 counts
@@ -422,7 +430,7 @@ def test_raising_a_count_keeps_an_accepted_set_accepted(connected):
 
 def test_twin_free_graph_solves_no_program(monkeypatch):
     calls = []
-    monkeypatch.setattr(nd, "solve_ip", lambda ip: calls.append(ip) or solve_ip(ip))
+    monkeypatch.setattr(nd, "solve_ip", lambda *args: calls.append(args) or solve_ip(*args))
     g = cycle_graph(9)
     assert twin_partition(g).width == 9
     assert solve_nd(g).size == solve_nd(g, connected=True).size == 5
@@ -431,12 +439,51 @@ def test_twin_free_graph_solves_no_program(monkeypatch):
     assert calls
 
 
+def _blown_path(sizes):
+    """A path with vertex i blown up into an independent class of
+    ``sizes[i]`` vertices, numbered class by class; consecutive classes are
+    fully joined."""
+    parts, off = [], 0
+    for size in sizes:
+        parts.append(range(off, off + size))
+        off += size
+    return Graph(off, [(a, b) for x, y in zip(parts, parts[1:]) for a in x for b in y])
+
+
+# verifier calls of one solve_nd, (plain, connected)
+VERIFIER_CALLS = [
+    (complete_graph(4), (3, 3)),
+    (complete_bipartite_graph(2, 3), (7, 7)),
+    (complete_bipartite_graph(3, 4), (11, 11)),
+    (_blown_path([2, 2, 2]), (3, 6)),
+    (_blown_path([2, 3, 3, 2]), (39, 30)),
+]
+
+
+@pytest.mark.parametrize("g,want", VERIFIER_CALLS)
+def test_verifier_calls_are_pinned(g, want, monkeypatch):
+    # every count vector the search tries is one call; the set it accepts
+    # is not checked again
+    calls = []
+    for name in ("is_safe_mask", "is_connected_safe_mask"):
+        verify = getattr(nd, name)
+        monkeypatch.setattr(
+            nd, name, lambda sub, mask, verify=verify: calls.append(mask) or verify(sub, mask)
+        )
+    got = []
+    for connected in (False, True):
+        calls.clear()
+        solve_nd(g, connected=connected)
+        got.append(len(calls))
+    assert tuple(got) == want
+
+
 @pytest.mark.parametrize("connected", [False, True])
 def test_component_best_finds_no_set_above_its_bound(connected, monkeypatch):
-    # The reference is the same walk with every count program run to
+    # The reference is the same walk with every count search run to
     # completion, whatever the bound.
-    def uncapped(ip):
-        return solve_ip(ip._replace(cap=math.inf))
+    def uncapped(lo, hi, prefixes, accepts, cap):
+        return solve_ip(lo, hi, prefixes, accepts)
 
     rng = random.Random(47)
     graphs = [complete_graph(4)]

@@ -117,11 +117,10 @@ def test_vertex_cover_values():
 
 
 def test_dominating_set_values():
-    r = dominating_set_bf(star_graph(12), 1)
-    assert r.feasible and r.witness == frozenset({0})
-    assert not dominating_set_bf(cycle_graph(8), 2).feasible
-    r = dominating_set_bf(cycle_graph(8), 3)
-    assert r.feasible and r.size == 3
+    assert dominating_set_bf(star_graph(12), 1) == frozenset({0})
+    assert dominating_set_bf(cycle_graph(8), 2) is None
+    assert len(dominating_set_bf(cycle_graph(8), 3)) == 3
+    assert dominating_set_bf(Graph(0), 0) == frozenset()
     with pytest.raises(InputError):
         dominating_set_bf(path_graph(3), -1)
 
