@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import time
 from operator import add
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .cexpr import (
     CExpression,
@@ -334,21 +334,23 @@ def _forgotten(entries: list[DpEntry], dying: int, live: int, connected: bool) -
     return _projected(entries, dying, 0, connected)
 
 
-def dp_evaluate(expr: CExpression, connected: bool = False) -> dict[Node, list[DpEntry]]:
-    """Run the program bottom-up; returns the summary family at every node,
-    projected onto the node's live labels (``_live_labels``).
+def _walk(expr: CExpression, connected: bool) -> Iterator[tuple[Node, list[DpEntry]]]:
+    """The summary family at every node, in post-order, projected onto the
+    node's live labels (``_live_labels``).
 
-    Labels die only at leaves and joins: a relabel maps live labels to
-    live ones, and a union's children share its live set, so there
-    ``_projected`` moves no label and only puts label set 0, which the union
-    added up, back at its marker.  ``connected`` drops the selections that can
-    no longer become one component.  Leaves come out of the post-order walk
-    left to right, so counting them numbers the vertices as ``eval_graph``
-    does.
+    Each table is read once, by its parent, so the walk keeps a table only
+    until then: what stays alive is the tables still waiting for a parent,
+    not all of them.  Labels die only at leaves and joins: a relabel maps
+    live labels to live ones, and a union's children share its live set, so
+    there ``_projected`` moves no label and only puts label set 0, which the
+    union added up, back at its marker.  ``connected`` drops the selections
+    that can no longer become one component.  Leaves come out of the
+    post-order walk left to right, so counting them numbers the vertices as
+    ``eval_graph`` does.
     """
     order = list(iter_nodes(expr.root))
     live = _live_labels(order)
-    tables: dict[Node, list[DpEntry]] = {}
+    waiting: dict[Node, list[DpEntry]] = {}
     vertex = 0
     for node in order:
         if isinstance(node, Leaf):
@@ -357,15 +359,22 @@ def dp_evaluate(expr: CExpression, connected: bool = False) -> dict[Node, list[D
             if dying := 1 << (node.label - 1) & ~live[node]:
                 table = _forgotten(table, dying, live[node], connected)
         elif isinstance(node, DisjointUnion):
-            table = _projected(dp_union(tables[node.left], tables[node.right]), 0, 0, connected)
+            table = dp_union(waiting.pop(node.left), waiting.pop(node.right))
+            table = _projected(table, 0, 0, connected)
         elif isinstance(node, Relabel):
-            table = dp_relabel(node.source, node.target, tables[node.child])
+            table = dp_relabel(node.source, node.target, waiting.pop(node.child))
         else:
-            table = dp_join(node.first, node.second, tables[node.child])
+            table = dp_join(node.first, node.second, waiting.pop(node.child))
             if dying := (1 << (node.first - 1) | 1 << (node.second - 1)) & ~live[node]:
                 table = _forgotten(table, dying, live[node], connected)
-        tables[node] = table
-    return tables
+        waiting[node] = table
+        yield node, table
+
+
+def dp_evaluate(expr: CExpression, connected: bool = False) -> dict[Node, list[DpEntry]]:
+    """Run the program bottom-up; returns the summary family at every node
+    (``_walk``), in post-order."""
+    return dict(_walk(expr, connected))
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +388,8 @@ def solve_cw(expr: CExpression, connected: bool = False, limit: int | None = Non
     safe selections there, in connected mode only of those that are one
     component; the summary of the empty selection does not count.  With
     ``limit`` set, a minimum larger than it is reported as infeasible.
+    The result's ``stats`` count the tables, their summed entries and the
+    largest one.
     """
     t0 = time.perf_counter()
     check_expression(expr)
@@ -390,11 +401,18 @@ def solve_cw(expr: CExpression, connected: bool = False, limit: int | None = Non
             "re-adds an existing edge"
         )
     g = Graph(len(labels), edges)
-    candidates = [e.witness for e in dp_evaluate(expr, connected)[expr.root] if e.key[0]]
+    tables = entries_sum = entries_max = 0
+    for _, table in _walk(expr, connected):
+        tables += 1
+        entries_sum += len(table)
+        entries_max = max(entries_max, len(table))
+    # the walk ends at the root
+    candidates = [e.witness for e in table if e.key[0]]
     # by (size, sorted ids), the rule each summary's witness is kept by, so
     # the answer is the least minimum (connected) safe set
     size = min((w.bit_count() for w in candidates), default=0)
     witness = None
     if limit is None or size <= limit:
         witness = min((vertices_of(w) for w in candidates if w.bit_count() == size), default=None)
-    return verified_result(g, witness, "cw", connected, t0)
+    stats = {"tables": tables, "table_entries_sum": entries_sum, "table_entries_max": entries_max}
+    return verified_result(g, witness, "cw", connected, t0, stats)

@@ -11,8 +11,9 @@ value, so the reported witness is always the same set.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Any, Iterator
+from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Any, Iterator, Mapping
 
 from .graph import (
     Graph,
@@ -35,6 +36,9 @@ class SolveResult:
 
     When ``feasible`` is true, ``witness`` verifies against the problem's
     verifier and has exactly ``size`` vertices (see ``verified_result``).
+    ``stats`` holds the work counts a route reports about itself, read-only
+    and left out of equality and hashing; routes that count nothing leave
+    it empty.
     """
 
     feasible: bool
@@ -42,23 +46,32 @@ class SolveResult:
     witness: frozenset[int] | None
     algorithm: str
     elapsed: float
+    stats: Mapping[str, int] = field(default_factory=lambda: MappingProxyType({}), compare=False)
 
 
 class WitnessError(RuntimeError):
     """A solver reported a witness that the verifier rejects."""
 
 
-def verified_result(g: Graph, witness, algorithm: str, connected: bool, t0: float) -> SolveResult:
+def verified_result(
+    g: Graph,
+    witness,
+    algorithm: str,
+    connected: bool,
+    t0: float,
+    stats: Mapping[str, int] | None = None,
+) -> SolveResult:
     """Verify ``witness`` (None: nothing found) and build the result timed
-    from ``t0``.  A rejected witness raises ``WitnessError``, an explicit
-    check that ``python -O`` keeps."""
+    from ``t0``, carrying a read-only copy of ``stats``.  A rejected witness
+    raises ``WitnessError``, an explicit check that ``python -O`` keeps."""
+    stats = MappingProxyType(dict(stats or {}))
     if witness is None:
-        return SolveResult(False, None, None, algorithm, time.perf_counter() - t0)
+        return SolveResult(False, None, None, algorithm, time.perf_counter() - t0, stats)
     witness = frozenset(witness)
     violation = explain_safety(g, witness, connected)
     if violation is not None:
         raise WitnessError(f"{algorithm} reported {sorted(witness)}: {violation.describe()}")
-    return SolveResult(True, len(witness), witness, algorithm, time.perf_counter() - t0)
+    return SolveResult(True, len(witness), witness, algorithm, time.perf_counter() - t0, stats)
 
 
 def solve_by_component(

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -458,12 +459,57 @@ def test_root_family_is_pinned():
 CYCLE12_TABLES = {False: (11_865, 1_350), True: (2_559, 179)}
 
 
+# The counts ``solve_cw`` reports for the 12-cycle's tree, plain and
+# connected: the bounds above are met exactly.
+CYCLE12_STATS = {
+    False: {"tables": 55, "table_entries_sum": 11_865, "table_entries_max": 1_350},
+    True: {"tables": 55, "table_entries_sum": 2_559, "table_entries_max": 179},
+}
+
+# Bounds on the tracemalloc peak of ``solve_cw`` on the 12-cycle's tree, in
+# bytes, plain and connected.  The walk keeps a table only until its parent
+# is built, which peaks at about 4.0 and 0.4 MB; keeping every table until
+# the walk ends peaked at about 8.3 and 1.3 MB.
+CYCLE12_PEAK = {False: 4_500_000, True: 700_000}
+
+
 @pytest.mark.parametrize("connected", [False, True])
 def test_cycle_tables_stay_small(connected):
     sizes = [len(t) for t in dp_evaluate(cycle_expression(12), connected).values()]
     total, largest = CYCLE12_TABLES[connected]
     assert sum(sizes) <= total
     assert max(sizes) <= largest
+
+
+def table_counts(expr, connected):
+    sizes = [len(t) for t in dp_evaluate(expr, connected).values()]
+    return {"tables": len(sizes), "table_entries_sum": sum(sizes), "table_entries_max": max(sizes)}
+
+
+@pytest.mark.parametrize("connected", [False, True])
+def test_stats_count_the_tables(connected):
+    rng = random.Random(26)
+    exprs = [cycle_expression(n) for n in range(9, 13)] + [
+        random_expression(rng, label_count=rng.randint(2, 4), max_leaves=10) for _ in range(20)
+    ]
+    got = [solve_cw(expr, connected).stats for expr in exprs]
+    assert got == [table_counts(expr, connected) for expr in exprs]
+    assert got[3] == CYCLE12_STATS[connected]
+    # an answer over the limit is infeasible, but the tables were built
+    res = solve_cw(exprs[3], connected, limit=1)
+    assert not res.feasible and res.stats == CYCLE12_STATS[connected]
+
+
+@pytest.mark.parametrize("connected", [False, True])
+def test_walk_keeps_a_table_only_until_its_parent_reads_it(connected):
+    expr = cycle_expression(12)
+    tracemalloc.start()
+    try:
+        solve_cw(expr, connected)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= CYCLE12_PEAK[connected]
 
 
 def test_solve_rejects_repeated_join():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import random
 import subprocess
@@ -175,6 +176,23 @@ def test_verified_result_rejects_unsafe_witness():
     res = verified_result(path_graph(3), [1], "t", True, 0.0)
     assert res.feasible and res.size == 1 and res.witness == frozenset({1})
     assert not verified_result(path_graph(3), None, "t", False, 0.0).feasible
+
+
+def test_stats_are_a_read_only_copy_outside_equality():
+    counts = {"tables": 3}
+    res = verified_result(path_graph(3), [1], "t", False, 0.0, counts)
+    counts["tables"] = 4
+    assert res.stats == {"tables": 3}
+    with pytest.raises(TypeError):
+        res.stats["tables"] = 5
+    plain = verified_result(path_graph(3), [1], "t", False, 0.0)
+    assert plain.stats == {}
+    assert res == dataclasses.replace(plain, elapsed=res.elapsed)
+    assert hash(res) == hash(dataclasses.replace(plain, elapsed=res.elapsed))
+    assert verified_result(path_graph(3), None, "t", False, 0.0, counts).stats == counts
+    g = cycle_graph(6)
+    for res in [safe_number_bf(g), solve_nd(g), branch_solve(g, 6), approx_safe_set(g)]:
+        assert res.stats == {}
 
 
 def test_solve_by_component_passes_bound_and_maps_ids():

@@ -54,10 +54,18 @@ def test_tracer_installs_and_uninstalls_on_a_fresh_package(fresh):
 
 def test_traced_package_gives_the_same_answers(fresh, tmp_path, capsys):
     tracer_module, modules = fresh
-    graph = modules["safeset.graph"]
+    graph, cexpr, cli = modules["safeset.graph"], modules["safeset.cexpr"], modules["safeset.cli"]
+    format_graph = modules["safeset.io"].format_graph
     g = graph.Graph(12, EDGES)
     path = tmp_path / "g.gr"
-    path.write_text(modules["safeset.io"].format_graph(g))
+    path.write_text(format_graph(g))
+    expr = cexpr.cycle_expression(6)
+    expr_path, cycle_path = tmp_path / "c6.expr", tmp_path / "c6.gr"
+    expr_path.write_text(cexpr.format_cexpression(expr))
+    cycle_path.write_text(format_graph(cexpr.eval_graph(expr)[0]))
+    cw_solve = ["solve", "--algo", "cw", "--expr", str(expr_path), str(cycle_path)]
+    assert cli.main(cw_solve) == 0
+    untraced = json.loads(capsys.readouterr().out)
     tracer = tracer_module.Tracer()
     tracer.install(modules)
     try:
@@ -66,9 +74,17 @@ def test_traced_package_gives_the_same_answers(fresh, tmp_path, capsys):
         assert list(graph.bfs_order(g, 3, g.full_mask() & ~(1 << 5))) == [3, 2, 9, 1, 8, 6, 4, 10, 11]
         counts = tracer.take_counts()
         assert (counts["graph.bfs_order.calls"], counts["graph.bfs_order.yielded"]) == (2, 21)
-        assert modules["safeset.cli"].main(["solve", "--algo", "approx", str(path)]) == 0
+        assert cli.main(["solve", "--algo", "approx", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert cli.main(cw_solve) == 0
+        traced = json.loads(capsys.readouterr().out)
     finally:
         tracer.uninstall()
-    report = json.loads(capsys.readouterr().out)
     assert (report["size"], report["witness"]) == (6, [0, 4, 5, 6, 7, 8])
-    assert tracer.take_counts()["cli.main.calls"] == 1
+    assert {**traced, "elapsed_ms": None} == {**untraced, "elapsed_ms": None}
+    counts = tracer.take_counts()
+    assert counts["cli.main.calls"] == 2
+    # solve_cw walks the tree itself, but each transition is still seen
+    nodes = list(cexpr.iter_nodes(expr.root))
+    assert counts["cw.dp_join.calls"] == sum(isinstance(n, cexpr.Join) for n in nodes)
+    assert counts["cw.dp_union.calls"] == sum(isinstance(n, cexpr.DisjointUnion) for n in nodes)
