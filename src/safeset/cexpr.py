@@ -14,6 +14,7 @@ starts a comment; whitespace is free-form.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterator, Union
 
@@ -137,24 +138,18 @@ def check_expression(expr: CExpression) -> None:
 # parsing
 
 
+# A parenthesis, or a run of anything else up to whitespace or a
+# parenthesis; ``\s`` matches exactly the characters ``str.isspace`` accepts.
+_TOKEN = re.compile(r"[()]|[^\s()]+")
+
+
 def _tokenize(text: str) -> list[tuple[str, int, int]]:
-    tokens = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        col = 0
-        while col < len(line):
-            ch = line[col]
-            if ch.isspace():
-                col += 1
-            elif ch in "()":
-                tokens.append((ch, lineno, col + 1))
-                col += 1
-            else:
-                start = col
-                while col < len(line) and not line[col].isspace() and line[col] not in "()":
-                    col += 1
-                tokens.append((line[start:col], lineno, start + 1))
-    return tokens
+    """(token, line, col) triples, 1-based, with ``#`` comments cut off."""
+    return [
+        (m.group(), lineno, m.start() + 1)
+        for lineno, raw in enumerate(text.splitlines(), start=1)
+        for m in _TOKEN.finditer(raw.split("#", 1)[0])
+    ]
 
 
 class _TokenStream:

@@ -40,7 +40,7 @@ from .cexpr import (
     check_expression,
     iter_nodes,
 )
-from .graph import Graph, InputError, vertices_of
+from .graph import Graph, InputError, precedes, vertices_of
 from .oracle import SolveResult, verified_result
 
 Column = tuple[tuple, ...]
@@ -107,8 +107,7 @@ def _dedup(entries: Iterable[tuple[tuple, int] | None]) -> list[DpEntry]:
     """Collapse equal summaries, each keeping its least witness; a None
     entry is a dropped summary.
 
-    The least witness is the one with fewer vertices and, among equally
-    many, the one holding the lowest differing vertex: the order of (size,
+    The least witness is the least by ``precedes``, the order of (size,
     sorted ids).  Equal keys have identical futures, and witnesses of
     disjoint subtrees combine by union with one fixed set, which keeps that
     order, so the root keeps every summary's least selection.
@@ -119,11 +118,7 @@ def _dedup(entries: Iterable[tuple[tuple, int] | None]) -> list[DpEntry]:
             continue
         key, witness = entry
         old = seen.get(key)
-        if (
-            old is None
-            or (c := witness.bit_count() - old.bit_count()) < 0
-            or not c and (d := old ^ witness) & -d & witness
-        ):
+        if old is None or precedes(witness, old):
             seen[key] = witness
     return [DpEntry(key, witness) for key, witness in seen.items()]
 
@@ -406,13 +401,14 @@ def solve_cw(expr: CExpression, connected: bool = False, limit: int | None = Non
         tables += 1
         entries_sum += len(table)
         entries_max = max(entries_max, len(table))
-    # the walk ends at the root
-    candidates = [e.witness for e in table if e.key[0]]
-    # by (size, sorted ids), the rule each summary's witness is kept by, so
-    # the answer is the least minimum (connected) safe set
-    size = min((w.bit_count() for w in candidates), default=0)
+    # the walk ends at the root; ``precedes`` is the rule each summary's
+    # witness is kept by, so the answer is the least minimum (connected) safe set
+    best = None
+    for e in table:
+        if e.key[0] and (best is None or precedes(e.witness, best)):
+            best = e.witness
     witness = None
-    if limit is None or size <= limit:
-        witness = min((vertices_of(w) for w in candidates if w.bit_count() == size), default=None)
+    if best is not None and (limit is None or best.bit_count() <= limit):
+        witness = vertices_of(best)
     stats = {"tables": tables, "table_entries_sum": entries_sum, "table_entries_max": entries_max}
     return verified_result(g, witness, "cw", connected, t0, stats)

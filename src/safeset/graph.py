@@ -132,6 +132,15 @@ def vertices_of(mask: int) -> list[int]:
     return out
 
 
+def precedes(a: int, b: int) -> bool:
+    """Whether vertex set ``a`` comes strictly before ``b`` (both masks) in
+    the order of (size, sorted ids): fewer vertices first, then the set
+    holding the lowest vertex where they differ.  This is the package's one
+    tie-break rule between candidate sets."""
+    c = a.bit_count() - b.bit_count()
+    return c < 0 or not c and (d := a ^ b) & -d & a != 0
+
+
 def neighborhood_mask(g: Graph, mask: int) -> int:
     """Union of open neighborhoods of the vertices in ``mask``."""
     nbr = 0

@@ -29,6 +29,7 @@ from .graph import (
     is_connected_safe_mask,
     is_safe_mask,
     mask_of,
+    precedes,
     vertices_of,
 )
 from .oracle import SolveResult, solve_by_component
@@ -272,7 +273,7 @@ def _component_best(sub: Graph, connected: bool, bound: int) -> frozenset[int] |
     verify = is_connected_safe_mask if connected else is_safe_mask
     tp = twin_partition(sub)
     prefixes = None  # built at the first guess with a PARTIAL class
-    best: tuple[int, list[int]] | None = None  # (size, sorted ids)
+    best: int | None = None
     limit = bound + 1  # stays min(bound + 1, size of best)
 
     for guess in enumerate_guesses(tp, lambda: limit):
@@ -292,11 +293,10 @@ def _component_best(sub: Graph, connected: bool, bound: int) -> frozenset[int] |
             if got is None:
                 continue
             wmask = got[1]
-        key = (wmask.bit_count(), vertices_of(wmask))
-        if best is None or key < best:
-            best = key
-            limit = min(limit, key[0])
-    return None if best is None else frozenset(best[1])
+        if best is None or precedes(wmask, best):
+            best = wmask
+            limit = min(limit, best.bit_count())
+    return None if best is None else frozenset(vertices_of(best))
 
 
 def solve_nd(g: Graph, connected: bool = False, limit: int | None = None) -> SolveResult:

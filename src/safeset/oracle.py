@@ -4,16 +4,18 @@ solver runs on.
 
 The brute-force solvers are deliberately exhaustive: every other solver in
 the package is cross-checked against them on small instances.  Subsets are
-scanned by cardinality and, within a cardinality, by increasing bitmask
-value, so the reported witness is always the same set.
+scanned by cardinality and, within a cardinality, in the order of their
+sorted vertex tuples, so the first hit is the least set by (size, sorted
+ids) (``graph.precedes``): the same answer cw gives.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import combinations
 from types import MappingProxyType
-from typing import Any, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .graph import (
     Graph,
@@ -24,6 +26,7 @@ from .graph import (
     is_connected_safe_mask,
     is_safe_mask,
     mask_of,
+    precedes,
     vertices_of,
 )
 
@@ -75,7 +78,7 @@ def verified_result(
 
 
 def solve_by_component(
-    g: Graph, solve, algorithm: str, connected: bool, limit: int | None = None, order=sorted
+    g: Graph, solve, algorithm: str, connected: bool, limit: int | None = None
 ) -> SolveResult:
     """Best (connected) safe set of ``g``, solved one component at a time.
 
@@ -84,44 +87,31 @@ def solve_by_component(
     returns a witness in the ids of a component's induced subgraph (``g``
     itself when connected), or None; ``bound`` = min(sub.n, limit, best
     size so far) is the largest size still worth finding, and a larger
-    witness is ignored.  Witnesses are mapped back to ``g``'s ids, ranked
-    by (size, order(witness)), and the winner is verified.
+    witness is ignored.  Witnesses are mapped back to ``g``'s ids, the
+    least by ``precedes`` wins, and the winner is verified.
     """
     t0 = time.perf_counter()
-    best: tuple[int, Any, frozenset[int]] | None = None
+    best: int | None = None
     full = g.full_mask()
     for comp in components_mask(g, full):
         sub, ids = (g, range(g.n)) if comp == full else induced_subgraph(g, vertices_of(comp))
         bound = sub.n if limit is None else min(sub.n, limit)
         if best is not None:
-            bound = min(bound, best[0])
+            bound = min(bound, best.bit_count())
         got = solve(sub, bound)
         if got is not None and len(got) <= bound:
-            witness = frozenset(ids[v] for v in got)
-            cand = (len(witness), order(witness), witness)
-            if best is None or cand[:2] < best[:2]:
-                best = cand
-    return verified_result(g, None if best is None else best[2], algorithm, connected, t0)
+            wmask = mask_of(ids[v] for v in got)
+            if best is None or precedes(wmask, best):
+                best = wmask
+    return verified_result(g, None if best is None else vertices_of(best), algorithm, connected, t0)
 
 
 def subset_masks_by_size(n: int, lo: int = 1, hi: int | None = None) -> Iterator[int]:
-    """All subset masks of [0, n), by popcount then by numeric mask value."""
-    if hi is None:
-        hi = n
-    for k in range(lo, hi + 1):
-        if k == 0:
-            yield 0
-            continue
-        if k > n:
-            return
-        m = (1 << k) - 1
-        top = 1 << n
-        while m < top:
-            yield m
-            # Gosper's hack: next mask with the same popcount.
-            c = m & -m
-            r = m + c
-            m = (((r ^ m) >> 2) // c) | r
+    """All subset masks of [0, n) with ``lo`` to ``hi`` members, by size,
+    and within one size in the order of their sorted vertex tuples."""
+    bits = [1 << v for v in range(n)]
+    for k in range(lo, min(n if hi is None else hi, n) + 1):
+        yield from map(sum, combinations(bits, k))
 
 
 def _check_cap(g: Graph, cap: int, what: str) -> None:
@@ -132,8 +122,8 @@ def _check_cap(g: Graph, cap: int, what: str) -> None:
 
 
 def _first_safe(connected: bool):
-    """Component solver scanning subsets in mask order, so the oracle's ties
-    break on the mask, which the sorted-id mapping preserves."""
+    """Component solver returning the first safe set of the scan, the least
+    one by (size, sorted ids)."""
 
     verify = is_connected_safe_mask if connected else is_safe_mask
 
@@ -155,7 +145,7 @@ def safe_number_bf(
     scanned; an infeasible result then means none of them is safe.
     """
     _check_cap(g, cap, "safe set brute force")
-    return solve_by_component(g, _first_safe(False), "oracle", False, max_size, mask_of)
+    return solve_by_component(g, _first_safe(False), "oracle", False, max_size)
 
 
 def connected_safe_number_bf(
@@ -163,19 +153,20 @@ def connected_safe_number_bf(
 ) -> SolveResult:
     """Exhaustive minimum connected safe set."""
     _check_cap(g, cap, "connected safe set brute force")
-    return solve_by_component(g, _first_safe(True), "oracle", True, max_size, mask_of)
+    return solve_by_component(g, _first_safe(True), "oracle", True, max_size)
 
 
 def dominating_set_bf(
     g: Graph, k: int, cap: int = DEFAULT_SUBSET_CAP
 ) -> frozenset[int] | None:
-    """Smallest dominating set if one of size <= k exists, else None."""
+    """The least dominating set by (size, sorted ids) if one of size <= k
+    exists, else None."""
     _check_cap(g, cap, "dominating set brute force")
     if k < 0:
         raise InputError("k must be nonnegative")
     full = g.full_mask()
     closed = [g.adjacency_mask(v) | 1 << v for v in g.vertices()]
-    for mask in subset_masks_by_size(g.n, 0, min(k, g.n)):
+    for mask in subset_masks_by_size(g.n, 0, k):
         dominated = 0
         m = mask
         while m:

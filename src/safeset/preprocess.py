@@ -11,6 +11,7 @@ from .graph import (  # noqa: F401
     components_mask,
     is_safe_set,
     neighborhood_mask,
+    precedes,
     vertices_of,
 )
 from .oracle import SolveResult, solve_by_component
@@ -58,21 +59,18 @@ def _approx_component(g: Graph, limit: int) -> frozenset[int] | None:
     # comes from `_guess_mask`: the last probe that swallowed nothing, or
     # else guess max(n - 1, 1) run here.
     lo, hi = 1, min(max(g.n - 1, 1), limit)
-    alone = None  # guess hi's set, once a probe finds it
+    best = None  # guess hi's set, once a probe finds it
     while lo < hi:
         mid = (lo + hi) // 2
         smask = _guess_mask(g, mid, *_grown(g, order[: mid + 1]), mid + 1)
         if smask is None:
             lo = mid + 1
         else:
-            hi, alone = mid, smask
-    if alone is None and min(hi + 1, g.n) <= limit:
-        alone = _guess_mask(g, hi, *_grown(g, order[: hi + 1]), limit)
-    best: tuple[int, tuple[int, ...]] | None = None
-    if alone is not None:
-        members = vertices_of(alone)
-        best = (len(members), tuple(members))
-        limit = best[0]
+            hi, best = mid, smask
+    if best is None and min(hi + 1, g.n) <= limit:
+        best = _guess_mask(g, hi, *_grown(g, order[: hi + 1]), limit)
+    if best is not None:
+        limit = best.bit_count()
     # Every guess s > hi takes s + 1 > hi + 1 vertices and cannot win.
     # Every guess s < hi swallows a block, so it takes at least 2(s + 1).
     seed, border = _grown(g, order[:1])
@@ -81,14 +79,10 @@ def _approx_component(g: Graph, limit: int) -> frozenset[int] | None:
             break
         seed, border = _grown(g, [order[s]], seed, border)
         smask = _guess_mask(g, s, seed, border, limit)
-        if smask is None:
-            continue
-        members = vertices_of(smask)
-        cand = (len(members), tuple(members))
-        if best is None or cand < best:
-            best = cand
-            limit = best[0]
-    return None if best is None else frozenset(best[1])
+        if smask is not None and (best is None or precedes(smask, best)):
+            best = smask
+            limit = best.bit_count()
+    return None if best is None else frozenset(vertices_of(best))
 
 
 def approx_safe_set(g: Graph, limit: int | None = None) -> SolveResult:

@@ -19,7 +19,6 @@ audited from its artifacts alone; a test keeps it matching the tables.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -30,9 +29,11 @@ from .graph import (
     PathDecomposition,
     check_vertex_set,
     is_connected_safe_set,
+    mask_of,
     neighbors_closed,
+    vertices_of,
 )
-from .oracle import DEFAULT_SUBSET_CAP, WitnessError
+from .oracle import DEFAULT_SUBSET_CAP, WitnessError, subset_masks_by_size
 
 
 @dataclass(frozen=True)
@@ -90,8 +91,9 @@ def _numbering() -> tuple[Callable[..., int], dict[int, dict]]:
 def rbds_has_dominating_set(
     bg: Bigraph, k: int, cap: int = DEFAULT_SUBSET_CAP
 ) -> frozenset[int] | None:
-    """Smallest blue set dominating all reds, if one of size <= k exists.
-    Blue subsets are scanned exhaustively, so more than ``cap`` blues are
+    """The least blue set by (size, sorted ids) that dominates all reds, if
+    one of size <= k exists.  Blue subsets are scanned exhaustively by
+    ``oracle.subset_masks_by_size``, so more than ``cap`` blues are
     refused."""
     if k < 0:
         raise InputError("k must be nonnegative")
@@ -100,14 +102,12 @@ def rbds_has_dominating_set(
             f"red-blue domination brute force refused: b={bg.b} exceeds cap={cap}; "
             "raise the cap explicitly"
         )
-    reds = [bg.blues_of(i) for i in range(bg.r)]
+    reds = [mask_of(bg.blues_of(i)) for i in range(bg.r)]
     if not reds:
         return frozenset()
-    for size in range(1, min(k, bg.b) + 1):
-        for combo in itertools.combinations(range(bg.b), size):
-            chosen = frozenset(combo)
-            if all(r & chosen for r in reds):
-                return chosen
+    for chosen in subset_masks_by_size(bg.b, 1, k):
+        if all(r & chosen for r in reds):
+            return frozenset(vertices_of(chosen))
     return None
 
 

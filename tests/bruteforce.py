@@ -2,10 +2,12 @@
 
 The ``ref_*`` verifiers and searches deliberately avoid the bitmask
 machinery of the package, so that the package verifiers are checked
-through an independent route; ``ref_least_safe_set`` is the answer cw must
-give by definition.  ``ref_parse_graph`` and ``ref_sidecar_text``
-are the line-by-line graph reader and the ``json.dumps`` sidecar text that
-the package's faster I/O must match exactly.  ``ref_bfs_order`` is the
+through an independent route; ``ref_least_safe_set`` is the answer the
+oracle and cw must give by definition, and ``ref_least_dominating_set`` the
+one the dominating set brute force must give.  ``ref_parse_graph`` and
+``ref_sidecar_text`` are the line-by-line graph reader and the
+``json.dumps`` sidecar text that the package's faster I/O must match
+exactly.  ``ref_bfs_order`` is the
 whole BFS queue walk on plain sets, which ``bfs_prefix`` and ``bfs_order``
 must match, and ``ref_guess_mask`` is the approximation's guess walked
 through it, which its block walk must match; ``ref_order_bags`` is the path
@@ -82,6 +84,16 @@ def ref_least_safe_set(g: Graph, connected: bool = False) -> frozenset[int] | No
     for size in range(1, g.n + 1):
         for combo in itertools.combinations(range(g.n), size):
             if ref_is_safe(g, set(combo), connected):
+                return frozenset(combo)
+    return None
+
+
+def ref_least_dominating_set(g: Graph, k: int) -> frozenset[int] | None:
+    """The least dominating set of at most ``k`` vertices by (size, sorted
+    ids), or None: the first hit of a scan of closed neighbourhoods."""
+    for size in range(min(k, g.n) + 1):
+        for combo in itertools.combinations(range(g.n), size):
+            if set(combo).union(*(g.neighbors(v) for v in combo)) == set(g.vertices()):
                 return frozenset(combo)
     return None
 

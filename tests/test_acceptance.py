@@ -96,15 +96,16 @@ def test_criterion_3_construction_tree_solver_and_tables():
             (True, connected_safe_number_bf(g)),
         ):
             res = solve_cw(expr, connected=connected)
-            if res.feasible != reference.feasible or res.size != reference.size:
+            if res.feasible != reference.feasible or res.witness != reference.witness:
                 failures.append(
-                    f"expression {idx} (connected={connected}): {res.size} versus {reference.size}"
+                    f"expression {idx} (connected={connected}): {res.witness} versus "
+                    f"{reference.witness}"
                 )
     conclude(
         3,
         failures,
-        "tree solver matches the oracle and all tables, projected onto their live labels, "
-        f"recompute in both modes on {len(exprs)} expressions",
+        "tree solver returns the oracle's witness and all tables, projected onto their live "
+        f"labels, recompute in both modes on {len(exprs)} expressions",
     )
 
 
@@ -130,7 +131,13 @@ def test_criterion_4_eight_cycle_cross_check():
         for algo, res in results.items():
             if res.size != 4:
                 failures.append(f"{algo} (connected={connected}) got {res.size}")
-    conclude(4, failures, "all four solvers report 4 on the 8-cycle, plain and connected")
+        if results["cw"].witness != results["oracle"].witness:
+            failures.append(f"cw (connected={connected}) witness differs from the oracle's")
+    conclude(
+        4,
+        failures,
+        "all four solvers report 4 on the 8-cycle, plain and connected, and cw the oracle's witness",
+    )
 
 
 def test_criterion_5_approximation_bound():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from safeset.cexpr import (
+    _TOKEN,
     CExpression,
     DisjointUnion,
     Join,
@@ -21,6 +22,7 @@ from safeset.cexpr import (
     leaf_spans,
     parse_cexpression,
     validate_irredundant,
+    _tokenize,
 )
 from safeset.generators import cycle_graph, path_graph
 from safeset.graph import Graph, InputError
@@ -89,6 +91,27 @@ def test_parse_header_comments_whitespace():
     g, labels = eval_graph(expr)
     assert g == Graph(2, [(0, 1)])
     assert labels == [1, 2]
+
+
+def test_tokens_split_on_every_space_and_at_parentheses():
+    # a tab, a no-break space, an em space and an ideographic space each
+    # separate tokens, and a parenthesis ends a word with no space before it
+    text = "c\t3\n(e 1\u00a02(u(v 1)\u2003(r 3 2(v\u30003))))# (v 9)"
+    assert _tokenize(text) == [
+        ("c", 1, 1), ("3", 1, 3),
+        ("(", 2, 1), ("e", 2, 2), ("1", 2, 4), ("2", 2, 6),
+        ("(", 2, 7), ("u", 2, 8), ("(", 2, 9), ("v", 2, 10), ("1", 2, 12), (")", 2, 13),
+        ("(", 2, 15), ("r", 2, 16), ("3", 2, 18), ("2", 2, 20),
+        ("(", 2, 21), ("v", 2, 22), ("3", 2, 24),
+        (")", 2, 25), (")", 2, 26), (")", 2, 27), (")", 2, 28),
+    ]
+    g, labels = eval_graph(parse_cexpression(text))
+    assert g == Graph(2, [(0, 1)]) and labels == [1, 2]
+    with pytest.raises(FormatError, match=r"^line 1, col 13: expected a label, got 'a'$"):
+        parse_cexpression("(u (v 1)\u2003(v a))")
+    # over every code point, the tokens hold exactly what str.isspace rejects
+    every = "".join(map(chr, range(0x110000)))
+    assert "".join(_TOKEN.findall(every)) == "".join(c for c in every if not c.isspace())
 
 
 def test_parse_rejects_label_beyond_header():

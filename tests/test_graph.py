@@ -32,6 +32,7 @@ from safeset.graph import (
     is_safe_set,
     mask_of,
     max_degree,
+    precedes,
     validate_path_decomposition,
     vertices_of,
 )
@@ -100,6 +101,14 @@ def test_bfs_prefix_and_bfs_order_match_the_reference_walk():
     assert checked > 200
     with pytest.raises(InputError):
         list(bfs_order(path_graph(3), 0, 0b110))
+
+
+def test_precedes_is_the_order_of_size_then_sorted_ids():
+    subsets = [c for k in range(7) for c in itertools.combinations(range(6), k)]
+    for a in subsets:
+        for b in subsets:
+            want = (len(a), sorted(a)) < (len(b), sorted(b))
+            assert precedes(mask_of(a), mask_of(b)) is want, (a, b)
 
 
 def test_safe_set_star():

@@ -36,12 +36,25 @@ from safeset.oracle import (
 )
 from safeset.preprocess import approx_safe_set
 
-from bruteforce import ref_safe_number, treedepth_bf, vertex_cover_bf
+from corpus import graph_corpus, union_corpus
+from bruteforce import (
+    ref_least_dominating_set,
+    ref_least_safe_set,
+    ref_safe_number,
+    treedepth_bf,
+    vertex_cover_bf,
+)
 
 
 def test_subset_enumeration_order():
     masks = list(subset_masks_by_size(3))
     assert masks == [0b001, 0b010, 0b100, 0b011, 0b101, 0b110, 0b111]
+    # {1, 2} = 6 comes before {0, 3} = 9 in mask order, after it here
+    masks = list(subset_masks_by_size(4))
+    assert masks == [1, 2, 4, 8, 3, 5, 9, 6, 10, 12, 7, 11, 13, 14, 15]
+    assert list(subset_masks_by_size(4, 0, 1)) == [0, 1, 2, 4, 8]
+    assert list(subset_masks_by_size(2, 3, 9)) == []
+    assert list(subset_masks_by_size(0, 0)) == [0]
 
 
 def test_safe_number_cycle8():
@@ -115,6 +128,21 @@ def test_vertex_cover_values():
     assert vertex_cover_bf(cycle_graph(8)) == 4
     assert vertex_cover_bf(star_graph(3)) == 1
     assert vertex_cover_bf(empty_graph(4)) == 0
+
+
+def test_oracle_witness_is_the_least_minimum_safe_set():
+    graphs = [g for _, g in graph_corpus()] + [g for g in union_corpus() if g.n <= 11]
+    for g in graphs:
+        assert safe_number_bf(g).witness == ref_least_safe_set(g), g.edges
+        assert connected_safe_number_bf(g).witness == ref_least_safe_set(g, True), g.edges
+
+
+def test_dominating_set_is_the_least_one():
+    graphs = [g for _, g in graph_corpus()] + [g for g in union_corpus() if g.n <= 11]
+    graphs += [Graph(0), empty_graph(3)]
+    for g in graphs:
+        for k in range(5):
+            assert dominating_set_bf(g, k) == ref_least_dominating_set(g, k), (g.edges, k)
 
 
 def test_dominating_set_values():
@@ -248,16 +276,15 @@ def test_check_survives_optimized_mode():
 
 
 # Two paths on four vertices with interleaved ids: 4-0-6-3 and 2-1-7-5.
-# The oracle breaks ties between components on the global mask, the other
-# routes on the sorted witness, so the winning component differs.  Under
-# sorted order the oracle would answer {0, 3} (plain) and {0, 4} (connected).
+# Every route ranks components one way, by (size, sorted ids), so each
+# answers from the path 4-0-6-3, whose sets hold vertex 0.
 INTERLEAVED_P4S = Graph(8, [(0, 4), (0, 6), (1, 2), (1, 7), (3, 6), (5, 7)])
 
 
 def test_cross_component_tie_breaks():
     g = INTERLEAVED_P4S
-    assert safe_number_bf(g).witness == {1, 2}
-    assert connected_safe_number_bf(g).witness == {1, 2}
+    assert safe_number_bf(g).witness == {0, 3}
+    assert connected_safe_number_bf(g).witness == {0, 4}
     assert solve_nd(g).witness == {4, 6}
     assert solve_nd(g, connected=True).witness == {3, 6}
     assert branch_solve(g, 8).witness == {0, 4}
