@@ -160,9 +160,9 @@ def find_problematic(
 
 def _complete_leaf(
     g: Graph, sets: tuple[int, ...], targets: tuple[int, ...], connected: bool
-) -> frozenset[int] | None:
+) -> int | None:
     """Steiner-complete every partial component, pad to the exact targets,
-    and accept only verifier-approved solutions."""
+    and accept only verifier-approved solutions, as a vertex mask."""
     if not all(sets):
         return None
     union = _union(sets)
@@ -179,13 +179,9 @@ def _complete_leaf(
             if not frontier:
                 return None
             primes[i] |= frontier & -frontier
-    solution = vertices_of(_union(primes))
-    ok = (
-        is_connected_safe_set(g, solution)
-        if connected
-        else is_safe_set(g, solution)
-    )
-    return frozenset(solution) if ok else None
+    solution = _union(primes)
+    verify = is_connected_safe_set if connected else is_safe_set
+    return solution if verify(g, vertices_of(solution)) else None
 
 
 def _partitions(s: int, cap: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -202,7 +198,7 @@ def _partitions(s: int, cap: int | None = None) -> Iterator[tuple[int, ...]]:
 
 def _search(
     g: Graph, sets: tuple[int, ...], targets: tuple[int, ...], connected: bool, failed: set
-) -> frozenset[int] | None:
+) -> int | None:
     """First solution under the state ``sets`` in depth-first order, or None.
 
     The outcome depends on ``g``, ``connected``, the targets and the sets
@@ -232,10 +228,10 @@ def _search(
     return None
 
 
-def _solve_component(g: Graph, k: int, connected: bool) -> frozenset[int] | None:
+def _solve_component(g: Graph, k: int, connected: bool) -> int | None:
     for s in range(1, min(k, g.n) + 1):
         if s == g.n:
-            return frozenset(g.vertices())
+            return g.full_mask()
         shapes = [(s,)] if connected else list(_partitions(s))
         for shape in shapes:
             # failed states of this g and these targets only

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import time
 from operator import add
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 from .cexpr import (
     CExpression,
@@ -46,41 +46,33 @@ from .oracle import SolveResult, verified_result
 Column = tuple[tuple, ...]
 
 
-class DpEntry(NamedTuple):
-    """Summary of one selection within a subtree's graph.
-
-    ``key`` holds seven columns, each a tuple of ``(label set, value)``
-    items sorted by label set (a bitmask, bit k standing for label k+1); a
-    component is filed under its label set's live labels, and only label
-    sets that actually have components appear:
-
-    0. inside totals: combined size of the selected components carrying
-       exactly that label set;
-    1. outside totals: the same for the unselected components;
-    2. inside minima: the smallest such selected component;
-    3. outside maxima: the largest such unselected component;
-    4.-6. over adjacent component pairs, keyed by (selected label set,
-       unselected label set): the smallest selected component, the largest
-       unselected one, and the smallest selected-minus-unselected gap.
-
-    Label set 0 marks that the selection has components with no live
-    label, which no later step reads again: its total and minimum are both
-    1, however many there are, so column 0 need not sum to the number of
-    selected vertices.  Outside columns have no label set 0, and pairs
-    none with both sides 0.
-
-    ``witness`` is the least selection realizing the summary (see
-    ``_dedup``), as a vertex bitmask (bit v stands for vertex v).
-    """
-
-    key: tuple[Column, ...]
-    witness: int
-
+# A table maps each summary of one selection within a subtree's graph to
+# the least selection realizing it (see ``_dedup``), as a vertex bitmask
+# (bit v stands for vertex v).  A summary holds seven columns, each a tuple
+# of ``(label set, value)`` items sorted by label set (a bitmask, bit k
+# standing for label k+1); a component is filed under its label set's live
+# labels, and only label sets that actually have components appear:
+#
+# 0. inside totals: combined size of the selected components carrying
+#    exactly that label set;
+# 1. outside totals: the same for the unselected components;
+# 2. inside minima: the smallest such selected component;
+# 3. outside maxima: the largest such unselected component;
+# 4.-6. over adjacent component pairs, keyed by (selected label set,
+#    unselected label set): the smallest selected component, the largest
+#    unselected one, and the smallest selected-minus-unselected gap.
+#
+# Label set 0 marks that the selection has components with no live label,
+# which no later step reads again: its total and minimum are both 1,
+# however many there are, so column 0 need not sum to the number of
+# selected vertices.  Outside columns have no label set 0, and pairs none
+# with both sides 0.
+Table = dict[tuple[Column, ...], int]
 
 # How two values under the same label set pool, one rule per column.
 _RULES = (add, add, min, max, min, max, min)
 
-# Label set 0 of the inside columns (see ``DpEntry``).
+# Label set 0 of the inside columns (see ``Table``).
 _DEAD = ((0, 1),)
 
 
@@ -103,7 +95,7 @@ def _renamed(cols: tuple[Column, ...], rules: tuple, new: list) -> tuple[Column,
     )
 
 
-def _dedup(entries: Iterable[tuple[tuple, int] | None]) -> list[DpEntry]:
+def _dedup(entries: Iterable[tuple[tuple, int] | None]) -> Table:
     """Collapse equal summaries, each keeping its least witness; a None
     entry is a dropped summary.
 
@@ -112,7 +104,7 @@ def _dedup(entries: Iterable[tuple[tuple, int] | None]) -> list[DpEntry]:
     disjoint subtrees combine by union with one fixed set, which keeps that
     order, so the root keeps every summary's least selection.
     """
-    seen: dict[tuple, int] = {}
+    seen: Table = {}
     for entry in entries:
         if entry is None:
             continue
@@ -120,16 +112,16 @@ def _dedup(entries: Iterable[tuple[tuple, int] | None]) -> list[DpEntry]:
         old = seen.get(key)
         if old is None or precedes(witness, old):
             seen[key] = witness
-    return [DpEntry(key, witness) for key, witness in seen.items()]
+    return seen
 
 
-def _projected(entries: list[DpEntry], moved: int, target: int, connected: bool) -> list[DpEntry]:
-    """The family with every label set m that meets ``moved`` renamed to
+def _projected(table: Table, moved: int, target: int, connected: bool) -> Table:
+    """The table with every label set m that meets ``moved`` renamed to
     m & ~moved | target; summaries that coincide then collapse, and a
     summary no later step can make acceptable is dropped.
 
     Buckets that end up on one label set pool by their columns' rules.
-    Label set 0 of the inside columns becomes the marker of ``DpEntry``.
+    Label set 0 of the inside columns becomes its marker (see ``Table``).
     In connected mode, a dead selected component next to any other selected
     component can never join it, so its selection is dropped instead; a
     label set holds one component exactly when its total equals its
@@ -141,10 +133,9 @@ def _projected(entries: list[DpEntry], moved: int, target: int, connected: bool)
     def to(m: int) -> int:
         return m & ~moved | target if m & moved else m
 
-    out: list[DpEntry] = []
-    changed = False
-    for e in entries:
-        it, ot, imin, omax, sel, unsel, gap = e.key
+    out: Table = {}
+    for key, witness in table.items():
+        it, ot, imin, omax, sel, unsel, gap = key
         if moved:
             if any(m & moved for m, _ in it):
                 it, imin = _renamed((it, imin), (add, min), [to(m) for m, _ in it])
@@ -164,18 +155,17 @@ def _projected(entries: list[DpEntry], moved: int, target: int, connected: bool)
                 continue
             sel, unsel, gap = sel[1:], unsel[1:], gap[1:]
         key = (it, ot, imin, omax, sel, unsel, gap)
-        if key != e.key:
-            changed = True
-            e = DpEntry(key, e.witness)
-        out.append(e)
-    return _dedup(out) if changed else out
+        old = out.get(key)
+        if old is None or precedes(witness, old):
+            out[key] = witness
+    return out
 
 
 # ---------------------------------------------------------------------------
 # transitions
 
 
-def dp_leaf(label: int, vertex: int = 0) -> list[DpEntry]:
+def dp_leaf(label: int, vertex: int = 0) -> Table:
     """Summaries for a single created vertex: left out, or selected."""
     if label < 1:
         raise InputError("labels are positive")
@@ -185,20 +175,20 @@ def dp_leaf(label: int, vertex: int = 0) -> list[DpEntry]:
     return _dedup([(skipped, 0), (taken, 1 << vertex)])
 
 
-def dp_union(left: list[DpEntry], right: list[DpEntry]) -> list[DpEntry]:
+def dp_union(left: Table, right: Table) -> Table:
     """Side-by-side placement: aggregates combine pointwise, nothing merges."""
 
-    def combined(a: DpEntry, b: DpEntry) -> tuple[tuple, int]:
-        key = tuple(
-            _pooled(x, y, rule) if x and y else x or y
-            for x, y, rule in zip(a.key, b.key, _RULES)
+    def combined(a: tuple[Column, ...], b: tuple[Column, ...]) -> tuple:
+        return tuple(
+            _pooled(x, y, rule) if x and y else x or y for x, y, rule in zip(a, b, _RULES)
         )
-        return key, a.witness | b.witness
 
-    return _dedup(combined(a, b) for a in left for b in right)
+    return _dedup(
+        (combined(a, b), wa | wb) for a, wa in left.items() for b, wb in right.items()
+    )
 
 
-def dp_relabel(source: int, target: int, child: list[DpEntry]) -> list[DpEntry]:
+def dp_relabel(source: int, target: int, child: Table) -> Table:
     """Rename a label: buckets whose label sets now coincide fuse."""
     if source == target:
         raise InputError("relabel needs two distinct labels")
@@ -233,9 +223,9 @@ def _fuse(
     )
 
 
-def _join_entry(bit_i: int, bit_j: int, e: DpEntry) -> tuple[tuple, int]:
+def _join_entry(bit_i: int, bit_j: int, key: tuple[Column, ...]) -> tuple:
     touch = bit_i | bit_j
-    it, ot, imin, omax, sel, unsel, gap = e.key
+    it, ot, imin, omax, sel, unsel, gap = key
     it, imin, fused_in, size_in = _fuse(it, imin, bit_i, bit_j)
     ot, omax, fused_out, size_out = _fuse(ot, omax, bit_i, bit_j)
 
@@ -268,16 +258,16 @@ def _join_entry(bit_i: int, bit_j: int, e: DpEntry) -> tuple[tuple, int]:
         sel = _pooled(sel, [(p, a) for p, a, _, _ in items], min)
         unsel = _pooled(unsel, [(p, b) for p, _, b, _ in items], max)
         gap = _pooled(gap, [(p, d) for p, _, _, d in items], min)
-    return (it, ot, imin, omax, sel, unsel, gap), e.witness
+    return it, ot, imin, omax, sel, unsel, gap
 
 
-def dp_join(first: int, second: int, child: list[DpEntry]) -> list[DpEntry]:
+def dp_join(first: int, second: int, child: Table) -> Table:
     """Connect two label classes completely; assumes no such edge exists yet."""
     if first == second:
         raise InputError("join needs two distinct labels")
     bit_i = 1 << (first - 1)
     bit_j = 1 << (second - 1)
-    return _dedup(_join_entry(bit_i, bit_j, e) for e in child)
+    return _dedup((_join_entry(bit_i, bit_j, key), w) for key, w in child.items())
 
 
 # ---------------------------------------------------------------------------
@@ -306,31 +296,31 @@ def _live_labels(order: list[Node]) -> dict[Node, int]:
     return live
 
 
-def _forgotten(entries: list[DpEntry], dying: int, live: int, connected: bool) -> list[DpEntry]:
-    """The family with the labels ``dying`` removed from every label set,
+def _forgotten(table: Table, dying: int, live: int, connected: bool) -> Table:
+    """The table with the labels ``dying`` removed from every label set,
     which leaves only ``live`` ones (``_projected``)."""
     if not live:
         # every label set becomes 0, which leaves only whether a summary
         # is safe and what it selects; the same keys as the general
         # projection below, without pooling each column only to drop it
         # (cw-trees ops_per_s 67.7 -> 71.1 over 10 pairs, BENCH_21.json)
-        def settled(e: DpEntry) -> tuple[tuple, int] | None:
-            it, _, imin, _, _, _, gap = e.key
+        def settled(key: tuple[Column, ...], witness: int) -> tuple[tuple, int] | None:
+            it, _, imin, _, _, _, gap = key
             if any(d < 0 for _, d in gap):
                 return None
             if not it:
-                return ((),) * 7, e.witness
+                return ((),) * 7, witness
             if connected and (len(it) > 1 or it[0][1] != imin[0][1]):
                 return None
-            return (_DEAD, (), _DEAD, (), (), (), ()), e.witness
+            return (_DEAD, (), _DEAD, (), (), (), ()), witness
 
-        return _dedup(settled(e) for e in entries)
+        return _dedup(settled(key, w) for key, w in table.items())
 
-    return _projected(entries, dying, 0, connected)
+    return _projected(table, dying, 0, connected)
 
 
-def _walk(expr: CExpression, connected: bool) -> Iterator[tuple[Node, list[DpEntry]]]:
-    """The summary family at every node, in post-order, projected onto the
+def _walk(expr: CExpression, connected: bool) -> Iterator[tuple[Node, Table]]:
+    """The summary table at every node, in post-order, projected onto the
     node's live labels (``_live_labels``).
 
     Each table is read once, by its parent, so the walk keeps a table only
@@ -345,7 +335,7 @@ def _walk(expr: CExpression, connected: bool) -> Iterator[tuple[Node, list[DpEnt
     """
     order = list(iter_nodes(expr.root))
     live = _live_labels(order)
-    waiting: dict[Node, list[DpEntry]] = {}
+    waiting: dict[Node, Table] = {}
     vertex = 0
     for node in order:
         if isinstance(node, Leaf):
@@ -366,8 +356,8 @@ def _walk(expr: CExpression, connected: bool) -> Iterator[tuple[Node, list[DpEnt
         yield node, table
 
 
-def dp_evaluate(expr: CExpression, connected: bool = False) -> dict[Node, list[DpEntry]]:
-    """Run the program bottom-up; returns the summary family at every node
+def dp_evaluate(expr: CExpression, connected: bool = False) -> dict[Node, Table]:
+    """Run the program bottom-up; returns the summary table at every node
     (``_walk``), in post-order."""
     return dict(_walk(expr, connected))
 
@@ -404,9 +394,9 @@ def solve_cw(expr: CExpression, connected: bool = False, limit: int | None = Non
     # the walk ends at the root; ``precedes`` is the rule each summary's
     # witness is kept by, so the answer is the least minimum (connected) safe set
     best = None
-    for e in table:
-        if e.key[0] and (best is None or precedes(e.witness, best)):
-            best = e.witness
+    for key, w in table.items():
+        if key[0] and (best is None or precedes(w, best)):
+            best = w
     witness = None
     if best is not None and (limit is None or best.bit_count() <= limit):
         witness = vertices_of(best)

@@ -22,7 +22,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import or_
-from typing import Literal, NamedTuple
+from typing import Literal
 
 from .graph import (
     Graph,
@@ -30,13 +30,8 @@ from .graph import (
     is_safe_mask,
     mask_of,
     precedes,
-    vertices_of,
 )
 from .oracle import SolveResult, solve_by_component
-
-EMPTY = "empty"
-PARTIAL = "partial"
-FULL = "full"
 
 
 @dataclass(frozen=True)
@@ -97,30 +92,15 @@ def twin_partition(g: Graph) -> TwinPartition:
     return TwinPartition(tuple(frozenset(grp) for grp in groups), kinds, tuple(masks))
 
 
-class GuessPartition(NamedTuple):
-    """Per-class choice as bitmasks over class indices: bit i of ``full``
-    means the solution takes all of class i, bit i of ``partial`` part of
-    it, and a class in neither is avoided.  ``vertices`` is the vertex mask
-    of the FULL classes; ``width`` is the number of classes."""
-
-    full: int
-    partial: int
-    vertices: int
-    width: int
-
-    @property
-    def assignment(self) -> tuple[str, ...]:
-        """The choice spelled out per class, first class first."""
-        return tuple(
-            FULL if self.full >> i & 1 else PARTIAL if self.partial >> i & 1 else EMPTY
-            for i in range(self.width)
-        )
-
-
 def enumerate_guesses(tp: TwinPartition, bound: Callable[[], float] = lambda: math.inf):
-    """Every guess in product order (per class EMPTY, PARTIAL, FULL; the
+    """Every guess in product order (per class empty, partial, full; the
     last class varies fastest) that leaves the solution non-empty, never
-    makes a singleton PARTIAL, and whose floor is below ``bound()``.
+    makes a singleton partial, and whose floor is below ``bound()``.
+
+    A guess is ``(full, partial, vertices)``: bit i of ``full`` means the
+    solution takes all of class i, bit i of ``partial`` part of it, and a
+    class in neither is avoided; ``vertices`` is the vertex mask of the full
+    classes.
 
     The floor -- full-class sizes plus one per partial class -- is the
     smallest solution a guess allows, and it only grows as a prefix is
@@ -131,7 +111,7 @@ def enumerate_guesses(tp: TwinPartition, bound: Callable[[], float] = lambda: ma
     width = tp.width
     sizes = [len(cls) for cls in tp.classes]
     vmasks = [mask_of(cls) for cls in tp.classes]
-    # (classes decided, full, partial, vertices, floor); EMPTY is pushed
+    # (classes decided, full, partial, vertices, floor); empty is pushed
     # last so that it is popped first
     stack = [(0, 0, 0, 0, 0)]
     pop, push = stack.pop, stack.append
@@ -140,8 +120,8 @@ def enumerate_guesses(tp: TwinPartition, bound: Callable[[], float] = lambda: ma
         if floor >= bound():
             continue
         if i == width:
-            if floor:  # only the all-EMPTY guess has floor 0
-                yield GuessPartition(full, partial, vertices, width)
+            if floor:  # only the all-empty guess has floor 0
+                yield full, partial, vertices
             continue
         bit = 1 << i
         push((i + 1, full | bit, partial, vertices | vmasks[i], floor + sizes[i]))
@@ -151,7 +131,7 @@ def enumerate_guesses(tp: TwinPartition, bound: Callable[[], float] = lambda: ma
 
 
 def build_families(
-    tp: TwinPartition, guess: GuessPartition
+    tp: TwinPartition, guess: tuple[int, int, int]
 ) -> tuple[list[frozenset[int]], list[int]]:
     """Group the classes on the solution side into connected blocks.
 
@@ -160,7 +140,8 @@ def build_families(
     independent class instead contributes one single-vertex component per
     vertex taken (its "singleton-type" classes are returned separately).
     """
-    rest = guess.full | guess.partial
+    full, partial, _ = guess
+    rest = full | partial
     families: list[frozenset[int]] = []
     singletons: list[int] = []
     while rest:
@@ -188,22 +169,23 @@ def prefix_masks(tp: TwinPartition) -> list[list[int]]:
 
 
 def assemble_ip(
-    tp: TwinPartition, guess: GuessPartition, connected: bool
+    tp: TwinPartition, guess: tuple[int, int, int], connected: bool
 ) -> tuple[list[int], list[int]] | None:
     """Per-class count bounds ``(lo, hi)`` of one guess, or None when the
-    guess cannot hold: FULL takes the whole class, PARTIAL 1 to size - 1
-    vertices, EMPTY none.
+    guess cannot hold: a full class takes the whole class, a partial one 1
+    to size - 1 vertices, an empty one none.
 
     In connected mode the solution side must be one block.  A block that is
     one independent class is made of single vertices, so one vertex of it is
     connected and two are not: taken whole with more than one vertex it is
     rejected, and otherwise capped at one vertex.
     """
+    full, partial, _ = guess
     lo, hi = [], []
     for i, cls in enumerate(tp.classes):
-        full, partial = guess.full >> i & 1, guess.partial >> i & 1
-        lo.append(len(cls) if full else partial)
-        hi.append(len(cls) if full else partial * (len(cls) - 1))
+        whole, part = full >> i & 1, partial >> i & 1
+        lo.append(len(cls) if whole else part)
+        hi.append(len(cls) if whole else part * (len(cls) - 1))
     if connected:
         families, singletons = build_families(tp, guess)
         if len(families) + len(singletons) != 1:
@@ -265,24 +247,25 @@ def solve_ip(
     return best
 
 
-def _component_best(sub: Graph, connected: bool, bound: int) -> frozenset[int] | None:
-    """Best solution of the connected graph ``sub`` in guess order, looking
+def _component_best(sub: Graph, connected: bool, bound: int) -> int | None:
+    """Vertex mask of the best solution of the connected graph ``sub`` in
+    guess order, or None, looking
     only at guesses whose floor is at most ``bound``, and only for sets of
     at most ``bound`` vertices: a larger solution loses anyway, one of equal
     size may still win on its sorted ids."""
     verify = is_connected_safe_mask if connected else is_safe_mask
     tp = twin_partition(sub)
-    prefixes = None  # built at the first guess with a PARTIAL class
+    prefixes = None  # built at the first guess with a partial class
     best: int | None = None
     limit = bound + 1  # stays min(bound + 1, size of best)
 
     for guess in enumerate_guesses(tp, lambda: limit):
-        if not guess.partial:
+        _, partial, wmask = guess
+        if not partial:
             # every class count is fixed: one verifier call on the union of
             # the full classes
-            if not verify(sub, guess.vertices):
+            if not verify(sub, wmask):
                 continue
-            wmask = guess.vertices
         else:
             box = assemble_ip(tp, guess, connected)
             if box is None:
@@ -296,12 +279,12 @@ def _component_best(sub: Graph, connected: bool, bound: int) -> frozenset[int] |
         if best is None or precedes(wmask, best):
             best = wmask
             limit = min(limit, best.bit_count())
-    return None if best is None else frozenset(vertices_of(best))
+    return best
 
 
 def solve_nd(g: Graph, connected: bool = False, limit: int | None = None) -> SolveResult:
     """Exact minimum (connected) safe set via the twin-class guesses, solved
-    per component.  A guess with a PARTIAL class goes through a count
+    per component.  A guess with a partial class goes through a count
     search whose only test is the verifier on a concrete set.  With
     ``limit`` set, the walk skips every guess whose floor is larger, and a
     count search stops at totals above it."""

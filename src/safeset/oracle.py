@@ -84,11 +84,11 @@ def solve_by_component(
 
     A minimum safe set never straddles components: restricting a safe set
     to one component keeps it safe, and sizes add up.  ``solve(sub, bound)``
-    returns a witness in the ids of a component's induced subgraph (``g``
-    itself when connected), or None; ``bound`` = min(sub.n, limit, best
-    size so far) is the largest size still worth finding, and a larger
-    witness is ignored.  Witnesses are mapped back to ``g``'s ids, the
-    least by ``precedes`` wins, and the winner is verified.
+    returns a witness as a vertex mask in the ids of a component's induced
+    subgraph (``g`` itself when connected), or None; ``bound`` = min(sub.n,
+    limit, best size so far) is the largest size still worth finding, and a
+    larger witness is ignored.  Witnesses are mapped back to ``g``'s ids,
+    the least by ``precedes`` wins, and the winner is verified.
     """
     t0 = time.perf_counter()
     best: int | None = None
@@ -99,8 +99,8 @@ def solve_by_component(
         if best is not None:
             bound = min(bound, best.bit_count())
         got = solve(sub, bound)
-        if got is not None and len(got) <= bound:
-            wmask = mask_of(ids[v] for v in got)
+        if got is not None and got.bit_count() <= bound:
+            wmask = mask_of(ids[v] for v in vertices_of(got))
             if best is None or precedes(wmask, best):
                 best = wmask
     return verified_result(g, None if best is None else vertices_of(best), algorithm, connected, t0)
@@ -123,14 +123,14 @@ def _check_cap(g: Graph, cap: int, what: str) -> None:
 
 def _first_safe(connected: bool):
     """Component solver returning the first safe set of the scan, the least
-    one by (size, sorted ids)."""
+    one by (size, sorted ids), as a vertex mask."""
 
     verify = is_connected_safe_mask if connected else is_safe_mask
 
-    def solve(sub: Graph, bound: int) -> list[int] | None:
+    def solve(sub: Graph, bound: int) -> int | None:
         for mask in subset_masks_by_size(sub.n, 1, bound):
             if verify(sub, mask):
-                return vertices_of(mask)
+                return mask
         return None
 
     return solve

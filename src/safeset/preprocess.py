@@ -12,7 +12,6 @@ from .graph import (  # noqa: F401
     is_safe_set,
     neighborhood_mask,
     precedes,
-    vertices_of,
 )
 from .oracle import SolveResult, solve_by_component
 
@@ -49,9 +48,9 @@ def _grown(g: Graph, vertices: list[int], seed: int = 0, border: int = 0) -> tup
     return seed, border
 
 
-def _approx_component(g: Graph, limit: int) -> frozenset[int] | None:
-    """Best set of at most `limit` vertices found over the guesses of the
-    safe number in the connected graph g, or None."""
+def _approx_component(g: Graph, limit: int) -> int | None:
+    """Vertex mask of the best set of at most `limit` vertices found over
+    the guesses of the safe number in the connected graph g, or None."""
     order = bfs_prefix(g, 0, g.full_mask(), g.n)[0]
     # Bisect for the least guess hi that swallows nothing, whose set is its
     # seed.  Guess max(n - 1, 1) has nothing left to swallow, and guess
@@ -82,7 +81,7 @@ def _approx_component(g: Graph, limit: int) -> frozenset[int] | None:
         if smask is not None and (best is None or precedes(smask, best)):
             best = smask
             limit = best.bit_count()
-    return None if best is None else frozenset(vertices_of(best))
+    return best
 
 
 def approx_safe_set(g: Graph, limit: int | None = None) -> SolveResult:

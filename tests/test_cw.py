@@ -1,8 +1,10 @@
 """The tree-based safe-set solver, checked against direct recomputation."""
 
+import importlib.util
 import itertools
 import random
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,6 +22,7 @@ from safeset.cexpr import (
     parse_cexpression,
 )
 from safeset.cw import (
+    _DEAD,
     _live_labels,
     dp_evaluate,
     dp_join,
@@ -46,23 +49,24 @@ NESTED_JOIN_TEXT = (
 )
 
 
-def by_witness(entries, witness):
-    matches = [e for e in entries if e.witness == mask_of(witness)]
+def by_witness(table, witness):
+    """The (key, witness) pair of ``table`` whose witness is ``witness``."""
+    matches = [e for e in table.items() if e[1] == mask_of(witness)]
     assert len(matches) == 1, f"no unique entry with witness {witness}"
     return matches[0]
 
 
-def by_summary(entries, summary):
-    matches = [e for e in entries if maps(e) == summary]
+def by_summary(table, summary):
+    matches = [e for e in table.items() if maps(e) == summary]
     assert len(matches) == 1, f"no unique entry with summary {summary}"
     return matches[0]
 
 
 def maps(entry):
-    """A summary's seven columns decoded into its three maps, the form
-    ``ref_summary`` returns.  Columns that share a map must list the same
-    label sets, each column sorted and free of repeats."""
-    it, ot, imin, omax, sel, unsel, gap = entry.key
+    """A (key, witness) pair's seven key columns decoded into its three
+    maps, the form ``ref_summary`` returns.  Columns that share a map must
+    list the same label sets, each column sorted and free of repeats."""
+    (it, ot, imin, omax, sel, unsel, gap), _ = entry
 
     def joined(*cols):
         keys = [k for k, _ in cols[0]]
@@ -91,25 +95,25 @@ def test_leaf_summaries():
     inside, outside, _ = maps(by_witness(entries, (0,)))
     assert inside == {1: (1, 1)}
     assert outside == {}
-    for e in entries:
+    for e in entries.items():
         assert maps(e)[2] == {}
 
 
 def test_union_with_skipped_leaf_only_grows_outside():
     base = by_witness(dp_leaf(1, vertex=0), (0,))
     pad = by_witness(dp_leaf(2, vertex=1), ())
-    combined = dp_union([base], [pad])
+    combined = dp_union(dict([base]), dict([pad]))
     assert len(combined) == 1
-    entry = combined[0]
+    [entry] = combined.items()
     assert maps(entry)[0] == maps(base)[0]
     assert maps(entry)[1] == {2: (1, 1)}
-    assert vertices_of(entry.witness) == [0]
+    assert vertices_of(entry[1]) == [0]
 
 
 def test_union_of_two_taken_leaves_same_label():
     a = by_witness(dp_leaf(1, vertex=0), (0,))
     b = by_witness(dp_leaf(1, vertex=1), (1,))
-    entry = dp_union([a], [b])[0]
+    [entry] = dp_union(dict([a]), dict([b])).items()
     assert maps(entry)[0] == {1: (2, 1)}
     assert maps(entry) == ref_summary(Graph(2), [1, 1], {0, 1})
 
@@ -124,7 +128,7 @@ def test_union_size_is_at_most_product():
 
 def test_relabel_renames_single_class():
     entry = by_witness(dp_leaf(1), (0,))
-    out = dp_relabel(1, 2, [entry])[0]
+    [out] = dp_relabel(1, 2, dict([entry])).items()
     assert maps(out)[0] == {2: (1, 1)}
 
 
@@ -133,7 +137,7 @@ def test_relabel_fuses_outside_buckets():
     child = dp_union(dp_leaf(1, 0), dp_leaf(2, 1))
     both_out = by_witness(child, ())
     assert maps(both_out)[1] == {1: (1, 1), 2: (1, 1)}
-    fused = dp_relabel(1, 2, [both_out])[0]
+    [fused] = dp_relabel(1, 2, dict([both_out])).items()
     assert maps(fused)[1] == {2: (2, 1)}
     assert maps(fused) == ref_summary(Graph(2), [2, 2], set())
 
@@ -141,7 +145,7 @@ def test_relabel_fuses_outside_buckets():
 def test_relabel_without_occurrences_changes_nothing():
     child = dp_union(dp_leaf(1, 0), dp_leaf(2, 1))
     out = dp_relabel(3, 1, child)
-    assert [e.key for e in out] == [e.key for e in child]
+    assert list(out) == list(child)
 
 
 def test_join_merges_selected_components():
@@ -170,7 +174,7 @@ def test_join_records_new_adjacency():
 def test_join_without_both_classes_is_identity():
     child = dp_union(dp_leaf(1, 0), dp_leaf(1, 1))
     out = dp_join(2, 3, child)
-    assert [e.key for e in out] == [e.key for e in child]
+    assert list(out) == list(child)
 
 
 def test_join_revalues_gap_when_fused_mask_equals_old_key():
@@ -192,6 +196,22 @@ def test_join_revalues_gap_when_fused_mask_equals_old_key():
     _, outside, pairs = maps(entry)
     assert outside == {6: (4, 4)}
     assert pairs == {(0, 6): (1, 4, -3)}
+
+
+def test_projection_drops_summaries_when_no_key_changes():
+    # Vertex 0's label dies at its leaf, so at the union below the root a
+    # selection of it and another vertex holds a dead component next to
+    # another selected one: connected mode drops those three selections
+    # there, though no other summary changes
+    expr = parse_cexpression("(e 2 3 (u (v 1) (u (v 2) (v 3))))")
+    every = [[], [2], [1], [1, 2], [0], [0, 2], [0, 1], [0, 1, 2]]
+    for connected, want in ((False, every), (True, every[:5])):
+        table = dp_evaluate(expr, connected)[expr.root.child]
+        assert [vertices_of(w) for w in table.values()] == want
+    # a pair of two dead components with a negative gap is unsafe for good,
+    # so a relabel that renames nothing still drops its selection
+    dead_pair = (_DEAD, (), _DEAD, (), (((0, 0), 1),), (((0, 0), 2),), (((0, 0), -1),))
+    assert dp_relabel(3, 1, {dead_pair: 0b1}) == {}
 
 
 def test_transitions_reject_equal_labels():
@@ -234,19 +254,19 @@ def assert_tables_definitional(expr):
                     if (got := summary(subset)) is not None:
                         least.setdefault(frozen(got), list(subset))
             summaries = set()
-            for entry in entries:
+            for entry in entries.items():
                 inside, outside, _ = maps(entry)
                 assert all(t > 0 for t, _ in inside.values())
                 assert all(t > 0 for t, _ in outside.values())
-                local = {v - base for v in vertices_of(entry.witness)}
+                local = {v - base for v in vertices_of(entry[1])}
                 assert all(0 <= v < size for v in local)
                 assert maps(entry) == summary(local)
                 assert sorted(local) == least[frozen(maps(entry))]
                 # live selected components hold exactly the witness's
                 # vertices when none is dead, and never more
                 in_live = sum(t for m, (t, _) in inside.items() if m)
-                assert in_live == entry.witness.bit_count() or (
-                    0 in inside and in_live < entry.witness.bit_count()
+                assert in_live == entry[1].bit_count() or (
+                    0 in inside and in_live < entry[1].bit_count()
                 )
                 summaries.add(frozen(maps(entry)))
             assert len(summaries) == len(entries)
@@ -449,7 +469,7 @@ def test_root_family_is_pinned():
         for connected in (False, True):
             root = dp_evaluate(expr, connected)[expr.root]
             assert len(root) == len(family)
-            got = {(frozen(maps(e)), tuple(vertices_of(e.witness))) for e in root}
+            got = {(frozen(maps(e)), tuple(vertices_of(e[1]))) for e in root.items()}
             assert got == {(frozen(m), tuple(w)) for m, w in family}
 
 
@@ -468,9 +488,10 @@ CYCLE12_STATS = {
 
 # Bounds on the tracemalloc peak of ``solve_cw`` on the 12-cycle's tree, in
 # bytes, plain and connected.  The walk keeps a table only until its parent
-# is built, which peaks at about 4.0 and 0.4 MB; keeping every table until
-# the walk ends peaked at about 8.3 and 1.3 MB.
-CYCLE12_PEAK = {False: 4_500_000, True: 700_000}
+# is built, and each table is one dict, which peaks at about 3.6 and 0.4 MB;
+# tables as lists of records peaked at about 4.0 and 0.4 MB, and keeping
+# every such table until the walk ended at about 8.3 and 1.3 MB.
+CYCLE12_PEAK = {False: 4_000_000, True: 700_000}
 
 
 @pytest.mark.parametrize("connected", [False, True])
@@ -510,6 +531,20 @@ def test_walk_keeps_a_table_only_until_its_parent_reads_it(connected):
     finally:
         tracemalloc.stop()
     assert peak <= CYCLE12_PEAK[connected]
+
+
+CW_TABLES = Path(__file__).resolve().parent.parent / "scripts" / "cw_tables.py"
+
+
+@pytest.mark.parametrize("connected", [False, True])
+def test_cw_tables_script_reports_the_solver_stats(connected):
+    spec = importlib.util.spec_from_file_location("cw_tables", CW_TABLES)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    for n in (6, 8):
+        stats, peak = script.measure(n, connected)
+        assert stats == solve_cw(cycle_expression(n), connected).stats
+        assert peak > 0
 
 
 def test_solve_rejects_repeated_join():

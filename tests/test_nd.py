@@ -28,10 +28,6 @@ from safeset.graph import (
 )
 from safeset import nd
 from safeset.nd import (
-    EMPTY,
-    FULL,
-    PARTIAL,
-    GuessPartition,
     assemble_ip,
     build_families,
     enumerate_guesses,
@@ -44,6 +40,9 @@ from safeset.oracle import connected_safe_number_bf, safe_number_bf
 
 from corpus import disjoint_union, union_corpus
 from bruteforce import ref_count_program, ref_is_safe, vertex_cover_bf
+
+# A guess spelled out per class, first class first.
+EMPTY, PARTIAL, FULL = "empty", "partial", "full"
 
 
 def test_twin_partition_complete_graph():
@@ -126,11 +125,20 @@ def test_twin_partition_perfect_matching():
 def test_guess_enumeration_skips_impossible():
     tp = twin_partition(complete_graph(4))
     guesses = list(enumerate_guesses(tp))
-    assert [g.assignment for g in guesses] == [(PARTIAL,), (FULL,)]
+    assert [_spelled(g, tp.width) for g in guesses] == [(PARTIAL,), (FULL,)]
     tp2 = twin_partition(path_graph(2))  # one clique class of size 2
-    assert [g.assignment for g in enumerate_guesses(tp2)] == [(PARTIAL,), (FULL,)]
+    assert [_spelled(g, tp2.width) for g in enumerate_guesses(tp2)] == [(PARTIAL,), (FULL,)]
     # the masks spell the choice; a class in neither mask is EMPTY
-    assert GuessPartition(0b100, 0b001, 0, 3).assignment == (PARTIAL, EMPTY, FULL)
+    assert _spelled((0b100, 0b001, 0), 3) == (PARTIAL, EMPTY, FULL)
+
+
+def _spelled(guess, width):
+    """The (full, partial, vertices) guess spelled out over ``width``
+    classes."""
+    full, partial, _ = guess
+    return tuple(
+        FULL if full >> i & 1 else PARTIAL if partial >> i & 1 else EMPTY for i in range(width)
+    )
 
 
 def _guess(tp, assignment):
@@ -140,7 +148,7 @@ def _guess(tp, assignment):
     vertices = mask_of(
         v for cls, a in zip(tp.classes, assignment) if a == FULL for v in cls
     )
-    return GuessPartition(full, partial, vertices, tp.width)
+    return full, partial, vertices
 
 
 def _floor(tp, assignment):
@@ -172,9 +180,9 @@ WALK_GRAPHS = [
 def test_pruned_walk_is_the_product_order_subsequence(g):
     tp = twin_partition(g)
     walk = _product_walk(tp)
-    assert [x.assignment for x in enumerate_guesses(tp)] == walk
+    assert [_spelled(x, tp.width) for x in enumerate_guesses(tp)] == walk
     for bound in range(g.n + 2):
-        got = [x.assignment for x in enumerate_guesses(tp, lambda b=bound: b)]
+        got = [_spelled(x, tp.width) for x in enumerate_guesses(tp, lambda b=bound: b)]
         assert got == [c for c in walk if _floor(tp, c) < bound]
 
 
@@ -185,8 +193,8 @@ def test_pruned_walk_rereads_a_falling_bound(g):
     limit = math.inf
     got = []
     for guess in enumerate_guesses(tp, lambda: limit):
-        got.append(guess.assignment)
-        limit = min(limit, _floor(tp, guess.assignment) + 1)
+        got.append(_spelled(guess, tp.width))
+        limit = min(limit, _floor(tp, got[-1]) + 1)
     want, limit = [], math.inf
     for c in _product_walk(tp):
         if _floor(tp, c) < limit:
@@ -287,9 +295,9 @@ def test_guess_vertex_mask_is_the_union_of_its_full_classes():
     for g in WALK_GRAPHS + _fixed_count_graphs():
         tp = twin_partition(g)
         for guess in enumerate_guesses(tp):
-            assert not guess.full & guess.partial
-            full = [cls for cls, a in zip(tp.classes, guess.assignment) if a == FULL]
-            assert guess.vertices == mask_of(set().union(*full)), (g.edges, guess)
+            assert not guess[0] & guess[1]
+            full = [cls for cls, a in zip(tp.classes, _spelled(guess, tp.width)) if a == FULL]
+            assert guess[2] == mask_of(set().union(*full)), (g.edges, guess)
             checked += 1
     assert checked > 1000
 
@@ -304,15 +312,15 @@ def test_fixed_count_guess_program_agrees_with_verifier(connected):
     for g in _fixed_count_graphs():
         tp = twin_partition(g)
         for guess in enumerate_guesses(tp):
-            if guess.partial:
+            if guess[1]:
                 continue
             box = assemble_ip(tp, guess, connected)
             full = set().union(
-                *(cls for cls, a in zip(tp.classes, guess.assignment) if a == FULL)
+                *(cls for cls, a in zip(tp.classes, _spelled(guess, tp.width)) if a == FULL)
             )
             got = None if box is None else _search(g, tp, box, connected)
             assert (got is not None) == verify(g, full), (
-                g.edges, guess.assignment,
+                g.edges, _spelled(guess, tp.width),
             )
             checked += 1
     assert checked > 1000
@@ -358,9 +366,9 @@ def test_solve_ip_matches_the_count_enumeration(connected):
         for guess in enumerate_guesses(tp):
             box = assemble_ip(tp, guess, connected)
             got = None if box is None else _search(g, tp, box, connected)
-            lo, hi = _box(tp, guess.assignment)
+            lo, hi = _box(tp, _spelled(guess, tp.width))
             want = ref_count_program(g, tp.classes, lo, hi, connected)
-            assert got == want, (g.edges, guess.assignment)
+            assert got == want, (g.edges, _spelled(guess, tp.width))
             if box is None:
                 continue
             programs += 1
@@ -405,7 +413,7 @@ def test_raising_a_count_keeps_an_accepted_set_accepted(connected):
         tp = twin_partition(g)
         ordered = [sorted(cls) for cls in tp.classes]
         for guess in enumerate_guesses(tp):
-            if not guess.partial:
+            if not guess[1]:
                 continue
             bounds = assemble_ip(tp, guess, connected)
             if bounds is None:
@@ -423,7 +431,7 @@ def test_raising_a_count_keeps_an_accepted_set_accepted(connected):
                 for i in range(tp.width):
                     if counts[i] < hi[i]:
                         up = counts[:i] + (counts[i] + 1,) + counts[i + 1 :]
-                        assert up in accepted, (g.edges, guess.assignment, counts, i)
+                        assert up in accepted, (g.edges, _spelled(guess, tp.width), counts, i)
                         raised += 1
     assert raised > 1000, raised
 
@@ -499,7 +507,7 @@ def test_component_best_finds_no_set_above_its_bound(connected, monkeypatch):
             with monkeypatch.context() as patch:
                 patch.setattr(nd, "solve_ip", uncapped)
                 want = nd._component_best(g, connected, bound)
-            if want is not None and len(want) > bound:
+            if want is not None and want.bit_count() > bound:
                 over += 1
                 want = None
             assert got == want, (g.edges, bound)

@@ -230,7 +230,7 @@ def test_solve_by_component_passes_bound_and_maps_ids():
 
     def solve(sub, bound):
         seen.append((sub.n, bound))
-        return [0] if sub.n == 2 else [0, 1]
+        return 0b1 if sub.n == 2 else 0b11
 
     res = solve_by_component(g, solve, "t", False, limit=2)
     assert seen == [(3, 2), (3, 2), (2, 2)]
@@ -242,7 +242,7 @@ def test_solve_by_component_copies_only_real_components():
 
     def solve(sub, bound):
         seen.append(sub)
-        return list(sub.vertices())
+        return sub.full_mask()
 
     star = star_graph(3)
     solve_by_component(star, solve, "t", False)
@@ -260,7 +260,7 @@ def test_check_survives_optimized_mode():
         "from safeset.oracle import WitnessError, solve_by_component\n"
         "assert False, 'asserts are live'\n"
         "try:\n"
-        "    solve_by_component(path_graph(3), lambda sub, b: [0], 't', False)\n"
+        "    solve_by_component(path_graph(3), lambda sub, b: 0b1, 't', False)\n"
         "except WitnessError:\n"
         "    print('raised')\n"
     )
