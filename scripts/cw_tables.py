@@ -9,11 +9,15 @@ against the row for n - 2:
 
     python3 scripts/cw_tables.py
 
-Counts depend only on the tree; the peak depends on the interpreter.
+Counts depend only on the tree; the peak depends on the interpreter.  Each
+row is measured in a fresh process, so its peak does not depend on the
+memory earlier rows left in the interpreter's free lists.
 """
 
+import multiprocessing
 import sys
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 
 from safeset.cexpr import cycle_expression
 from safeset.cw import solve_cw
@@ -34,12 +38,19 @@ def measure(n: int, connected: bool) -> tuple[dict, float]:
     return dict(stats), peak / 1e6
 
 
+def measure_alone(n: int, connected: bool) -> tuple[dict, float]:
+    """``measure`` in a process of its own."""
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(1, mp_context=spawn) as pool:
+        return pool.submit(measure, n, connected).result()
+
+
 def main() -> int:
     print("\t".join(HEADER))
     for connected in (False, True):
         rows: dict[int, tuple[dict, float]] = {}
         for n in CYCLES:
-            stats, peak = rows[n] = measure(n, connected)
+            stats, peak = rows[n] = measure_alone(n, connected)
             growth = ["", ""]
             if n - 2 in rows:
                 before, peak_before = rows[n - 2]

@@ -158,23 +158,22 @@ def components_mask(g: Graph, mask: int) -> list[int]:
     Returned in ascending order of their smallest member, which keeps every
     downstream choice deterministic.
     """
+    masks = g._masks
     comps = []
-    rem = mask
+    rem = mask  # the vertices no component has taken yet
     while rem:
-        comp = rem & -rem
-        frontier = comp
+        comp = frontier = rem & -rem
+        rem ^= comp
         while frontier:
             nxt = 0
-            f = frontier
-            while f:
-                b = f & -f
-                nxt |= g._masks[b.bit_length() - 1]
-                f ^= b
-            nxt &= mask & ~comp
-            comp |= nxt
-            frontier = nxt
+            while frontier:
+                b = frontier & -frontier
+                nxt |= masks[b.bit_length() - 1]
+                frontier ^= b
+            frontier = nxt & rem
+            rem ^= frontier
+            comp |= frontier
         comps.append(comp)
-        rem &= ~comp
     return comps
 
 
@@ -358,12 +357,24 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, list[int
 
 
 class PathDecomposition:
-    """A sequence of bags, each a set of vertices."""
+    """A sequence of bags of vertices.
+
+    ``bags`` is a tuple of bags, each a tuple of distinct vertices in
+    ascending order: the form a decomposition file holds.  The constructor
+    brings any iterable of vertex iterables into that form.
+    """
 
     __slots__ = ("bags",)
 
     def __init__(self, bags: Iterable[Iterable[int]]):
-        self.bags = tuple(frozenset(b) for b in bags)
+        self.bags = tuple(tuple(sorted(set(b))) for b in bags)
+
+    @classmethod
+    def of_sorted(cls, bags: tuple[tuple[int, ...], ...]) -> PathDecomposition:
+        """Wrap bags already in that form, without sorting or copying them."""
+        pd = cls.__new__(cls)
+        pd.bags = bags
+        return pd
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PathDecomposition):

@@ -141,7 +141,7 @@ def load_bigraph(path: str | Path) -> Bigraph:
 
 
 def decomposition_to_json(pd: PathDecomposition) -> str:
-    return json.dumps([sorted(bag) for bag in pd.bags])
+    return json.dumps(pd.bags)
 
 
 def decomposition_from_json(text: str) -> PathDecomposition:

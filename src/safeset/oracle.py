@@ -88,12 +88,17 @@ def solve_by_component(
     subgraph (``g`` itself when connected), or None; ``bound`` = min(sub.n,
     limit, best size so far) is the largest size still worth finding, and a
     larger witness is ignored.  Witnesses are mapped back to ``g``'s ids,
-    the least by ``precedes`` wins, and the winner is verified.
+    the least by ``precedes`` wins, and the winner is verified.  Components
+    come in ascending order of their least vertex, so once the best is one
+    vertex below the next component's least vertex, no later witness can
+    precede it and the loop stops.
     """
     t0 = time.perf_counter()
     best: int | None = None
     full = g.full_mask()
     for comp in components_mask(g, full):
+        if best is not None and best.bit_count() == 1 and best < comp & -comp:
+            break
         sub, ids = (g, range(g.n)) if comp == full else induced_subgraph(g, vertices_of(comp))
         bound = sub.n if limit is None else min(sub.n, limit)
         if best is not None:

@@ -19,6 +19,7 @@ audited from its artifacts alone; a test keeps it matching the tables.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -253,19 +254,31 @@ def _decomposition_of_order(g: Graph, order: list[int]) -> PathDecomposition:
     """Bag i holds ``order[i]`` and every earlier vertex with a neighbour at
     position >= i.  Any order of all of g's vertices gives a valid path
     decomposition (each edge lies in the bag of its later end, each vertex v
-    in the bags up to ``last[v]``); only the bag sizes depend on the order."""
-    pos = {v: i for i, v in enumerate(order)}
+    in the bags up to ``last[v]``); only the bag sizes depend on the order.
+
+    Each vertex is filed once under its last position.  A step inserts one
+    vertex into the sorted active list, copies the list as its bag and drops
+    the vertices filed there."""
+    pos = [0] * g.n
+    for i, v in enumerate(order):
+        pos[v] = i
     last = pos.copy()  # the largest position in v's closed neighbourhood
     for u, v in g.edges:  # not the masks: each holds the universal vertex's bit
-        last[u] = max(last[u], pos[v])
-        last[v] = max(last[v], pos[u])
-    active: set[int] = set()
+        if pos[v] > last[u]:
+            last[u] = pos[v]
+        if pos[u] > last[v]:
+            last[v] = pos[u]
+    expiring: list[list[int]] = [[] for _ in order]
+    for v in order:
+        expiring[last[v]].append(v)
+    active: list[int] = []
     bags = []
-    for i, v in enumerate(order):
-        active.add(v)
-        bags.append(frozenset(active))
-        active = {u for u in active if last[u] > i}
-    return PathDecomposition(bags)
+    for v, gone in zip(order, expiring):
+        insort(active, v)
+        bags.append(tuple(active))
+        for u in gone:
+            active.remove(u)
+    return PathDecomposition.of_sorted(tuple(bags))
 
 
 def ds_path_decomposition(output: ReductionOutput) -> PathDecomposition:

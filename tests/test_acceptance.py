@@ -176,9 +176,8 @@ def test_criterion_6_dominating_set_construction_forward():
                 if not isinstance(width, int) or width > 2 * k + 4:
                     failures.append(f"decomposition bad for n={n}, k={k}: {width}")
                 # each bag adds one vertex, its place in the order the bags sweep
-                order = [
-                    v for prev, bag in zip((frozenset(),) + pd.bags, pd.bags) for v in bag - prev
-                ]
+                bags = [frozenset(b) for b in pd.bags]
+                order = [v for prev, bag in zip([frozenset()] + bags, bags) for v in bag - prev]
                 if len(pd.bags) != out.graph.n or sorted(order) != list(out.graph.vertices()):
                     failures.append(f"bags do not sweep an order of all vertices (n={n}, k={k})")
     assert covered >= 15

@@ -24,6 +24,7 @@ from safeset.graph import (
     bfs_order,
     bfs_prefix,
     components,
+    components_mask,
     explain_safety,
     induced_subgraph,
     is_connected_safe_mask,
@@ -38,7 +39,7 @@ from safeset.graph import (
 )
 
 from corpus import union_corpus
-from bruteforce import ref_adjacent, ref_bfs_order, ref_is_safe
+from bruteforce import ref_adjacent, ref_bfs_order, ref_components, ref_is_safe
 
 
 def test_graph_rejects_bad_edges():
@@ -68,6 +69,11 @@ def test_components_cycle_complement():
     g = cycle_graph(8)
     rest = set(range(8)) - {0, 1, 4, 5}
     assert components(g, rest) == [frozenset({2, 3}), frozenset({6, 7})]
+
+
+def test_components_star_minus_center_are_singletons():
+    g = star_graph(300)
+    assert components_mask(g, g.full_mask() ^ 1) == [1 << v for v in range(1, 301)]
 
 
 def test_components_range_check():
@@ -230,8 +236,10 @@ def small_graphs(draw):
 
 
 @settings(max_examples=120, deadline=None)
-@given(small_graphs())
-def test_components_partition_and_connectivity(g):
+@given(small_graphs(), st.data())
+def test_components_partition_and_connectivity(g, data):
+    within = data.draw(st.sets(st.integers(min_value=0, max_value=g.n - 1), max_size=g.n))
+    assert components(g, within) == [frozenset(c) for c in ref_components(g, within)]
     comps = components(g, set(g.vertices()))
     seen = set()
     for c in comps:

@@ -107,6 +107,9 @@ def test_bigraph_error_messages_are_pinned(text, message):
 def test_decomposition_json_round_trip():
     pd = PathDecomposition([{0, 1}, {1, 2}])
     assert decomposition_from_json(decomposition_to_json(pd)) == pd
+    read = decomposition_from_json("[[3, 1, 3], [], [1]]")
+    assert read.bags == ((1, 3), (), (1,))
+    assert decomposition_to_json(read) == "[[1, 3], [], [1]]"
 
 
 def test_decomposition_json_rejects_non_integer_members():

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from safeset import branching, nd, oracle, preprocess
 from safeset.branching import branch_solve
 from safeset.generators import (
     complete_graph,
@@ -252,6 +253,36 @@ def test_solve_by_component_copies_only_real_components():
     res = solve_by_component(Graph(5, [(0, 3), (3, 4), (1, 2)]), solve, "t", False)
     assert seen == [path_graph(3), path_graph(2)]
     assert res.witness == frozenset({1, 2})
+
+
+def test_isolated_vertices_stop_the_component_loop(monkeypatch):
+    # the path 0-5-1, then 2,997 isolated vertices: the best set is {5}
+    # until vertex 2's component, and none after it can precede {2}
+    g = Graph(3000, [(0, 5), (1, 5)])
+    calls = []
+
+    def counted(g, solve, *args):
+        def counting(sub, bound):
+            calls.append(sub.n)
+            return solve(sub, bound)
+
+        return solve_by_component(g, counting, *args)
+
+    for module in (oracle, nd, branching, preprocess):
+        monkeypatch.setattr(module, "solve_by_component", counted)
+    routes = [
+        lambda: safe_number_bf(g, cap=g.n),
+        lambda: connected_safe_number_bf(g, cap=g.n),
+        lambda: solve_nd(g),
+        lambda: solve_nd(g, connected=True),
+        lambda: branch_solve(g, g.n),
+        lambda: branch_solve(g, g.n, connected=True),
+        lambda: approx_safe_set(g),
+    ]
+    for route in routes:
+        calls.clear()
+        assert route().witness == {2}
+        assert calls == [3, 1]
 
 
 def test_check_survives_optimized_mode():

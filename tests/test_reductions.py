@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -7,11 +8,13 @@ from safeset.generators import complete_graph, path_graph, star_graph
 from safeset.graph import (
     Graph,
     InputError,
+    PathDecomposition,
     is_connected_safe_set,
     is_safe_set,
     validate_path_decomposition,
 )
 from safeset import reductions
+from safeset.io import decomposition_to_json
 from safeset.oracle import dominating_set_bf, safe_number_bf
 from safeset.reductions import (
     Bigraph,
@@ -104,9 +107,26 @@ def test_order_sweep_matches_its_definition():
         g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
         order = rng.sample(range(n), n)
         pd = reductions._decomposition_of_order(g, order)
-        assert list(pd.bags) == ref_order_bags(g, order)
+        assert [frozenset(b) for b in pd.bags] == ref_order_bags(g, order)
         assert isinstance(validate_path_decomposition(g, pd), int)
         assert len(pd.bags) == g.n
+
+
+def test_decomposition_bags_are_sorted_tuples_of_distinct_vertices():
+    assert PathDecomposition([[2, 1, 1]]).bags == ((1, 2),)
+    assert PathDecomposition([{3, 0}, (), iter([5, 4])]).bags == ((0, 3), (), (4, 5))
+
+
+def test_ds_decomposition_file_is_the_sorted_order_bags():
+    for g, k in [(complete_graph(3), 1), (path_graph(2), 1), (star_graph(3), 2), (path_graph(4), 2)]:
+        out = ds_to_ss(g, k)
+        pd = ds_path_decomposition(out)
+        # each bag adds one vertex: its place in the order the bags sweep
+        sets = [frozenset(b) for b in pd.bags]
+        order = [v for prev, bag in zip([frozenset()] + sets, sets) for v in bag - prev]
+        assert sorted(order) == list(out.graph.vertices())
+        expected = json.dumps([sorted(b) for b in ref_order_bags(out.graph, order)])
+        assert decomposition_to_json(pd) == expected
 
 
 def test_ds_decomposition_small_instances():
@@ -129,7 +149,7 @@ def test_ds_decomposition_bags_keep_leaves_with_their_neighbors():
             continue
         nbrs = out.graph.neighbors(vid) - {universal}
         assert any(
-            vid in bag and (nbrs & bag) for bag in pd.bags
+            vid in bag and (nbrs & frozenset(bag)) for bag in pd.bags
         ), f"vertex {vid} never shares a bag with a gadget neighbor"
 
 
