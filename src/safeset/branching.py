@@ -24,6 +24,7 @@ from .graph import (
     is_safe_set,
     mask_of,
     neighborhood_mask,
+    precedes,
     vertices_of,
 )
 from .oracle import SolveResult, solve_by_component
@@ -36,38 +37,15 @@ def _union(sets: tuple[int, ...]) -> int:
     return out
 
 
-def _shortest_path_sets(g: Graph, allowed: int) -> dict[int, dict[int, int]]:
-    """Canonical shortest-path vertex sets inside g[allowed], per source.
-
-    The parent of each vertex is its smallest-id neighbor one layer closer
-    to the source, so path sets are deterministic and minimum-length.  A
-    path set is a mask with vertex v at bit n-1-v (see ``steiner_exact``).
-    """
-    top = g.n - 1
-    out: dict[int, dict[int, int]] = {}
-    for src in vertices_of(allowed):
-        paths = {src: 1 << top - src}
-        seen = layer = 1 << src
-        while layer:
-            grown = neighborhood_mask(g, layer) & allowed & ~seen
-            for w in vertices_of(grown):
-                near = g.adjacency_mask(w) & layer
-                paths[w] = paths[(near & -near).bit_length() - 1] | 1 << top - w
-            seen |= grown
-            layer = grown
-        out[src] = paths
-    return out
-
-
 def steiner_exact(
     g: Graph, terminals, forbidden=frozenset()
 ) -> frozenset[int] | None:
     """Minimum-cardinality connected superset of the terminals avoiding the
     forbidden vertices, by dynamic programming over terminal subsets.
 
-    Ties break toward the lexicographically smallest sorted vertex tuple,
-    so results are deterministic.  Returns None when the terminals cannot
-    be connected without forbidden vertices.
+    Every choice between sets is ranked by ``precedes``, and the result is
+    the least minimum set under it.  Returns None when the terminals
+    cannot be connected without forbidden vertices.
     """
     terminals = check_vertex_set(g, terminals, "terminals")
     forbidden = check_vertex_set(g, forbidden, "forbidden set")
@@ -79,40 +57,34 @@ def steiner_exact(
     t = len(terms)
     if t == 1:
         return frozenset({terms[0]})
-    paths = _shortest_path_sets(g, g.full_mask() & ~mask_of(forbidden))
-    # Sets are masks with vertex v at bit n-1-v.  Among sets of one size,
-    # the smaller sorted tuple holds the lowest vertex where they differ,
-    # which is the highest differing bit here, so (size, -mask) orders sets
-    # exactly as (size, sorted tuple) does.
+    allowed = g.full_mask() & ~mask_of(forbidden)
 
     # dp[mask][v]: best connected set containing {terms[i] : i in mask} + v
     full = (1 << t) - 1
     dp: list[dict[int, int]] = [dict() for _ in range(full + 1)]
     for i, ti in enumerate(terms):
-        dp[1 << i] = dict(paths[ti])
+        dp[1 << i] = {ti: 1 << ti}
 
     def relax(table: dict[int, int]) -> None:
-        """Dijkstra-style closure: extend entries along shortest paths."""
-        heap = [(s.bit_count(), -s, v) for v, s in table.items()]
+        """Dijkstra-style closure: grow entries one allowed neighbour at a
+        time, popping sets in (size, sorted ids) order."""
+        heap = [(s.bit_count(), vertices_of(s), v, s) for v, s in table.items()]
         heapq.heapify(heap)
         while heap:
-            _, neg, v = heapq.heappop(heap)
-            cur = -neg
+            _, _, v, cur = heapq.heappop(heap)
             if table[v] != cur:
                 continue
-            for w, pset in paths[v].items():
-                cand = cur | pset
+            for w in vertices_of(g.adjacency_mask(v) & allowed):
+                cand = cur | 1 << w
                 old = table.get(w)
-                if old is None or (cand.bit_count(), -cand) < (old.bit_count(), -old):
+                if old is None or precedes(cand, old):
                     table[w] = cand
-                    heapq.heappush(heap, (cand.bit_count(), -cand, w))
+                    heapq.heappush(heap, (cand.bit_count(), vertices_of(cand), w, cand))
 
     for mask in range(1, full + 1):
-        if mask.bit_count() < 2:
-            continue
         low = mask & -mask
         table = dp[mask]
-        sub = (mask - 1) & mask
+        sub = (mask - 1) & mask  # 0 for a single terminal: nothing to merge
         while sub:
             if sub & low:
                 rest = dp[mask ^ sub]
@@ -122,13 +94,16 @@ def steiner_exact(
                         continue
                     cand = a | b
                     old = table.get(v)
-                    if old is None or (cand.bit_count(), -cand) < (old.bit_count(), -old):
+                    if old is None or precedes(cand, old):
                         table[v] = cand
             sub = (sub - 1) & mask
         relax(table)
 
-    best = min(dp[full].values(), key=lambda s: (s.bit_count(), -s), default=None)
-    return None if best is None else frozenset(g.n - 1 - v for v in vertices_of(best))
+    best = None
+    for s in dp[full].values():
+        if best is None or precedes(s, best):
+            best = s
+    return None if best is None else frozenset(vertices_of(best))
 
 
 def find_problematic(

@@ -183,7 +183,7 @@ class _TokenStream:
         return value, tok[1], tok[2]
 
 
-def _parse_label(stream: _TokenStream) -> tuple[int, int, int]:
+def _parse_label(stream: _TokenStream, declared: int | None) -> tuple[int, int, int]:
     value, line, col = stream.next_int("a label")
     if value < 1:
         raise FormatError(f"line {line}, col {col}: labels are positive, got {value}")
@@ -191,6 +191,10 @@ def _parse_label(stream: _TokenStream) -> tuple[int, int, int]:
     # no graph needs more labels than vertices, so labels share the cap
     if value > MAX_VERTICES:
         raise FormatError(f"line {line}, col {col}: label {value} exceeds {MAX_VERTICES}")
+    if declared is not None and value > declared:
+        raise FormatError(
+            f"line {line}, col {col}: label {value} exceeds the declared count {declared}"
+        )
     return value, line, col
 
 
@@ -199,8 +203,9 @@ def _parse_label(stream: _TokenStream) -> tuple[int, int, int]:
 _OPERATORS = {"v": (Leaf, 0), "u": (DisjointUnion, 2), "r": (Relabel, 1), "e": (Join, 1)}
 
 
-def _parse_node(stream: _TokenStream) -> Node:
-    """One parenthesised node with everything below it.
+def _parse_node(stream: _TokenStream, declared: int | None) -> Node:
+    """One parenthesised node with everything below it, its labels checked
+    against the ``declared`` count when there is one.
 
     Open nodes wait on an explicit stack as (kind, position, labels,
     children parsed so far), so nesting depth is not limited by recursion.
@@ -210,12 +215,12 @@ def _parse_node(stream: _TokenStream) -> Node:
         stream.next("(")
         kind, line, col = stream.next()
         if kind == "v":
-            labels: tuple[int, ...] = (_parse_label(stream)[0],)
+            labels: tuple[int, ...] = (_parse_label(stream, declared)[0],)
         elif kind == "u":
             labels = ()
         elif kind in ("r", "e"):
-            i, iline, icol = _parse_label(stream)
-            j, _, _ = _parse_label(stream)
+            i, iline, icol = _parse_label(stream, declared)
+            j, _, _ = _parse_label(stream, declared)
             if i == j:
                 raise FormatError(
                     f"line {iline}, col {icol}: '{kind}' needs two distinct labels"
@@ -251,16 +256,15 @@ def parse_cexpression(text: str) -> CExpression:
         declared, line, col = stream.next_int("the label count")
         if declared < 1:
             raise FormatError(f"line {line}, col {col}: label count must be positive")
-    root = _parse_node(stream)
+    root = _parse_node(stream, declared)
     trailing = stream.peek()
     if trailing is not None:
         raise FormatError(
             f"line {trailing[1]}, col {trailing[2]}: trailing input after the expression"
         )
-    top = max(lab for node in iter_nodes(root) for lab in _labels_of(node))
-    if declared is not None and top > declared:
-        raise FormatError(f"label {top} exceeds the declared count {declared}")
-    return CExpression(root, declared if declared is not None else top)
+    if declared is None:
+        declared = max(lab for node in iter_nodes(root) for lab in _labels_of(node))
+    return CExpression(root, declared)
 
 
 def format_cexpression(expr: CExpression) -> str:

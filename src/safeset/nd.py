@@ -30,6 +30,7 @@ from .graph import (
     is_safe_mask,
     mask_of,
     precedes,
+    vertices_of,
 )
 from .oracle import SolveResult, solve_by_component
 
@@ -86,7 +87,7 @@ def twin_partition(g: Graph) -> TwinPartition:
     masks = []
     for a, grp in enumerate(groups):
         mask = 0
-        for u in g.neighbors(grp[0]):
+        for u in vertices_of(g.adjacency_mask(grp[0])):
             mask |= 1 << class_of[u]
         masks.append(mask & ~(1 << a))
     return TwinPartition(tuple(frozenset(grp) for grp in groups), kinds, tuple(masks))

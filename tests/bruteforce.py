@@ -104,8 +104,12 @@ def ref_safe_number(g: Graph, connected: bool = False) -> int | None:
     return None if least is None else len(least)
 
 
-def ref_min_steiner(g: Graph, terminals: set[int], forbidden: set[int]) -> int | None:
-    """Minimum connected superset of the terminals avoiding forbidden vertices."""
+def ref_min_steiner(
+    g: Graph, terminals: set[int], forbidden: set[int]
+) -> frozenset[int] | None:
+    """The least minimum connected superset of the terminals avoiding the
+    forbidden vertices, by (size, sorted ids), or None: the first hit of a
+    scan by size, each size in sorted-tuple order."""
     allowed = [v for v in g.vertices() if v not in forbidden]
     extra = [v for v in allowed if v not in terminals]
     if not set(terminals) <= set(allowed):
@@ -114,7 +118,7 @@ def ref_min_steiner(g: Graph, terminals: set[int], forbidden: set[int]) -> int |
         for combo in itertools.combinations(extra, size - len(terminals)):
             cand = set(terminals) | set(combo)
             if len(ref_components(g, cand)) == 1:
-                return size
+                return frozenset(cand)
     return None
 
 

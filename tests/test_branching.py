@@ -82,13 +82,8 @@ def test_steiner_matches_reference(n, seed, data):
         st.sets(st.integers(min_value=0, max_value=n - 1), max_size=3)
     )
     forb -= terms
-    got = steiner_exact(g, terms, forb)
-    expect = ref_min_steiner(g, terms, forb)
-    if expect is None:
-        assert got is None
-    else:
-        assert got is not None and len(got) == expect
-        assert terms <= got and not (got & forb)
+    # the least minimum connected superset by (size, sorted ids), or None
+    assert steiner_exact(g, terms, forb) == ref_min_steiner(g, terms, forb)
 
 
 def _grid(rows, cols):
@@ -151,6 +146,20 @@ PINNED_STEINER = [
     (('random', 276, 6, 0.3), (1, 5), (0,), [1, 5]),
     (('random', 429, 12, 0.0), (4, 5, 10), (0, 8, 9), None),
     (('random', 490, 9, 0.0), (0, 3, 5, 8), (1, 2, 4, 6), None),
+    # larger sparse graphs, each with another minimum tree of the same size
+    (('grid', 6, 6), (18, 34), (), [18, 19, 20, 21, 22, 28, 34]),
+    (('grid', 6, 6), (1, 3, 13, 16), (10, 28, 29), [1, 2, 3, 7, 9, 13, 15, 16]),
+    (('grid', 6, 6), (0, 5, 29), (2, 6, 12, 17, 27),
+     [0, 1, 4, 5, 7, 8, 9, 10, 16, 22, 23, 29]),
+    (('random', 3001, 30, 0.05), (0, 7, 12), (), [0, 7, 8, 12, 23, 25, 28]),
+    (('random', 3002, 30, 0.05), (2, 4, 8, 16), (0, 5, 10, 13, 17, 26),
+     [2, 3, 4, 8, 9, 11, 16, 18, 27]),
+    (('random', 6001, 60, 0.03), (32, 47, 58), (), [4, 21, 26, 32, 35, 47, 58]),
+    (('random', 6002, 60, 0.03), (11, 19, 33, 41), (12, 23, 30, 32, 35, 45),
+     [5, 11, 13, 19, 20, 33, 41, 42, 48]),
+    (('random', 10001, 100, 0.02), (42, 66, 84), (), [6, 15, 24, 42, 66, 84, 90]),
+    (('random', 10002, 100, 0.02), (38, 48, 80, 84), (40, 49, 62, 68, 86, 92),
+     [0, 8, 25, 38, 43, 48, 69, 80, 84]),
 ]
 
 

@@ -115,8 +115,13 @@ def test_tokens_split_on_every_space_and_at_parentheses():
 
 
 def test_parse_rejects_label_beyond_header():
-    with pytest.raises(FormatError, match="exceeds the declared count"):
+    with pytest.raises(FormatError, match="exceeds the declared count") as info:
         parse_cexpression("c 2\n(v 3)")
+    # the message names the position of the first label over the count
+    assert str(info.value) == "line 2, col 4: label 3 exceeds the declared count 2"
+    with pytest.raises(FormatError) as info:
+        parse_cexpression("c 2\n(u (v 1)\n  (r 4 1 (v 3)))")
+    assert str(info.value) == "line 3, col 6: label 4 exceeds the declared count 2"
 
 
 @pytest.mark.parametrize(
