@@ -187,16 +187,20 @@ def cmd_gen(args) -> int:
             cert = rbds_forward_certificate(bg, dom, output)
             extras.append((args.cert, _vertex_set_text(cert)))
     sidecar = args.out + ".json"
-    written: list[str] = []
+    written: list[str] = []  # each file from the moment its write starts
     try:
-        save_graph(output.graph, args.out)
         written.append(args.out)
+        save_graph(output.graph, args.out)
         for path, text in extras:
-            Path(path).write_text(text, encoding="utf-8")
             written.append(path)
+            Path(path).write_text(text, encoding="utf-8")
+        written.append(sidecar)
         write_sidecar(sidecar, output.target, output.role_map, output.source)
-    except OSError:
-        # one failed write fails the whole call: leave no partial output
+    except OSError as exc:
+        # one failed write fails the whole call: leave no partial output.  An
+        # error that names its file came from opening it: that file is as it was.
+        if exc.filename is not None:
+            written.pop()
         for path in written:
             Path(path).unlink(missing_ok=True)
         raise

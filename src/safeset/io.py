@@ -6,8 +6,10 @@ lines starting with ``#`` are ignored anywhere.  Bipartite instances use a
 ``r b m`` header followed by m lines ``i j`` meaning red vertex i is
 adjacent to blue vertex j.  Headers above ``MAX_VERTICES`` vertices are
 refused before anything is built for them.  ``gen`` also writes a JSON
-sidecar (``write_sidecar``).  Every file is read and written as UTF-8,
-whatever the locale.
+sidecar (``write_sidecar``): ``json.dumps(payload, sort_keys=True)`` and a
+final newline, ASCII-escaped, no indent, with the role map's keys in
+ascending vertex order.  Every file is read and written as UTF-8, whatever
+the locale.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from __future__ import annotations
 import json
 import re
 from collections.abc import Iterator
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .graph import MAX_VERTICES, Graph, PathDecomposition
@@ -168,43 +169,8 @@ def vertex_set_from_text(text: str) -> frozenset[int]:
 
 
 def write_sidecar(path: str | Path, target: int, role_map: dict, source: dict) -> None:
-    """Write ``{"target", "role_map", "source"}`` as ``json.dumps(...,
-    indent=2, sort_keys=True)`` writes it, the role map keyed by
-    ``str(vertex)``; a role record maps field names to ints and strings.
-
-    ``indent`` sends ``json.dumps`` to its pure-Python encoder, so the role
-    records, nearly all of the file, are written through one template per
-    field set instead.
-    """
-    records = ",\n".join(_role_records({str(v): role for v, role in role_map.items()}))
-    # the other two keys sort after "role_map"; drop their text's opening "{\n"
-    rest = json.dumps({"source": source, "target": target}, indent=2, sort_keys=True)[2:]
-    roles = "{\n" + records + "\n  }" if records else "{}"
-    Path(path).write_text('{\n  "role_map": ' + roles + ",\n" + rest + "\n", encoding="utf-8")
-
-
-def _role_records(by_key: dict[str, dict]) -> list[str]:
-    """Each record as ``json.dumps`` writes it two levels deep, in key order."""
-    templates: dict[tuple, tuple[str, list]] = {}
-    out = []
-    for key in sorted(by_key):
-        record = by_key[key]
-        fields = tuple(record)
-        if fields not in templates:
-            order = sorted(fields)
-            lines = ",\n".join(
-                f"      {encode_basestring_ascii(f).replace('%', '%%')}: %s" for f in order
-            )
-            body = "{\n" + lines + "\n    }" if order else "{}"
-            templates[fields] = ("    %s: " + body, order)
-        text, order = templates[fields]
-        out.append(text % (encode_basestring_ascii(key), *[_scalar(record[f]) for f in order]))
-    return out
-
-
-def _scalar(value) -> str:
-    if type(value) is int:
-        return int.__repr__(value)
-    if type(value) is str:
-        return encode_basestring_ascii(value)
-    raise TypeError(f"role record value {value!r} is neither an int nor a string")
+    """Write ``{"role_map", "source", "target"}`` as ``json.dumps(...,
+    sort_keys=True)`` and a newline: ASCII-escaped, no indent, the role
+    map's int vertex keys as strings in ascending vertex order."""
+    payload = {"role_map": role_map, "source": source, "target": target}
+    Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8")

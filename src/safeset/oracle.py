@@ -119,11 +119,22 @@ def subset_masks_by_size(n: int, lo: int = 1, hi: int | None = None) -> Iterator
         yield from map(sum, combinations(bits, k))
 
 
-def _check_cap(g: Graph, cap: int, what: str) -> None:
-    if g.n > cap:
+def check_cap(count: int, cap: int, what: str, name: str) -> None:
+    """Refuse an exhaustive scan over more than ``cap`` items (``name``)."""
+    if count > cap:
         raise InputError(
-            f"{what} refused: n={g.n} exceeds cap={cap}; raise the cap explicitly"
+            f"{what} refused: {name}={count} exceeds cap={cap}; raise the cap explicitly"
         )
+
+
+def least_hitting_set(rows: list[int], width: int, k: int) -> frozenset[int] | None:
+    """The least subset of [0, width) by (size, sorted ids) with at most
+    ``k`` members that meets every row mask, or None.  The empty set meets
+    every row only when there is none."""
+    for mask in subset_masks_by_size(width, 0 if not rows else 1, k):
+        if all(row & mask for row in rows):
+            return frozenset(vertices_of(mask))
+    return None
 
 
 def _first_safe(connected: bool):
@@ -149,7 +160,7 @@ def safe_number_bf(
     With ``max_size`` set, only sets of at most that many vertices are
     scanned; an infeasible result then means none of them is safe.
     """
-    _check_cap(g, cap, "safe set brute force")
+    check_cap(g.n, cap, "safe set brute force", "n")
     return solve_by_component(g, _first_safe(False), "oracle", False, max_size)
 
 
@@ -157,7 +168,7 @@ def connected_safe_number_bf(
     g: Graph, cap: int = DEFAULT_SUBSET_CAP, max_size: int | None = None
 ) -> SolveResult:
     """Exhaustive minimum connected safe set."""
-    _check_cap(g, cap, "connected safe set brute force")
+    check_cap(g.n, cap, "connected safe set brute force", "n")
     return solve_by_component(g, _first_safe(True), "oracle", True, max_size)
 
 
@@ -166,18 +177,7 @@ def dominating_set_bf(
 ) -> frozenset[int] | None:
     """The least dominating set by (size, sorted ids) if one of size <= k
     exists, else None."""
-    _check_cap(g, cap, "dominating set brute force")
+    check_cap(g.n, cap, "dominating set brute force", "n")
     if k < 0:
         raise InputError("k must be nonnegative")
-    full = g.full_mask()
-    closed = [g.adjacency_mask(v) | 1 << v for v in g.vertices()]
-    for mask in subset_masks_by_size(g.n, 0, k):
-        dominated = 0
-        m = mask
-        while m:
-            b = m & -m
-            dominated |= closed[b.bit_length() - 1]
-            m ^= b
-        if dominated == full:
-            return frozenset(vertices_of(mask))
-    return None
+    return least_hitting_set([g.adjacency_mask(v) | 1 << v for v in g.vertices()], g.n, k)

@@ -32,9 +32,8 @@ from .graph import (
     is_connected_safe_set,
     mask_of,
     neighbors_closed,
-    vertices_of,
 )
-from .oracle import DEFAULT_SUBSET_CAP, WitnessError, subset_masks_by_size
+from .oracle import DEFAULT_SUBSET_CAP, WitnessError, check_cap, least_hitting_set
 
 
 @dataclass(frozen=True)
@@ -94,22 +93,11 @@ def rbds_has_dominating_set(
 ) -> frozenset[int] | None:
     """The least blue set by (size, sorted ids) that dominates all reds, if
     one of size <= k exists.  Blue subsets are scanned exhaustively by
-    ``oracle.subset_masks_by_size``, so more than ``cap`` blues are
-    refused."""
+    ``oracle.least_hitting_set``, so more than ``cap`` blues are refused."""
     if k < 0:
         raise InputError("k must be nonnegative")
-    if bg.b > cap:
-        raise InputError(
-            f"red-blue domination brute force refused: b={bg.b} exceeds cap={cap}; "
-            "raise the cap explicitly"
-        )
-    reds = [mask_of(bg.blues_of(i)) for i in range(bg.r)]
-    if not reds:
-        return frozenset()
-    for chosen in subset_masks_by_size(bg.b, 1, k):
-        if all(r & chosen for r in reds):
-            return frozenset(vertices_of(chosen))
-    return None
+    check_cap(bg.b, cap, "red-blue domination brute force", "b")
+    return least_hitting_set([mask_of(bg.blues_of(i)) for i in range(bg.r)], bg.b, k)
 
 
 # --------------------------------------------------------------------------

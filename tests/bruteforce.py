@@ -4,13 +4,12 @@ The ``ref_*`` verifiers and searches deliberately avoid the bitmask
 machinery of the package, so that the package verifiers are checked
 through an independent route; ``ref_least_safe_set`` is the answer the
 oracle and cw must give by definition, and ``ref_least_dominating_set`` the
-one the dominating set brute force must give.  ``ref_parse_graph`` and
-``ref_sidecar_text`` are the line-by-line graph reader and the
-``json.dumps`` sidecar text that the package's faster I/O must match
-exactly.  ``ref_bfs_order`` is the
-whole BFS queue walk on plain sets, which ``bfs_prefix`` and ``bfs_order``
-must match, and ``ref_guess_mask`` is the approximation's guess walked
-through it, which its block walk must match; ``ref_order_bags`` is the path
+one the dominating set brute force must give.  ``ref_parse_graph`` is the
+line-by-line graph reader that the package's faster reader must match,
+and ``ref_sidecar_text`` the sidecar text, byte for byte.
+``ref_bfs_order`` is the whole BFS queue walk on plain sets, which
+``bfs_prefix`` and ``bfs_order`` must match, and ``ref_guess_mask`` is the
+approximation's guess walked through it, which its block walk must match; ``ref_order_bags`` is the path
 decomposition a vertex order defines, which the ds decomposition's sweep
 must match.  The brute force below them -- treedepth, vertex cover, cw
 summaries and the paper's two solution-size refusal rules -- is built on
@@ -288,12 +287,8 @@ def ref_parse_graph(text: str) -> Graph:
 
 def ref_sidecar_text(target: int, role_map: dict, source: dict) -> str:
     """The sidecar file's text, from the standard library's encoder."""
-    payload = {
-        "target": target,
-        "role_map": {str(v): role for v, role in sorted(role_map.items())},
-        "source": source,
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    payload = {"target": target, "role_map": role_map, "source": source}
+    return json.dumps(payload, sort_keys=True) + "\n"
 
 
 def _check_cap(g: Graph, cap: int, what: str) -> None:

@@ -289,6 +289,11 @@ def _check_gen_outputs(code, report, tmp_path):
     if decomp.exists():
         width = validate_path_decomposition(produced, decomposition_from_json(decomp.read_text()))
         assert isinstance(width, int)
+    sidecar = json.loads((tmp_path / "out.gr.json").read_text(encoding="utf-8"))
+    assert sidecar["target"] == report["target"]
+    assert list(sidecar["role_map"]) == [str(v) for v in range(produced.n)]
+    assert all("role" in record for record in sidecar["role_map"].values())
+    assert sidecar["source"]["kind"] == report["family"]
 
 
 def _gen_argv(family, k, source, tmp_path, cert, decomp):
@@ -614,6 +619,34 @@ def test_gen_removes_what_it_wrote_when_a_later_write_fails(run, tmp_path, unwri
     assert code == 2 and "error:" in err
     assert not out.exists()
     assert not any((tmp_path / written).exists() for written in GEN_OUTPUTS)
+
+
+def _k3_gen_argv(tmp_path):
+    base = tmp_path / "k3.gr"
+    base.write_text(format_graph(complete_graph(3)))
+    argv = ["gen", "ds", "-k", "1", str(base), "-o", str(tmp_path / "out.gr")]
+    return argv + ["--cert", str(tmp_path / "cert.txt"), "--decomp", str(tmp_path / "pd.json")]
+
+
+def test_gen_removes_a_partial_sidecar(run, tmp_path, monkeypatch):
+    def full_disk(path, *_):
+        Path(path).write_text('{"role_map": {"0"', encoding="utf-8")
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr("safeset.cli.write_sidecar", full_disk)
+    code, _, err = run(_k3_gen_argv(tmp_path))
+    assert code == 2 and "No space left" in err
+    assert not any((tmp_path / written).exists() for written in GEN_OUTPUTS)
+
+
+def test_gen_keeps_a_directory_where_the_sidecar_goes(run, tmp_path):
+    sidecar = tmp_path / "out.gr.json"
+    sidecar.mkdir()
+    (sidecar / "kept.txt").write_text("x")
+    code, _, err = run(_k3_gen_argv(tmp_path))
+    assert code == 2 and "Is a directory" in err
+    assert not any((tmp_path / name).exists() for name in ("out.gr", "cert.txt", "pd.json"))
+    assert [p.name for p in sidecar.iterdir()] == ["kept.txt"]
 
 
 @pytest.mark.parametrize("family,source", [("ds", "2 1\n0 1\n"), ("rbds", "1 1 1\n0 0\n")])

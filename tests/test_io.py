@@ -242,9 +242,18 @@ def test_sidecar_bytes_match_json_dumps(tmp_path, build):
     path = tmp_path / "out.gr.json"
     write_sidecar(path, out.target, out.role_map, out.source)
     expected = ref_sidecar_text(out.target, out.role_map, out.source)
+    text = path.read_text(encoding="utf-8")
     assert path.read_bytes() == expected.encode()
-    # keys in string order ("10" before "2") and a record with no fields
+    # the same object as the indented text the format had before
+    indented = {
+        "target": out.target,
+        "role_map": {str(v): role for v, role in out.role_map.items()},
+        "source": out.source,
+    }
+    assert json.loads(text) == json.loads(json.dumps(indented, indent=2, sort_keys=True))
+    # keys in vertex order ("9" before "10") and a record with no fields
     assert out.graph.n > 10
+    assert text.index('"9": {') < text.index('"10": {')
     assert any(len(role) == 1 for role in out.role_map.values())
 
 
@@ -261,7 +270,7 @@ def test_sidecar_odd_records(tmp_path):
             5, role_map, {"kind": "t", "edges": [[0, 1]]}
         )
     assert json.loads(path.read_text(encoding="utf-8"))["role_map"]["12"]["a%s"] == -3
-    # a bool would print as True through int's repr: refused, nothing written
-    with pytest.raises(TypeError, match="neither an int nor a string"):
-        write_sidecar(tmp_path / "bool.json", 1, {0: {"role": "x", "flag": True}}, {})
-    assert not (tmp_path / "bool.json").exists()
+    # a bool reads back as JSON true
+    write_sidecar(path, 1, {0: {"role": "x", "flag": True}}, {})
+    assert '"flag": true' in path.read_text(encoding="utf-8")
+    assert json.loads(path.read_text(encoding="utf-8"))["role_map"]["0"]["flag"] is True
