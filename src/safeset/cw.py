@@ -2,9 +2,9 @@
 
 The state kept per tree node is a family of summaries, one for each
 achievable way to select vertices inside the node's graph.  A summary
-records, per label set, the combined and extremal sizes of the selected
-and unselected components carrying that label set, plus extremal sizes
-over adjacent selected/unselected component pairs.
+holds one item per label set with the combined and extremal sizes of the
+selected, and of the unselected, components carrying it, and one per pair
+of label sets with extremal sizes over adjacent such components.
 
 Each summary is projected onto the labels still *live* at its node: those
 that some join above the node can still see, following relabels upward.  A
@@ -48,51 +48,49 @@ Column = tuple[tuple, ...]
 
 # A table maps each summary of one selection within a subtree's graph to
 # the least selection realizing it (see ``_dedup``), as a vertex bitmask
-# (bit v stands for vertex v).  A summary holds seven columns, each a tuple
-# of ``(label set, value)`` items sorted by label set (a bitmask, bit k
-# standing for label k+1); a component is filed under its label set's live
-# labels, and only label sets that actually have components appear:
+# (bit v stands for vertex v).  A summary is three columns of items, each
+# sorted by its first field, a label set (a bitmask, bit k standing for
+# label k+1) or a pair of them, with no repeats; a component is filed under
+# its label set's live labels, and only label sets that have components
+# appear:
 #
-# 0. inside totals: combined size of the selected components carrying
-#    exactly that label set;
-# 1. outside totals: the same for the unselected components;
-# 2. inside minima: the smallest such selected component;
-# 3. outside maxima: the largest such unselected component;
-# 4.-6. over adjacent component pairs, keyed by (selected label set,
-#    unselected label set): the smallest selected component, the largest
-#    unselected one, and the smallest selected-minus-unselected gap.
+# - inside, (label set, total, minimum): the combined size of the selected
+#   components carrying exactly that label set, and the smallest one;
+# - outside, (label set, total, maximum): the same over unselected ones;
+# - pairs, ((selected set, unselected set), smallest selected, largest
+#   unselected, smallest selected-minus-unselected gap) over adjacent pairs.
 #
 # Label set 0 marks that the selection has components with no live label,
 # which no later step reads again: its total and minimum are both 1,
-# however many there are, so column 0 need not sum to the number of
-# selected vertices.  Outside columns have no label set 0, and pairs none
-# with both sides 0.
-Table = dict[tuple[Column, ...], int]
+# however many there are, so inside totals need not sum to the number of
+# selected vertices.  Outside has no label set 0, and pairs none with both
+# sides 0.
+Table = dict[tuple[Column, Column, Column], int]
 
-# How two values under the same label set pool, one rule per column.
-_RULES = (add, add, min, max, min, max, min)
+# How two items under one label set pool, value by value, per column.
+_RULES = ((add, min), (add, max), (min, max, min))
 
-# Label set 0 of the inside columns (see ``Table``).
-_DEAD = ((0, 1),)
+# Label set 0 of the inside column (see ``Table``).
+_DEAD = ((0, 1, 1),)
 
 
-def _pooled(col: Column, items: Iterable[tuple], rule) -> Column:
-    """The column ``col`` with (label set, value) items pooled in by ``rule``."""
-    d = dict(col)
-    for k, v in items:
+def _pooled(col: Column, items: Iterable[tuple], rules: tuple) -> Column:
+    """The column ``col`` with ``items`` pooled in, value by value, by ``rules``."""
+    d = {item[0]: item for item in col}
+    for item in items:
+        k = item[0]
         old = d.get(k)
-        d[k] = v if old is None else rule(old, v)
-    return tuple(sorted(d.items()))
+        d[k] = item if old is None else (k, *[r(a, b) for r, a, b in zip(rules, old[1:], item[1:])])
+    return tuple(sorted(d.values()))
 
 
-def _renamed(cols: tuple[Column, ...], rules: tuple, new: list) -> tuple[Column, ...]:
-    """Columns sharing one list of label sets, moved to the ``new`` ones and
+def _renamed(col: Column, new: list, rules: tuple) -> Column:
+    """The column ``col`` with its label sets moved to the ``new`` ones and
     pooled by ``rules`` where those coincide, else only re-sorted."""
+    items = [(k, *item[1:]) for k, item in zip(new, col)]
     if len(set(new)) == len(new):
-        return tuple(tuple(sorted(zip(new, [v for _, v in col]))) for col in cols)
-    return tuple(
-        _pooled((), zip(new, [v for _, v in col]), rule) for col, rule in zip(cols, rules)
-    )
+        return tuple(sorted(items))
+    return _pooled((), items, rules)
 
 
 def _dedup(entries: Iterable[tuple[tuple, int] | None]) -> Table:
@@ -120,12 +118,12 @@ def _projected(table: Table, moved: int, target: int, connected: bool) -> Table:
     m & ~moved | target; summaries that coincide then collapse, and a
     summary no later step can make acceptable is dropped.
 
-    Buckets that end up on one label set pool by their columns' rules.
-    Label set 0 of the inside columns becomes its marker (see ``Table``).
+    Items that end up on one label set pool by their column's rules.
+    Label set 0 of the inside column becomes its marker (see ``Table``).
     In connected mode, a dead selected component next to any other selected
     component can never join it, so its selection is dropped instead; a
     label set holds one component exactly when its total equals its
-    minimum.  An outside bucket on label set 0, and a pair with label set 0
+    minimum.  An outside item on label set 0, and a pair with label set 0
     on both sides and a gap >= 0, are dropped; such a pair with a negative
     gap stays unsafe for good, and so does its selection.
     """
@@ -135,26 +133,25 @@ def _projected(table: Table, moved: int, target: int, connected: bool) -> Table:
 
     out: Table = {}
     for key, witness in table.items():
-        it, ot, imin, omax, sel, unsel, gap = key
+        inside, outside, pairs = key
         if moved:
-            if any(m & moved for m, _ in it):
-                it, imin = _renamed((it, imin), (add, min), [to(m) for m, _ in it])
-            if any(m & moved for m, _ in ot):
-                ot, omax = _renamed((ot, omax), (add, max), [to(m) for m, _ in ot])
-            if any((p | q) & moved for (p, q), _ in sel):
-                new = [(to(p), to(q)) for (p, q), _ in sel]
-                sel, unsel, gap = _renamed((sel, unsel, gap), (min, max, min), new)
-        if it and not it[0][0]:
-            if connected and (len(it) > 1 or it[0][1] != imin[0][1]):
+            if any(item[0] & moved for item in inside):
+                inside = _renamed(inside, [to(item[0]) for item in inside], _RULES[0])
+            if any(item[0] & moved for item in outside):
+                outside = _renamed(outside, [to(item[0]) for item in outside], _RULES[1])
+            if any((p | q) & moved for (p, q), *_ in pairs):
+                pairs = _renamed(pairs, [(to(p), to(q)) for (p, q), *_ in pairs], _RULES[2])
+        if inside and not inside[0][0]:
+            if connected and (len(inside) > 1 or inside[0][1] != inside[0][2]):
                 continue
-            it, imin = _DEAD + it[1:], _DEAD + imin[1:]
-        if ot and not ot[0][0]:
-            ot, omax = ot[1:], omax[1:]
-        if sel and sel[0][0] == (0, 0):
-            if gap[0][1] < 0:
+            inside = _DEAD + inside[1:]
+        if outside and not outside[0][0]:
+            outside = outside[1:]
+        if pairs and pairs[0][0] == (0, 0):
+            if pairs[0][3] < 0:
                 continue
-            sel, unsel, gap = sel[1:], unsel[1:], gap[1:]
-        key = (it, ot, imin, omax, sel, unsel, gap)
+            pairs = pairs[1:]
+        key = (inside, outside, pairs)
         old = out.get(key)
         if old is None or precedes(witness, old):
             out[key] = witness
@@ -169,9 +166,9 @@ def dp_leaf(label: int, vertex: int = 0) -> Table:
     """Summaries for a single created vertex: left out, or selected."""
     if label < 1:
         raise InputError("labels are positive")
-    one = ((1 << (label - 1), 1),)
-    skipped = ((), one, (), one, (), (), ())
-    taken = (one, (), one, (), (), (), ())
+    one = ((1 << (label - 1), 1, 1),)
+    skipped = ((), one, ())
+    taken = (one, (), ())
     return _dedup([(skipped, 0), (taken, 1 << vertex)])
 
 
@@ -180,7 +177,7 @@ def dp_union(left: Table, right: Table) -> Table:
 
     def combined(a: tuple[Column, ...], b: tuple[Column, ...]) -> tuple:
         return tuple(
-            _pooled(x, y, rule) if x and y else x or y for x, y, rule in zip(a, b, _RULES)
+            _pooled(x, y, rules) if x and y else x or y for x, y, rules in zip(a, b, _RULES)
         )
 
     return _dedup(
@@ -189,52 +186,45 @@ def dp_union(left: Table, right: Table) -> Table:
 
 
 def dp_relabel(source: int, target: int, child: Table) -> Table:
-    """Rename a label: buckets whose label sets now coincide fuse."""
+    """Rename a label: items whose label sets now coincide fuse."""
     if source == target:
         raise InputError("relabel needs two distinct labels")
     return _projected(child, 1 << (source - 1), 1 << (target - 1), False)
 
 
-def _fuse(
-    totals: Column, extremes: Column, bit_i: int, bit_j: int
-) -> tuple[Column, Column, int | None, int]:
-    """One side of a join: its two columns after the join, the fused label
-    set and the fused component's size.
+def _fuse(col: Column, bit_i: int, bit_j: int) -> tuple[Column, int | None, int]:
+    """One side of a join: its column after the join, the fused label set
+    and the fused component's size.
 
     Components whose label set meets {i, j} fuse into one on a side exactly
     when that side holds both an i-vertex and a j-vertex; the fused
-    component is then the only one in its bucket, so its total is also its
-    extreme.  Without fusion the columns are returned unchanged with None.
+    component is then alone under its label set, so its total is also its
+    extreme.  Without fusion the column comes back unchanged with None.
     """
     touch = bit_i | bit_j
     fused = total = 0
-    for m, t in totals:
+    for m, t, _ in col:
         if m & touch:
             fused |= m
             total += t
     if fused & touch != touch:
-        return totals, extremes, None, 0
-    top = [(fused, total)]
-    return (
-        tuple(sorted([i for i in totals if not i[0] & touch] + top)),
-        tuple(sorted([i for i in extremes if not i[0] & touch] + top)),
-        fused,
-        total,
-    )
+        return col, None, 0
+    kept = [item for item in col if not item[0] & touch]
+    return tuple(sorted(kept + [(fused, total, total)])), fused, total
 
 
 def _join_entry(bit_i: int, bit_j: int, key: tuple[Column, ...]) -> tuple:
     touch = bit_i | bit_j
-    it, ot, imin, omax, sel, unsel, gap = key
-    it, imin, fused_in, size_in = _fuse(it, imin, bit_i, bit_j)
-    ot, omax, fused_out, size_out = _fuse(ot, omax, bit_i, bit_j)
+    inside, outside, pairs = key
+    inside, fused_in, size_in = _fuse(inside, bit_i, bit_j)
+    outside, fused_out, size_out = _fuse(outside, bit_i, bit_j)
 
     items: list[tuple[tuple[int, int], int, int, int]] = []
     if fused_in is not None or fused_out is not None:
         # carry over existing adjacencies; a fused side re-values to the
         # fused component's size, and the gap is then recomputed from the
         # new sizes
-        for ((q1, q2), a), (_, b), (_, d) in zip(sel, unsel, gap):
+        for (q1, q2), a, b, d in pairs:
             # the fused mask can coincide with q1 or q2, so track the fusion
             # itself, not a key change
             revalued = False
@@ -245,20 +235,18 @@ def _join_entry(bit_i: int, bit_j: int, key: tuple[Column, ...]) -> tuple:
             if revalued:
                 d = a - b
             items.append(((q1, q2), a, b, d))
-        sel = unsel = gap = ()
+        pairs = ()
     # new adjacencies: every selected component holding an i-vertex now
     # touches every unselected component holding a j-vertex, and vice versa
-    for m1, mn in imin:
+    for m1, _, mn in inside:
         if not m1 & touch:
             continue
-        for m2, mx in omax:
+        for m2, _, mx in outside:
             if (m1 & bit_i and m2 & bit_j) or (m1 & bit_j and m2 & bit_i):
                 items.append(((m1, m2), mn, mx, mn - mx))
     if items:
-        sel = _pooled(sel, [(p, a) for p, a, _, _ in items], min)
-        unsel = _pooled(unsel, [(p, b) for p, _, b, _ in items], max)
-        gap = _pooled(gap, [(p, d) for p, _, _, d in items], min)
-    return it, ot, imin, omax, sel, unsel, gap
+        pairs = _pooled(pairs, items, _RULES[2])
+    return inside, outside, pairs
 
 
 def dp_join(first: int, second: int, child: Table) -> Table:
@@ -305,14 +293,14 @@ def _forgotten(table: Table, dying: int, live: int, connected: bool) -> Table:
         # projection below, without pooling each column only to drop it
         # (cw-trees ops_per_s 67.7 -> 71.1 over 10 pairs, BENCH_21.json)
         def settled(key: tuple[Column, ...], witness: int) -> tuple[tuple, int] | None:
-            it, _, imin, _, _, _, gap = key
-            if any(d < 0 for _, d in gap):
+            inside, _, pairs = key
+            if any(item[3] < 0 for item in pairs):
                 return None
-            if not it:
-                return ((),) * 7, witness
-            if connected and (len(it) > 1 or it[0][1] != imin[0][1]):
+            if not inside:
+                return ((), (), ()), witness
+            if connected and (len(inside) > 1 or inside[0][1] != inside[0][2]):
                 return None
-            return (_DEAD, (), _DEAD, (), (), (), ()), witness
+            return (_DEAD, (), ()), witness
 
         return _dedup(settled(key, w) for key, w in table.items())
 

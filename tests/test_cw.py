@@ -63,18 +63,17 @@ def by_summary(table, summary):
 
 
 def maps(entry):
-    """A (key, witness) pair's seven key columns decoded into its three
-    maps, the form ``ref_summary`` returns.  Columns that share a map must
-    list the same label sets, each column sorted and free of repeats."""
-    (it, ot, imin, omax, sel, unsel, gap), _ = entry
+    """A (key, witness) pair's three key columns decoded into its three
+    maps, the form ``ref_summary`` returns.  Each column must be sorted by
+    its items' label sets and free of repeats."""
+    (inside, outside, pairs), _ = entry
 
-    def joined(*cols):
-        keys = [k for k, _ in cols[0]]
+    def decoded(col):
+        keys = [item[0] for item in col]
         assert keys == sorted(set(keys))
-        assert all([k for k, _ in col] == keys for col in cols)
-        return dict(zip(keys, zip(*[[v for _, v in col] for col in cols])))
+        return {item[0]: item[1:] for item in col}
 
-    return joined(it, imin), joined(ot, omax), joined(sel, unsel, gap)
+    return decoded(inside), decoded(outside), decoded(pairs)
 
 
 def frozen(summary):
@@ -210,7 +209,7 @@ def test_projection_drops_summaries_when_no_key_changes():
         assert [vertices_of(w) for w in table.values()] == want
     # a pair of two dead components with a negative gap is unsafe for good,
     # so a relabel that renames nothing still drops its selection
-    dead_pair = (_DEAD, (), _DEAD, (), (((0, 0), 1),), (((0, 0), 2),), (((0, 0), -1),))
+    dead_pair = (_DEAD, (), (((0, 0), 1, 2, -1),))
     assert dp_relabel(3, 1, {dead_pair: 0b1}) == {}
 
 
@@ -488,10 +487,12 @@ CYCLE12_STATS = {
 
 # Bounds on the tracemalloc peak of ``solve_cw`` on the 12-cycle's tree, in
 # bytes, plain and connected.  The walk keeps a table only until its parent
-# is built, and each table is one dict, which peaks at about 3.6 and 0.4 MB;
-# tables as lists of records peaked at about 4.0 and 0.4 MB, and keeping
-# every such table until the walk ended at about 8.3 and 1.3 MB.
-CYCLE12_PEAK = {False: 4_000_000, True: 700_000}
+# is built, each table is one dict and each summary three columns of whole
+# items, which peaks at about 1.7 and 0.23 MB; seven parallel columns of
+# (label set, value) items peaked at about 3.6 and 0.56 MB, tables as lists
+# of records at about 4.0 and 0.4 MB, and keeping every such table until the
+# walk ended at about 8.3 and 1.3 MB.
+CYCLE12_PEAK = {False: 2_500_000, True: 400_000}
 
 
 @pytest.mark.parametrize("connected", [False, True])
