@@ -128,6 +128,8 @@ def check_expression(expr: CExpression) -> None:
             kind = "relabel" if isinstance(node, Relabel) else "join"
             raise InputError(f"{kind} needs two distinct labels")
         for lab in used:
+            if lab > MAX_VERTICES:
+                raise InputError(f"label {lab} exceeds {MAX_VERTICES}")
             if not (1 <= lab <= expr.label_count):
                 raise InputError(
                     f"label {lab} outside the declared range 1..{expr.label_count}"

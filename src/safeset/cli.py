@@ -98,7 +98,7 @@ def cmd_solve(args) -> int:
         k = max(g.n, 1) if args.k is None else args.k
         res = branch_solve(g, k, connected=args.connected)
     elif args.algo == "nd":
-        nd_width = len(twin_partition(g).classes)
+        nd_width = twin_partition(g).width
         res = solve_nd(g, connected=args.connected, limit=args.k)
     elif args.algo == "approx":
         if args.connected:

@@ -7,12 +7,13 @@ whether the solution avoids it, meets it partially, or swallows it whole,
 then finds the smallest per-class counts that keep the guess safe.
 
 Whether a count vector works depends only on the counts, since twins are
-interchangeable, so the verifier decides it on one concrete set: the first
-vertices of each class in sorted order.  Raising a count never turns an
-accepted set into a rejected one (in connected mode once a lone independent
-solution class is capped at one vertex), so a guess is feasible exactly
-when its counts all at their upper bounds are accepted, and a depth-first
-count search finds the optimum.
+interchangeable, so the verifier decides it on one concrete set: the lowest
+vertices of each class.  Raising a count never turns an accepted set into a
+rejected one (in connected mode once a lone independent solution class is
+capped at one vertex), so a guess is feasible exactly when its counts all
+at their upper bounds are accepted, and a depth-first count search finds
+the optimum.  Classes, the blocks of a guess and the search's answer are
+vertex or class masks, like the guesses.
 """
 
 from __future__ import annotations
@@ -22,13 +23,11 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import or_
-from typing import Literal
 
 from .graph import (
     Graph,
     is_connected_safe_mask,
     is_safe_mask,
-    mask_of,
     precedes,
     vertices_of,
 )
@@ -41,12 +40,14 @@ class TwinPartition:
 
     Each class is entirely a clique or entirely independent, and adjacency
     between two classes is all-or-nothing, so one representative per class
-    carries the whole structure.  ``masks[a]`` has bit ``b`` set when
+    carries the whole structure.  ``classes[a]`` is the vertex mask of class
+    ``a``; bit ``a`` of ``cliques`` is set when class ``a`` is a clique (two
+    or more mutually adjacent members); ``masks[a]`` has bit ``b`` set when
     classes ``a`` and ``b`` are adjacent (never bit ``a`` itself).
     """
 
-    classes: tuple[frozenset[int], ...]
-    kinds: tuple[Literal["clique", "independent"], ...]
+    classes: tuple[int, ...]
+    cliques: int
     masks: tuple[int, ...]
 
     @property
@@ -66,7 +67,7 @@ def twin_partition(g: Graph) -> TwinPartition:
     equivalence and classes come out ordered by their smallest member.
     """
     index: dict[int, int] = {}
-    groups: list[list[int]] = []
+    classes: list[int] = []
     class_of: list[int] = []
     for v in g.vertices():
         open_mask = g.adjacency_mask(v)
@@ -75,22 +76,22 @@ def twin_partition(g: Graph) -> TwinPartition:
         if idx is None:
             idx = index.get(closed_mask)
         if idx is None:
-            idx = len(groups)
+            idx = len(classes)
             index[open_mask] = index[closed_mask] = idx
-            groups.append([])
-        groups[idx].append(v)
+            classes.append(0)
+        classes[idx] |= 1 << v
         class_of.append(idx)
-    kinds = tuple(
-        "clique" if len(grp) >= 2 and g.has_edge(grp[0], grp[1]) else "independent"
-        for grp in groups
-    )
+    cliques = 0
     masks = []
-    for a, grp in enumerate(groups):
+    for a, cls in enumerate(classes):
+        adjacent = g.adjacency_mask((cls & -cls).bit_length() - 1)
+        if adjacent & cls:
+            cliques |= 1 << a
         mask = 0
-        for u in vertices_of(g.adjacency_mask(grp[0])):
+        for u in vertices_of(adjacent & ~cls):
             mask |= 1 << class_of[u]
-        masks.append(mask & ~(1 << a))
-    return TwinPartition(tuple(frozenset(grp) for grp in groups), kinds, tuple(masks))
+        masks.append(mask)
+    return TwinPartition(tuple(classes), cliques, tuple(masks))
 
 
 def enumerate_guesses(tp: TwinPartition, bound: Callable[[], float] = lambda: math.inf):
@@ -110,8 +111,8 @@ def enumerate_guesses(tp: TwinPartition, bound: Callable[[], float] = lambda: ma
     caller may lower it between guesses.
     """
     width = tp.width
-    sizes = [len(cls) for cls in tp.classes]
-    vmasks = [mask_of(cls) for cls in tp.classes]
+    vmasks = tp.classes
+    sizes = [cls.bit_count() for cls in vmasks]
     # (classes decided, full, partial, vertices, floor); empty is pushed
     # last so that it is popped first
     stack = [(0, 0, 0, 0, 0)]
@@ -131,23 +132,19 @@ def enumerate_guesses(tp: TwinPartition, bound: Callable[[], float] = lambda: ma
         push((i + 1, full, partial, vertices, floor))
 
 
-def build_families(
-    tp: TwinPartition, guess: tuple[int, int, int]
-) -> tuple[list[frozenset[int]], list[int]]:
-    """Group the classes on the solution side into connected blocks.
+def build_families(tp: TwinPartition, guess: tuple[int, int, int]) -> list[int]:
+    """The classes on the solution side grouped into connected blocks, each
+    a class mask, ordered by their least class.
 
     A block of two or more mutually reachable classes, or a clique class by
-    itself, contributes one component of the solution; an isolated
-    independent class instead contributes one single-vertex component per
-    vertex taken (its "singleton-type" classes are returned separately).
+    itself, contributes one component of the solution; a lone independent
+    class instead contributes one single-vertex component per vertex taken.
     """
     full, partial, _ = guess
     rest = full | partial
-    families: list[frozenset[int]] = []
-    singletons: list[int] = []
+    blocks: list[int] = []
     while rest:
-        first = rest & -rest
-        block = frontier = first
+        block = frontier = rest & -rest
         while frontier:
             low = frontier & -frontier
             frontier ^= low
@@ -155,18 +152,14 @@ def build_families(
             block |= grown
             frontier |= grown
         rest &= ~block
-        i = first.bit_length() - 1
-        if block != first or tp.kinds[i] == "clique":
-            families.append(frozenset(j for j in range(i, tp.width) if block >> j & 1))
-        else:
-            singletons.append(i)
-    return families, singletons
+        blocks.append(block)
+    return blocks
 
 
 def prefix_masks(tp: TwinPartition) -> list[list[int]]:
-    """``prefix_masks(tp)[i][c]`` is the mask of class i's first c vertices
-    in sorted order, the vertices a count of c takes."""
-    return [list(accumulate((1 << v for v in sorted(cls)), or_, initial=0)) for cls in tp.classes]
+    """``prefix_masks(tp)[i][c]`` is the mask of class i's lowest c
+    vertices, the vertices a count of c takes."""
+    return [list(accumulate((1 << v for v in vertices_of(c)), or_, initial=0)) for c in tp.classes]
 
 
 def assemble_ip(
@@ -184,15 +177,17 @@ def assemble_ip(
     full, partial, _ = guess
     lo, hi = [], []
     for i, cls in enumerate(tp.classes):
+        size = cls.bit_count()
         whole, part = full >> i & 1, partial >> i & 1
-        lo.append(len(cls) if whole else part)
-        hi.append(len(cls) if whole else part * (len(cls) - 1))
+        lo.append(size if whole else part)
+        hi.append(size if whole else part * (size - 1))
     if connected:
-        families, singletons = build_families(tp, guess)
-        if len(families) + len(singletons) != 1:
+        blocks = build_families(tp, guess)
+        if len(blocks) != 1:
             return None
-        if singletons:
-            lone = singletons[0]
+        block = blocks[0]
+        if not block & (block - 1 | tp.cliques):  # one independent class
+            lone = block.bit_length() - 1
             if lo[lone] > 1:
                 return None
             hi[lone] = 1
@@ -205,12 +200,12 @@ def solve_ip(
     prefixes: list[list[int]],
     accepts: Callable[[int], bool],
     cap: float = math.inf,
-) -> tuple[int, int] | None:
-    """Smallest total count between ``lo`` and ``hi``, and the set of the
-    first count vector, in class order, that reaches it; None when no
-    vector is accepted or that total is above ``cap``.  Class i takes its
-    first ``count`` vertices, ``prefixes[i][count]``, and ``accepts``
-    decides the union.
+) -> int | None:
+    """The set of the first count vector, in class order, with the smallest
+    total between ``lo`` and ``hi``, as a vertex mask whose bit count is
+    that total; None when no vector is accepted or that total is above
+    ``cap``.  Class i takes its lowest ``count`` vertices,
+    ``prefixes[i][count]``, and ``accepts`` decides the union.
 
     Raising a count never turns an accepted set into a rejected one, so a
     vector exists exactly when the one with every count at ``hi`` is
@@ -224,7 +219,7 @@ def solve_ip(
     if sum(lo) > cap or not accepts(every):
         return None
     free = [i for i in range(len(lo)) if lo[i] < hi[i]]
-    best: tuple[int, int] | None = None
+    best: int | None = None
     top = cap + 1  # the least total that cannot win
 
     def dfs(d: int, floor: int, mask: int) -> None:
@@ -232,7 +227,7 @@ def solve_ip(
         ``mask`` the accepted set with them at ``hi``."""
         nonlocal best, top
         if d == len(free):
-            best, top = (floor, mask), floor
+            best, top = mask, floor
             return
         i = free[d]
         rest = mask & ~prefixes[i][hi[i]]
@@ -273,10 +268,9 @@ def _component_best(sub: Graph, connected: bool, bound: int) -> int | None:
                 continue
             if prefixes is None:
                 prefixes = prefix_masks(tp)
-            got = solve_ip(*box, prefixes, lambda mask: verify(sub, mask), min(bound, limit))
-            if got is None:
+            wmask = solve_ip(*box, prefixes, lambda mask: verify(sub, mask), min(bound, limit))
+            if wmask is None:
                 continue
-            wmask = got[1]
         if best is None or precedes(wmask, best):
             best = wmask
             limit = min(limit, best.bit_count())

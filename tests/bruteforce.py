@@ -211,22 +211,20 @@ def ref_guess_mask(g: Graph, s: int, seed: int, border: int, limit: int) -> int 
     return smask
 
 
-def ref_count_program(
-    g: Graph, classes, lo, hi, connected: bool = False
-) -> tuple[int, int] | None:
+def ref_count_program(g: Graph, classes, lo, hi, connected: bool = False) -> int | None:
     """``nd.solve_ip``'s answer by trying every count vector between ``lo``
-    and ``hi``: the smallest total and the mask of the concrete set -- the
-    first ``counts[i]`` vertices of each class in sorted order -- of the
-    first vector in ``itertools.product`` order that reaches it and that
+    and ``hi``: the mask of the concrete set -- the lowest ``counts[i]``
+    vertices of each class mask ``classes[i]`` -- of the first vector in
+    ``itertools.product`` order with the smallest total that
     ``ref_is_safe`` accepts."""
-    ordered = [sorted(cls) for cls in classes]
+    ordered = [[v for v in range(g.n) if cls >> v & 1] for cls in classes]
     best = None
     for counts in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
-        if best is not None and sum(counts) >= best[0]:
+        if best is not None and sum(counts) >= best.bit_count():
             continue
         chosen = {v for cls, count in zip(ordered, counts) for v in cls[:count]}
         if ref_is_safe(g, chosen, connected):
-            best = (sum(counts), mask_of(chosen))
+            best = mask_of(chosen)
     return best
 
 

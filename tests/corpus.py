@@ -6,6 +6,7 @@ into tests stay meaningful across runs.
 
 from __future__ import annotations
 
+import itertools
 import random
 from functools import lru_cache
 
@@ -149,3 +150,20 @@ def union_corpus() -> list[Graph]:
         (rand(204, 8, 0.3), cycle_graph(4), rand(205, 8, 0.3)),
     ]
     return [shuffled(disjoint_union(*p), seed) for seed, p in enumerate(parts)]
+
+
+def twin_blowup(b: int, t: int) -> Graph:
+    """``random_connected_graph(random.Random(b), 6, 0.3)`` with each vertex
+    v blown up into the twin class {v*t, ..., v*t + t - 1}, and each edge uv
+    into all edges between u's class and v's.  A class is a clique when a
+    fresh ``random.Random(b)``, drawn once per vertex in vertex order, gives
+    less than 0.5, and independent otherwise."""
+    base = random_connected_graph(random.Random(b), 6, 0.3)
+    rng = random.Random(b)
+    edges = []
+    for v in range(base.n):
+        if rng.random() < 0.5:
+            edges += itertools.combinations(range(v * t, v * t + t), 2)
+    for u, v in base.edges:
+        edges += [(u * t + i, v * t + j) for i in range(t) for j in range(t)]
+    return Graph(base.n * t, edges)

@@ -227,7 +227,7 @@ def test_criterion_8_structural_inequalities():
         s = plain.size
         delta = max_degree(g)
         vc = vertex_cover_bf(g)
-        nd_width = len(twin_partition(g).classes)
+        nd_width = twin_partition(g).width
         if treedepth_bf(g) > 2 * s:
             failures.append(f"depth bound broken on {name}")
         if g.n > s + s * s * delta:

@@ -24,6 +24,7 @@ from safeset.cexpr import (
     validate_irredundant,
     _tokenize,
 )
+from safeset.cw import solve_cw
 from safeset.generators import cycle_graph, path_graph
 from safeset.graph import Graph, InputError
 from safeset.io import MAX_VERTICES, FormatError, load_graph
@@ -283,6 +284,19 @@ def test_iter_nodes_is_post_order():
 def test_check_expression_rejects_out_of_range_label():
     with pytest.raises(InputError, match="outside the declared range"):
         check_expression(CExpression(Leaf(2), 1))
+
+
+def test_check_expression_caps_labels_like_the_parser():
+    big = 8 << 20
+    expr = CExpression(Join(1, big, DisjointUnion(Leaf(1), Leaf(big))), big)
+    reason = f"label {big} exceeds {MAX_VERTICES}"
+    with pytest.raises(FormatError, match=reason):
+        parse_cexpression(format_cexpression(expr))
+    with pytest.raises(InputError, match=reason):
+        check_expression(expr)
+    with pytest.raises(InputError, match=reason):
+        solve_cw(expr)
+    check_expression(CExpression(Relabel(MAX_VERTICES, 1, Leaf(MAX_VERTICES)), MAX_VERTICES))
 
 
 def test_check_expression_rejects_equal_labels():

@@ -310,6 +310,10 @@ def test_summaries_match_on_fixed_trees():
     for text in [K2_TEXT, PATH4_TEXT, NESTED_JOIN_TEXT]:
         assert_tables_definitional(parse_cexpression(text))
     assert_tables_definitional(cycle_expression(6))
+    # two trees whose tables go wrong when pairs that meet keep their
+    # largest gap instead of the smallest
+    assert_tables_definitional(random_expression(random.Random(64), label_count=3, max_leaves=8))
+    assert_tables_definitional(random_expression(random.Random(2), label_count=4, max_leaves=7))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+from functools import reduce
+from operator import or_
 
 import pytest
 from hypothesis import given, settings
@@ -38,7 +40,7 @@ from safeset.nd import (
 )
 from safeset.oracle import connected_safe_number_bf, safe_number_bf
 
-from corpus import disjoint_union, union_corpus
+from corpus import disjoint_union, twin_blowup, union_corpus
 from bruteforce import ref_count_program, ref_is_safe, vertex_cover_bf
 
 # A guess spelled out per class, first class first.
@@ -48,30 +50,30 @@ EMPTY, PARTIAL, FULL = "empty", "partial", "full"
 def test_twin_partition_complete_graph():
     tp = twin_partition(complete_graph(5))
     assert tp.width == 1
-    assert tp.kinds == ("clique",)
-    assert tp.classes[0] == frozenset(range(5))
+    assert tp.cliques == 0b1
+    assert tp.classes[0] == 0b11111
 
 
 def test_twin_partition_complete_bipartite():
     tp = twin_partition(complete_bipartite_graph(2, 3))
     assert tp.width == 2
-    assert set(tp.kinds) == {"independent"}
+    assert tp.cliques == 0
     assert tp.masks == (0b10, 0b01)
 
 
 def test_twin_partition_cycles_are_all_singletons():
     tp = twin_partition(cycle_graph(5))
     assert tp.width == 5
-    assert all(len(c) == 1 for c in tp.classes)
+    assert all(c.bit_count() == 1 for c in tp.classes)
 
 
 def test_twin_partition_diamond():
     g = Graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
     tp = twin_partition(g)
-    assert sorted(map(sorted, tp.classes)) == [[0, 3], [1, 2]]
-    by_class = {frozenset(c): k for c, k in zip(tp.classes, tp.kinds)}
-    assert by_class[frozenset({0, 3})] == "independent"
-    assert by_class[frozenset({1, 2})] == "clique"
+    assert sorted(map(vertices_of, tp.classes)) == [[0, 3], [1, 2]]
+    by_class = {c: tp.cliques >> a & 1 for a, c in enumerate(tp.classes)}
+    assert by_class[0b1001] == 0  # independent
+    assert by_class[0b0110] == 1  # clique
     assert tp.masks == (0b10, 0b01)
 
 
@@ -91,21 +93,26 @@ def small_graphs(draw):
 @given(small_graphs())
 def test_twin_partition_invariants(g):
     tp = twin_partition(g)
-    seen = set()
-    for cls, kind in zip(tp.classes, tp.kinds):
+    seen = 0
+    for a, cls in enumerate(tp.classes):
         assert not (cls & seen)
         seen |= cls
-        members = sorted(cls)
+        members = vertices_of(cls)
         for u, v in itertools.combinations(members, 2):
             assert g.neighbors(u) - {v} == g.neighbors(v) - {u}
-            assert g.has_edge(u, v) == (kind == "clique")
-    assert seen == set(g.vertices())
-    firsts = [min(cls) for cls in tp.classes]
+            assert g.has_edge(u, v) == (tp.cliques >> a & 1 == 1)
+        if len(members) == 1:
+            assert not tp.cliques >> a & 1  # a clique has two or more members
+    assert seen == g.full_mask()
+    assert tp.cliques < 1 << tp.width
+    firsts = [vertices_of(cls)[0] for cls in tp.classes]
     assert firsts == sorted(firsts)
     for a in range(tp.width):
         for b in range(a + 1, tp.width):
             crossings = {
-                g.has_edge(u, v) for u in tp.classes[a] for v in tp.classes[b]
+                g.has_edge(u, v)
+                for u in vertices_of(tp.classes[a])
+                for v in vertices_of(tp.classes[b])
             }
             assert len(crossings) == 1
             assert crossings == {tp.masks[a] >> b & 1 == 1}
@@ -117,8 +124,8 @@ def test_twin_partition_invariants(g):
 def test_twin_partition_perfect_matching():
     n = 4000
     tp = twin_partition(Graph(n, [(2 * i, 2 * i + 1) for i in range(n // 2)]))
-    assert tp.classes == tuple(frozenset({2 * i, 2 * i + 1}) for i in range(n // 2))
-    assert tp.kinds == ("clique",) * (n // 2)
+    assert tp.classes == tuple(0b11 << 2 * i for i in range(n // 2))
+    assert tp.cliques == (1 << n // 2) - 1
     assert tp.masks == (0,) * (n // 2)
 
 
@@ -145,15 +152,13 @@ def _guess(tp, assignment):
     """The guess that spells ``assignment``, built from the class masks."""
     full = mask_of(i for i, a in enumerate(assignment) if a == FULL)
     partial = mask_of(i for i, a in enumerate(assignment) if a == PARTIAL)
-    vertices = mask_of(
-        v for cls, a in zip(tp.classes, assignment) if a == FULL for v in cls
-    )
+    vertices = reduce(or_, (cls for cls, a in zip(tp.classes, assignment) if a == FULL), 0)
     return full, partial, vertices
 
 
 def _floor(tp, assignment):
     return sum(
-        len(cls) if a == FULL else int(a == PARTIAL)
+        cls.bit_count() if a == FULL else int(a == PARTIAL)
         for cls, a in zip(tp.classes, assignment)
     )
 
@@ -161,7 +166,7 @@ def _floor(tp, assignment):
 def _product_walk(tp):
     """The unpruned walk: every valid guess in itertools.product order."""
     options = [
-        (EMPTY, PARTIAL, FULL) if len(cls) >= 2 else (EMPTY, FULL)
+        (EMPTY, PARTIAL, FULL) if cls.bit_count() >= 2 else (EMPTY, FULL)
         for cls in tp.classes
     ]
     return [c for c in itertools.product(*options) if any(a != EMPTY for a in c)]
@@ -206,29 +211,28 @@ def test_pruned_walk_rereads_a_falling_bound(g):
 def test_build_families_bipartite_both_partial():
     tp = twin_partition(complete_bipartite_graph(2, 3))
     guess = _guess(tp, (PARTIAL, PARTIAL))
-    fams, single = build_families(tp, guess)
-    assert fams == [frozenset({0, 1})]
-    assert single == []
+    assert build_families(tp, guess) == [0b11]
 
 
 def test_build_families_star_full_empty():
     g = star_graph(3)
     tp = twin_partition(g)
-    center = next(i for i, c in enumerate(tp.classes) if 0 in c)
+    center = next(i for i, c in enumerate(tp.classes) if c & 1)
     leaves = 1 - center
     assignment = [None, None]
     assignment[center] = FULL
     assignment[leaves] = EMPTY
     guess = _guess(tp, tuple(assignment))
-    fams, single = build_families(tp, guess)
-    assert fams == [] and single == [center]
+    # one block, a lone independent class
+    assert build_families(tp, guess) == [1 << center]
+    assert not tp.cliques >> center & 1
 
 
 def test_build_families_clique_self_loop():
     tp = twin_partition(complete_graph(4))
-    fams, single = build_families(tp, _guess(tp, (PARTIAL,)))
-    assert fams == [frozenset({0})]
-    assert single == []
+    # one block, a clique class by itself
+    assert build_families(tp, _guess(tp, (PARTIAL,))) == [0b1]
+    assert tp.cliques == 0b1
 
 
 def _search(g, tp, box, connected, cap=math.inf):
@@ -243,7 +247,7 @@ def test_k4_program_reaches_two():
     tp = twin_partition(g)
     box = assemble_ip(tp, _guess(tp, (PARTIAL,)), False)
     assert box == ([1], [3])
-    assert _search(g, tp, box, False) == (2, 0b11)
+    assert _search(g, tp, box, False) == 0b11
 
 
 def test_assemble_ip_holds_the_connected_rule():
@@ -297,7 +301,7 @@ def test_guess_vertex_mask_is_the_union_of_its_full_classes():
         for guess in enumerate_guesses(tp):
             assert not guess[0] & guess[1]
             full = [cls for cls, a in zip(tp.classes, _spelled(guess, tp.width)) if a == FULL]
-            assert guess[2] == mask_of(set().union(*full)), (g.edges, guess)
+            assert guess[2] == reduce(or_, full, 0), (g.edges, guess)
             checked += 1
     assert checked > 1000
 
@@ -315,8 +319,8 @@ def test_fixed_count_guess_program_agrees_with_verifier(connected):
             if guess[1]:
                 continue
             box = assemble_ip(tp, guess, connected)
-            full = set().union(
-                *(cls for cls, a in zip(tp.classes, _spelled(guess, tp.width)) if a == FULL)
+            full = vertices_of(
+                reduce(or_, (c for c, a in zip(tp.classes, _spelled(guess, tp.width)) if a == FULL))
             )
             got = None if box is None else _search(g, tp, box, connected)
             assert (got is not None) == verify(g, full), (
@@ -347,7 +351,7 @@ def _blowup(rng):
 def _box(tp, assignment):
     """Per-class count bounds of a guess: FULL the whole class, PARTIAL 1
     to size - 1, EMPTY 0."""
-    sizes = [len(cls) for cls in tp.classes]
+    sizes = [cls.bit_count() for cls in tp.classes]
     lo = [n if a == FULL else int(a == PARTIAL) for n, a in zip(sizes, assignment)]
     hi = [n if a == FULL else n - 1 if a == PARTIAL else 0 for n, a in zip(sizes, assignment)]
     return lo, hi
@@ -374,8 +378,8 @@ def test_solve_ip_matches_the_count_enumeration(connected):
             programs += 1
             if got is not None:
                 feasible += 1
-                assert got[1].bit_count() == got[0]
-                assert ref_is_safe(g, vertices_of(got[1]), connected)
+                assert sum(lo) <= got.bit_count() <= sum(hi)
+                assert ref_is_safe(g, vertices_of(got), connected)
     assert programs > 500 and feasible > 100, (programs, feasible)
 
 
@@ -395,9 +399,9 @@ def test_solve_ip_finds_no_total_above_the_cap(connected):
                 continue
             lo, hi = box
             fixed += lo == hi
-            for cap in range(sum(lo) - 1, full[0] + 1):
+            for cap in range(sum(lo) - 1, full.bit_count() + 1):
                 got = _search(g, tp, box, connected, cap)
-                assert got == (full if full[0] <= cap else None), (g.edges, cap)
+                assert got == (full if full.bit_count() <= cap else None), (g.edges, cap)
                 cut += got is None
     assert fixed > 0 and cut > 0, (fixed, cut)
 
@@ -411,7 +415,7 @@ def test_raising_a_count_keeps_an_accepted_set_accepted(connected):
     for _ in range(40):
         g = _blowup(rng)
         tp = twin_partition(g)
-        ordered = [sorted(cls) for cls in tp.classes]
+        ordered = [vertices_of(cls) for cls in tp.classes]
         for guess in enumerate_guesses(tp):
             if not guess[1]:
                 continue
@@ -468,22 +472,54 @@ VERIFIER_CALLS = [
 ]
 
 
-@pytest.mark.parametrize("g,want", VERIFIER_CALLS)
-def test_verifier_calls_are_pinned(g, want, monkeypatch):
-    # every count vector the search tries is one call; the set it accepts
-    # is not checked again
+def _verifier_calls(monkeypatch):
+    """The list that every verifier call nd makes is appended to."""
     calls = []
     for name in ("is_safe_mask", "is_connected_safe_mask"):
         verify = getattr(nd, name)
         monkeypatch.setattr(
             nd, name, lambda sub, mask, verify=verify: calls.append(mask) or verify(sub, mask)
         )
+    return calls
+
+
+@pytest.mark.parametrize("g,want", VERIFIER_CALLS)
+def test_verifier_calls_are_pinned(g, want, monkeypatch):
+    # every count vector the search tries is one call; the set it accepts
+    # is not checked again
+    calls = _verifier_calls(monkeypatch)
     got = []
     for connected in (False, True):
         calls.clear()
         solve_nd(g, connected=connected)
         got.append(len(calls))
     assert tuple(got) == want
+
+
+# solve_nd on twin_blowup(b, t): (witness, verifier calls), plain then
+# connected.  Width 5 or 6 (two base vertices may be twins themselves).
+PINNED_TWIN_BLOWUP = {
+    (0, 3): (([0, 1, 2, 3, 4, 5, 9], 696), ([0, 1, 2, 3, 4, 5, 9], 663)),
+    (0, 4): (([0, 1, 2, 3, 4, 5, 6, 7, 12], 1792), ([0, 1, 2, 3, 4, 5, 6, 7, 12], 1759)),
+    (1, 3): (([0, 1, 2, 9, 10, 11], 1095), ([0, 1, 2, 9, 10, 11], 1025)),
+    (1, 4): (([0, 1, 2, 3, 12, 13, 14, 15], 2715), ([0, 1, 2, 3, 12, 13, 14, 15], 2644)),
+    (2, 3): (([3, 4, 5, 9, 10, 11], 368), ([3, 4, 5, 9, 10, 11], 255)),
+    (2, 4): (([4, 5, 6, 7, 12, 13, 14, 15], 923), ([4, 5, 6, 7, 12, 13, 14, 15], 789)),
+}
+
+
+@pytest.mark.parametrize("b,t", PINNED_TWIN_BLOWUP)
+def test_twin_blowup_witnesses_and_calls_are_pinned(b, t, monkeypatch):
+    g = twin_blowup(b, t)
+    assert 5 <= twin_partition(g).width <= 6
+    calls = _verifier_calls(monkeypatch)
+    for connected, want in zip((False, True), PINNED_TWIN_BLOWUP[b, t]):
+        calls.clear()
+        got = solve_nd(g, connected=connected)
+        assert (sorted(got.witness), len(calls)) == want, connected
+        if t == 3:  # n = 18 is within the oracle's reach
+            oracle = connected_safe_number_bf(g) if connected else safe_number_bf(g)
+            assert got.size == oracle.size, connected
 
 
 @pytest.mark.parametrize("connected", [False, True])
@@ -572,11 +608,11 @@ def test_twin_choice_independence(n, seed):
     g = random_connected_graph(rng, n, 0.4)
     r = solve_nd(g)
     tp = twin_partition(g)
-    counts = [len(r.witness & cls) for cls in tp.classes]
+    counts = [(mask_of(r.witness) & cls).bit_count() for cls in tp.classes]
     for _ in range(10):
         swapped = set()
         for cls, want in zip(tp.classes, counts):
-            swapped.update(rng.sample(sorted(cls), want))
+            swapped.update(rng.sample(vertices_of(cls), want))
         assert is_safe_set(g, swapped)
         assert len(swapped) == r.size
 
@@ -716,7 +752,9 @@ def test_nd_witnesses_are_pinned():
             assert got.size == oracle.size, (seed, connected)
         # the witness of at least one mode meets some class only in part
         assert any(
-            0 < len(set(w) & cls) < len(cls) for w in (plain, conn) for cls in tp.classes
+            0 < (mask_of(w) & cls).bit_count() < cls.bit_count()
+            for w in (plain, conn)
+            for cls in tp.classes
         ), seed
 
 

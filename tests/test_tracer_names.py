@@ -88,3 +88,36 @@ def test_traced_package_gives_the_same_answers(fresh, tmp_path, capsys):
     nodes = list(cexpr.iter_nodes(expr.root))
     assert counts["cw.dp_join.calls"] == sum(isinstance(n, cexpr.Join) for n in nodes)
     assert counts["cw.dp_union.calls"] == sum(isinstance(n, cexpr.DisjointUnion) for n in nodes)
+
+
+# two solves of K_{3,4}: cli reads the width, and solve_nd partitions again
+ND_COUNTS = {
+    "nd.twin_partition.calls": 4,
+    "nd.build_families.calls": 3,
+    "nd.assemble_ip.calls": 6,
+    "nd.solve_ip.calls": 6,
+    "nd.solve_ip.feasible": 2,
+    "nd.enumerate_guesses.yielded": 10,
+}
+
+
+def test_traced_nd_counts_each_layer(fresh, tmp_path, capsys):
+    # the per-layer nd metrics read these names and the results the hooks
+    # inspect, so a changed signature or return type must not lose a count
+    tracer_module, modules = fresh
+    generators, cli = modules["safeset.generators"], modules["safeset.cli"]
+    path = tmp_path / "k34.gr"
+    path.write_text(modules["safeset.io"].format_graph(generators.complete_bipartite_graph(3, 4)))
+    tracer = tracer_module.Tracer()
+    tracer.install(modules)
+    try:
+        sizes = []
+        for mode in ([], ["--connected"]):
+            assert cli.main(["solve", "--algo", "nd", *mode, str(path)]) == 0
+            sizes.append(json.loads(capsys.readouterr().out)["size"])
+    finally:
+        tracer.uninstall()
+    assert sizes == [3, 4]
+    counts = tracer.take_counts()
+    assert {name: counts[name] for name in ND_COUNTS} == ND_COUNTS
+
