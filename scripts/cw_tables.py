@@ -3,9 +3,9 @@
 
 For each n-cycle's four-label construction tree, in plain and connected
 mode, prints the counts ``solve_cw`` reports in its result's ``stats`` (the
-number of tables, their summed entries and the largest one) and the
-tracemalloc peak of the solve, with the growth of the sum and the peak
-against the row for n - 2:
+cap on selection sizes, the number of tables, their summed entries and the
+largest one) and the tracemalloc peak of the solve, with the growth of the
+sum and the peak against the row for n - 2:
 
     python3 scripts/cw_tables.py
 
@@ -23,7 +23,7 @@ from safeset.cexpr import cycle_expression
 from safeset.cw import solve_cw
 
 CYCLES = range(6, 15)
-HEADER = ("n", "mode", "tables", "entries_sum", "entries_max", "peak_mb", "sum_x", "peak_x")
+HEADER = ("n", "mode", "cap", "tables", "entries_sum", "entries_max", "peak_mb", "sum_x", "peak_x")
 
 
 def measure(n: int, connected: bool) -> tuple[dict, float]:
@@ -58,7 +58,7 @@ def main() -> int:
                     f"{stats['table_entries_sum'] / before['table_entries_sum']:.2f}",
                     f"{peak / peak_before:.2f}",
                 ]
-            cells = [n, "connected" if connected else "plain", stats["tables"]]
+            cells = [n, "connected" if connected else "plain", stats["cap"], stats["tables"]]
             cells += [stats["table_entries_sum"], stats["table_entries_max"], f"{peak:.2f}"]
             print("\t".join(map(str, cells + growth)), flush=True)
     return 0

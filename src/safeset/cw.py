@@ -10,17 +10,23 @@ Each summary is projected onto the labels still *live* at its node: those
 that some join above the node can still see, following relabels upward.  A
 component whose label set holds no live label never fuses and never gains
 a neighbour again, so little of it matters later: an unselected one stays
-only in its pairs, selected ones leave only a mark under label set 0, and
-a pair of two such components is either safe for good or makes the whole
-selection unsafe for good.  In connected mode such a selected component
-next to any other selected one can never join it.  At the root nothing is
-live, so the root family holds only safe selections and tells apart only
-whether one is empty.
+only in its pairs, and selected ones leave only a mark under label set 0.
+Such a selected component never grows, and an unselected one next to it
+never shrinks, so when it is the smaller of the two the whole selection is
+unsafe for good and is dropped, whether the other is live or not; a safe
+pair of two dead components drops out.  In connected mode a dead selected
+component next to any other selected one can never join it.  At the root
+nothing is live, so the root family holds only safe selections and tells
+apart only whether one is empty.
 
 Distinct selections collapse to the same summary, which keeps the families
 far smaller than the number of selections; each summary retains its least
 witness selection (by size, then by sorted vertex ids), so the answer is
-the least minimum set and can be verified directly.
+the least minimum set and can be verified directly.  A selection only grows
+towards the root, so ``solve_cw`` also drops every summary whose witness
+has more vertices than a bound on the optimum, the size of approx's set;
+every table then holds exactly the summaries of the full program whose
+witnesses fit under that bound (``_walk``).
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ from .cexpr import (
 )
 from .graph import Graph, InputError, precedes, vertices_of
 from .oracle import SolveResult, verified_result
+from .preprocess import approx_safe_set
 
 Column = tuple[tuple, ...]
 
@@ -124,8 +131,10 @@ def _projected(table: Table, moved: int, target: int, connected: bool) -> Table:
     component can never join it, so its selection is dropped instead; a
     label set holds one component exactly when its total equals its
     minimum.  An outside item on label set 0, and a pair with label set 0
-    on both sides and a gap >= 0, are dropped; such a pair with a negative
-    gap stays unsafe for good, and so does its selection.
+    on both sides and a gap >= 0, are dropped.  A pair with label set 0 on
+    its selected side and a negative gap stays unsafe for good, whatever
+    its unselected side: the selected components never grow again, and
+    the unselected one never shrinks.  So its selection is dropped.
     """
 
     def to(m: int) -> int:
@@ -147,10 +156,11 @@ def _projected(table: Table, moved: int, target: int, connected: bool) -> Table:
             inside = _DEAD + inside[1:]
         if outside and not outside[0][0]:
             outside = outside[1:]
-        if pairs and pairs[0][0] == (0, 0):
-            if pairs[0][3] < 0:
+        if pairs and not pairs[0][0][0]:
+            if any(item[3] < 0 for item in pairs if not item[0][0]):
                 continue
-            pairs = pairs[1:]
+            if pairs[0][0] == (0, 0):
+                pairs = pairs[1:]
         key = (inside, outside, pairs)
         old = out.get(key)
         if old is None or precedes(witness, old):
@@ -172,8 +182,9 @@ def dp_leaf(label: int, vertex: int = 0) -> Table:
     return _dedup([(skipped, 0), (taken, 1 << vertex)])
 
 
-def dp_union(left: Table, right: Table) -> Table:
-    """Side-by-side placement: aggregates combine pointwise, nothing merges."""
+def dp_union(left: Table, right: Table, cap: int | None = None) -> Table:
+    """Side-by-side placement: aggregates combine pointwise, nothing merges.
+    With ``cap`` set, selections of more than ``cap`` vertices are left out."""
 
     def combined(a: tuple[Column, ...], b: tuple[Column, ...]) -> tuple:
         return tuple(
@@ -181,7 +192,10 @@ def dp_union(left: Table, right: Table) -> Table:
         )
 
     return _dedup(
-        (combined(a, b), wa | wb) for a, wa in left.items() for b, wb in right.items()
+        (combined(a, b), wa | wb)
+        for a, wa in left.items()
+        for b, wb in right.items()
+        if cap is None or wa.bit_count() + wb.bit_count() <= cap
     )
 
 
@@ -213,7 +227,10 @@ def _fuse(col: Column, bit_i: int, bit_j: int) -> tuple[Column, int | None, int]
     return tuple(sorted(kept + [(fused, total, total)])), fused, total
 
 
-def _join_entry(bit_i: int, bit_j: int, key: tuple[Column, ...]) -> tuple:
+def _join_entry(bit_i: int, bit_j: int, key: tuple[Column, ...], witness: int) -> tuple | None:
+    """One summary after the join, with its witness, or None when the join
+    grows an unselected component past a dead selected one next to it,
+    which makes the selection unsafe for good (see ``_projected``)."""
     touch = bit_i | bit_j
     inside, outside, pairs = key
     inside, fused_in, size_in = _fuse(inside, bit_i, bit_j)
@@ -234,6 +251,8 @@ def _join_entry(bit_i: int, bit_j: int, key: tuple[Column, ...]) -> tuple:
                 q2, b, revalued = fused_out, size_out, True
             if revalued:
                 d = a - b
+                if d < 0 and not q1:
+                    return None
             items.append(((q1, q2), a, b, d))
         pairs = ()
     # new adjacencies: every selected component holding an i-vertex now
@@ -246,7 +265,7 @@ def _join_entry(bit_i: int, bit_j: int, key: tuple[Column, ...]) -> tuple:
                 items.append(((m1, m2), mn, mx, mn - mx))
     if items:
         pairs = _pooled(pairs, items, _RULES[2])
-    return inside, outside, pairs
+    return (inside, outside, pairs), witness
 
 
 def dp_join(first: int, second: int, child: Table) -> Table:
@@ -255,7 +274,7 @@ def dp_join(first: int, second: int, child: Table) -> Table:
         raise InputError("join needs two distinct labels")
     bit_i = 1 << (first - 1)
     bit_j = 1 << (second - 1)
-    return _dedup((_join_entry(bit_i, bit_j, key), w) for key, w in child.items())
+    return _dedup(_join_entry(bit_i, bit_j, key, w) for key, w in child.items())
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +326,9 @@ def _forgotten(table: Table, dying: int, live: int, connected: bool) -> Table:
     return _projected(table, dying, 0, connected)
 
 
-def _walk(expr: CExpression, connected: bool) -> Iterator[tuple[Node, Table]]:
+def _walk(
+    expr: CExpression, connected: bool, cap: int | None = None
+) -> Iterator[tuple[Node, Table]]:
     """The summary table at every node, in post-order, projected onto the
     node's live labels (``_live_labels``).
 
@@ -317,8 +338,10 @@ def _walk(expr: CExpression, connected: bool) -> Iterator[tuple[Node, Table]]:
     live labels to live ones, and a union's children share its live set, so
     there ``_projected`` moves no label and only puts label set 0, which the
     union added up, back at its marker.  ``connected`` drops the selections
-    that can no longer become one component.  Leaves come out of the
-    post-order walk left to right, so counting them numbers the vertices as
+    that can no longer become one component.  With ``cap`` set, every
+    selection of more than ``cap`` vertices is dropped too; a selection
+    grows only at leaves and unions.  Leaves come out of the post-order
+    walk left to right, so counting them numbers the vertices as
     ``eval_graph`` does.
     """
     order = list(iter_nodes(expr.root))
@@ -329,10 +352,12 @@ def _walk(expr: CExpression, connected: bool) -> Iterator[tuple[Node, Table]]:
         if isinstance(node, Leaf):
             table = dp_leaf(node.label, vertex)
             vertex += 1
+            if cap is not None and cap < 1:
+                table = {key: w for key, w in table.items() if not w}
             if dying := 1 << (node.label - 1) & ~live[node]:
                 table = _forgotten(table, dying, live[node], connected)
         elif isinstance(node, DisjointUnion):
-            table = dp_union(waiting.pop(node.left), waiting.pop(node.right))
+            table = dp_union(waiting.pop(node.left), waiting.pop(node.right), cap)
             table = _projected(table, 0, 0, connected)
         elif isinstance(node, Relabel):
             table = dp_relabel(node.source, node.target, waiting.pop(node.child))
@@ -359,10 +384,13 @@ def solve_cw(expr: CExpression, connected: bool = False, limit: int | None = Non
 
     No label is live at the root, so ``_forgotten`` left only summaries of
     safe selections there, in connected mode only of those that are one
-    component; the summary of the empty selection does not count.  With
-    ``limit`` set, a minimum larger than it is reported as infeasible.
-    The result's ``stats`` count the tables, their summed entries and the
-    largest one.
+    component; the summary of the empty selection does not count.  The
+    walk drops every selection of more vertices than a cap: the size of
+    ``approx_safe_set``'s set, a connected safe set, so no optimum is
+    larger, or ``limit`` when that is smaller.  A minimum larger than
+    ``limit`` is then reported as infeasible.  A selection of exactly the
+    cap stays, since it may be the least.  The result's ``stats`` give the
+    cap and count the tables, their summed entries and the largest one.
     """
     t0 = time.perf_counter()
     check_expression(expr)
@@ -374,8 +402,11 @@ def solve_cw(expr: CExpression, connected: bool = False, limit: int | None = Non
             "re-adds an existing edge"
         )
     g = Graph(len(labels), edges)
+    cap = approx_safe_set(g).size
+    if limit is not None:
+        cap = min(cap, limit)
     tables = entries_sum = entries_max = 0
-    for _, table in _walk(expr, connected):
+    for _, table in _walk(expr, connected, cap):
         tables += 1
         entries_sum += len(table)
         entries_max = max(entries_max, len(table))
@@ -385,8 +416,11 @@ def solve_cw(expr: CExpression, connected: bool = False, limit: int | None = Non
     for key, w in table.items():
         if key[0] and (best is None or precedes(w, best)):
             best = w
-    witness = None
-    if best is not None and (limit is None or best.bit_count() <= limit):
-        witness = vertices_of(best)
-    stats = {"tables": tables, "table_entries_sum": entries_sum, "table_entries_max": entries_max}
+    stats = {
+        "cap": cap,
+        "tables": tables,
+        "table_entries_sum": entries_sum,
+        "table_entries_max": entries_max,
+    }
+    witness = None if best is None else vertices_of(best)
     return verified_result(g, witness, "cw", connected, t0, stats)

@@ -370,9 +370,11 @@ def ref_summary(
     A component left with no live label never changes again.  Selected
     ones leave label set 0 at total 1 and minimum 1, however many there are;
     unselected ones are left out of ``outside``; a pair of two of them is
-    left out when its gap is >= 0, and makes the summary None when it is
-    < 0.  With ``connected``, the summary is also None when a selected
-    component with no live label is not the only selected one."""
+    left out when its gap is >= 0.  A selected one smaller than an adjacent
+    unselected component, live or not, makes the summary None: it never
+    grows, and the other never shrinks.  With ``connected``, the summary is
+    also None when a selected component with no live label is not the only
+    selected one."""
     smask = mask_of(subset)
 
     def side(mask: int) -> list[tuple[int, int, int]]:
@@ -403,9 +405,9 @@ def ref_summary(
         reach = neighborhood_mask(g, cmask)
         for dmask, dlab, dsize in outs:
             if reach & dmask:
+                if not clab and csize < dsize:
+                    return None
                 if not clab and not dlab:
-                    if csize < dsize:
-                        return None
                     continue
                 a, b, d = pairs.get((clab, dlab), (csize, dsize, csize - dsize))
                 pairs[clab, dlab] = (min(a, csize), max(b, dsize), min(d, csize - dsize))

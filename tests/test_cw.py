@@ -24,6 +24,7 @@ from safeset.cexpr import (
 from safeset.cw import (
     _DEAD,
     _live_labels,
+    _walk,
     dp_evaluate,
     dp_join,
     dp_leaf,
@@ -41,11 +42,21 @@ from safeset.graph import (
     vertices_of,
 )
 from safeset.oracle import connected_safe_number_bf, safe_number_bf
+from safeset.preprocess import approx_safe_set
 
 K2_TEXT = "(e 1 2 (u (v 1) (v 2)))"
 PATH4_TEXT = "(e 2 3 (u (r 3 2 (r 2 1 (e 2 3 (u (e 1 2 (u (v 1) (v 2))) (v 3))))) (v 3)))"
 NESTED_JOIN_TEXT = (
     "(e 1 2 (u (v 1) (r 1 2 (e 1 2 (u (v 1) (r 1 2 (e 1 2 (u (v 1) (v 2)))))))))"
+)
+# A tree with a join that grows an unselected component past a dead
+# selected one next to it while no label dies there, so only the join
+# itself can drop those selections as unsafe for good.
+JOIN_DOOMS_TEXT = (
+    "c 3 (e 1 2 (u (r 1 2 (e 1 3 (r 2 3 (u (r 3 2 (r 2 3 (v 1)))"
+    " (u (r 1 2 (r 3 1 (v 1))) (v 3)))))) (u (v 1) (r 2 1 (e 1 2 (u (r 2 1 (v 2))"
+    " (u (e 2 3 (r 1 2 (u (u (r 2 1 (r 1 2 (v 1))) (v 2)) (r 2 3 (r 1 3 (v 2))))))"
+    " (r 3 1 (v 2)))))))))"
 )
 
 
@@ -177,24 +188,27 @@ def test_join_without_both_classes_is_identity():
 
 
 def test_join_revalues_gap_when_fused_mask_equals_old_key():
-    # Below the root join only labels 2 and 3 are live.  The two unselected
-    # components there have label sets {2,3} and {2}; the join fuses them,
-    # and the fused set is again {2,3}.  The adjacency key stays put while
-    # the component behind it grows, so the stored gap must still be
-    # recomputed.  Nothing is live at the root, so the join runs on the
-    # child's table here.
+    # Below the root join only labels 2 and 3 are live.  Selecting vertices
+    # 0, 2, 3 and 4 there leaves two selected components, {0, 3, 4} with
+    # label set {2,3} next to the unselected vertex 1, and {2} with label
+    # set {2}; the join fuses them, and the fused set is again {2,3}.  The
+    # adjacency key stays put while the component behind it grows from 3
+    # to 4 vertices, so the stored gap must still be recomputed.  Nothing
+    # is live at the root, so the join runs on the child's table here.
     text = (
-        "(e 2 3 (u (e 1 2 (u (e 1 3 (u (r 3 1 (u (r 2 3 (v 2)) (v 3)))"
-        " (r 1 3 (v 1)))) (r 1 2 (v 1)))) (v 2)))"
+        "(e 2 3 (e 1 3 (u (r 2 3 (u (v 3) (v 3))) (r 3 2 (u (v 2)"
+        " (e 1 3 (r 2 1 (u (v 1) (r 1 3 (v 1))))))))))"
     )
     expr = parse_cexpression(text)
     g, labels = eval_graph(expr)
-    assert g.edges == Graph(5, [(0, 2), (1, 2), (0, 3), (1, 3), (2, 3), (2, 4)]).edges
+    edges = [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (3, 4)]
+    assert g.edges == Graph(5, edges).edges
     child = dp_evaluate(expr)[expr.root.child]
-    entry = by_summary(dp_join(2, 3, child), ref_summary(g, labels, {1}, live=0b110))
-    _, outside, pairs = maps(entry)
-    assert outside == {6: (4, 4)}
-    assert pairs == {(0, 6): (1, 4, -3)}
+    assert maps(by_witness(child, (0, 2, 3, 4)))[2] == {(6, 4): (3, 1, 2)}
+    summary = ref_summary(g, labels, {0, 2, 3, 4}, live=0b110)
+    inside, _, pairs = maps(by_summary(dp_join(2, 3, child), summary))
+    assert inside == {6: (4, 4)}
+    assert pairs == {(6, 4): (4, 1, 3)}
 
 
 def test_projection_drops_summaries_when_no_key_changes():
@@ -307,7 +321,7 @@ def test_summaries_match_direct_recomputation(seed):
 
 
 def test_summaries_match_on_fixed_trees():
-    for text in [K2_TEXT, PATH4_TEXT, NESTED_JOIN_TEXT]:
+    for text in [K2_TEXT, PATH4_TEXT, NESTED_JOIN_TEXT, JOIN_DOOMS_TEXT]:
         assert_tables_definitional(parse_cexpression(text))
     assert_tables_definitional(cycle_expression(6))
     # two trees whose tables go wrong when pairs that meet keep their
@@ -476,27 +490,31 @@ def test_root_family_is_pinned():
             assert got == {(frozen(m), tuple(w)) for m, w in family}
 
 
-# Upper bounds on the table sizes of the 12-cycle's tree, (summed, largest),
-# plain and connected.  Before dead labels were forgotten both modes read
-# 30,798 and 3,546.
-CYCLE12_TABLES = {False: (11_865, 1_350), True: (2_559, 179)}
+# Upper bounds on the table sizes of the 12-cycle's tree without a cap,
+# (summed, largest), plain and connected.  Before a dead selected component
+# next to a larger unselected live one dropped its selection they read
+# 11,865 and 1,350 (2,559 and 179), and before dead labels were forgotten
+# both modes read 30,798 and 3,546.
+CYCLE12_TABLES = {False: (8_012, 882), True: (2_050, 151)}
 
 
 # The counts ``solve_cw`` reports for the 12-cycle's tree, plain and
-# connected: the bounds above are met exactly.
+# connected, under approx's cap of 7 vertices; without the cap they met
+# the bounds above exactly.
 CYCLE12_STATS = {
-    False: {"tables": 55, "table_entries_sum": 11_865, "table_entries_max": 1_350},
-    True: {"tables": 55, "table_entries_sum": 2_559, "table_entries_max": 179},
+    False: {"cap": 7, "tables": 55, "table_entries_sum": 5_777, "table_entries_max": 465},
+    True: {"cap": 7, "tables": 55, "table_entries_sum": 1_544, "table_entries_max": 78},
 }
 
 # Bounds on the tracemalloc peak of ``solve_cw`` on the 12-cycle's tree, in
 # bytes, plain and connected.  The walk keeps a table only until its parent
-# is built, each table is one dict and each summary three columns of whole
-# items, which peaks at about 1.7 and 0.23 MB; seven parallel columns of
-# (label set, value) items peaked at about 3.6 and 0.56 MB, tables as lists
-# of records at about 4.0 and 0.4 MB, and keeping every such table until the
-# walk ended at about 8.3 and 1.3 MB.
-CYCLE12_PEAK = {False: 2_500_000, True: 400_000}
+# is built, each table is one dict, each summary three columns of whole
+# items, and every selection that can no longer win is dropped, which peaks
+# at about 0.57 and 0.10 MB.  Keeping those selections peaked at about 1.7
+# and 0.23 MB, seven parallel columns of (label set, value) items at about
+# 3.6 and 0.56 MB, tables as lists of records at about 4.0 and 0.4 MB, and
+# keeping every such table until the walk ended at about 8.3 and 1.3 MB.
+CYCLE12_PEAK = {False: 900_000, True: 150_000}
 
 
 @pytest.mark.parametrize("connected", [False, True])
@@ -507,23 +525,73 @@ def test_cycle_tables_stay_small(connected):
     assert max(sizes) <= largest
 
 
-def table_counts(expr, connected):
-    sizes = [len(t) for t in dp_evaluate(expr, connected).values()]
-    return {"tables": len(sizes), "table_entries_sum": sum(sizes), "table_entries_max": max(sizes)}
+def approx_cap(expr):
+    """The cap ``solve_cw`` walks with when no limit is set."""
+    return approx_safe_set(eval_graph(expr)[0]).size
+
+
+def capped(table, cap):
+    return {key: w for key, w in table.items() if w.bit_count() <= cap}
+
+
+def table_counts(expr, connected, cap):
+    """``solve_cw``'s stats recounted on ``dp_evaluate``'s tables cut to
+    witnesses of at most ``cap`` vertices."""
+    sizes = [len(capped(t, cap)) for t in dp_evaluate(expr, connected).values()]
+    return {
+        "cap": cap,
+        "tables": len(sizes),
+        "table_entries_sum": sum(sizes),
+        "table_entries_max": max(sizes),
+    }
+
+
+def cap_corpus():
+    rng = random.Random(26)
+    return [cycle_expression(n) for n in range(9, 13)] + [
+        random_expression(rng, label_count=rng.randint(2, 4), max_leaves=10) for _ in range(20)
+    ]
 
 
 @pytest.mark.parametrize("connected", [False, True])
 def test_stats_count_the_tables(connected):
-    rng = random.Random(26)
-    exprs = [cycle_expression(n) for n in range(9, 13)] + [
-        random_expression(rng, label_count=rng.randint(2, 4), max_leaves=10) for _ in range(20)
-    ]
+    exprs = cap_corpus()
     got = [solve_cw(expr, connected).stats for expr in exprs]
-    assert got == [table_counts(expr, connected) for expr in exprs]
+    assert got == [table_counts(expr, connected, approx_cap(expr)) for expr in exprs]
     assert got[3] == CYCLE12_STATS[connected]
-    # an answer over the limit is infeasible, but the tables were built
+    # an answer over the limit is infeasible, and the limit caps the tables
     res = solve_cw(exprs[3], connected, limit=1)
-    assert not res.feasible and res.stats == CYCLE12_STATS[connected]
+    assert not res.feasible and res.stats == table_counts(exprs[3], connected, 1)
+
+
+@pytest.mark.parametrize("connected", [False, True])
+def test_capped_walk_is_the_filtered_evaluation(connected):
+    # a selection only grows towards the root and a kept summary keeps its
+    # least witness, so cutting every table at the cap loses nothing that
+    # the full tables would have kept under it
+    for expr in cap_corpus():
+        cap = approx_cap(expr)
+        full = dp_evaluate(expr, connected)
+        walked = dict(_walk(expr, connected, cap))
+        assert list(walked) == list(full)
+        for node, table in full.items():
+            assert walked[node] == capped(table, cap)
+
+
+def test_capped_solve_is_the_least_set_under_every_limit():
+    rng = random.Random(34)
+    refused = 0
+    for idx in range(150):
+        expr = random_expression(rng, label_count=rng.randint(2, 4), max_leaves=11)
+        g, _ = eval_graph(expr)
+        for connected in (False, True):
+            least = ref_least_safe_set(g, connected)
+            for limit in (None, 0, 1, 2, 3):
+                want = least if limit is None or len(least) <= limit else None
+                refused += want is None
+                assert solve_cw(expr, connected, limit).witness == want, (idx, connected, limit)
+    # 356 of the 1,500 solves have a limit below the optimum
+    assert refused >= 350
 
 
 @pytest.mark.parametrize("connected", [False, True])

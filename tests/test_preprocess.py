@@ -20,6 +20,7 @@ from safeset.graph import (
     InputError,
     components,
     components_mask,
+    is_connected_safe_set,
     is_safe_set,
     mask_of,
 )
@@ -34,7 +35,7 @@ from bruteforce import (
     ref_bfs_order,
     ref_guess_mask,
 )
-from corpus import shuffled
+from corpus import graph_corpus, shuffled, union_corpus
 
 
 def test_approx_star_is_tiny():
@@ -67,6 +68,15 @@ def test_approx_disconnected_takes_best_component():
     g = Graph(5, [(1, 2), (2, 3), (3, 4), (1, 4)])
     r = approx_safe_set(g)
     assert r.witness == frozenset({0})
+
+
+def test_approx_witness_is_a_connected_safe_set():
+    # cw caps its connected tables at this size, which is sound only while
+    # the set is connected, disconnected graphs included
+    graphs = [g for _, g in graph_corpus(200)] + union_corpus()
+    assert any(len(components(g, g.vertices())) > 1 for g in graphs)
+    for g in graphs:
+        assert is_connected_safe_set(g, approx_safe_set(g).witness)
 
 
 def test_approx_is_deterministic():
