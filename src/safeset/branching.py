@@ -11,7 +11,6 @@ the targets travel alongside it.
 
 from __future__ import annotations
 
-import heapq
 from typing import Iterator
 
 from .graph import (
@@ -53,33 +52,36 @@ def steiner_exact(
         raise InputError("terminals must be nonempty")
     if terminals & forbidden:
         raise InputError("terminals and forbidden set overlap")
-    terms = sorted(terminals)
-    t = len(terms)
-    if t == 1:
-        return frozenset({terms[0]})
+    root, *terms = sorted(terminals)
+    if not terms:
+        return frozenset({root})
     allowed = g.full_mask() & ~mask_of(forbidden)
 
-    # dp[mask][v]: best connected set containing {terms[i] : i in mask} + v
-    full = (1 << t) - 1
+    # dp[mask][v]: the least minimum connected set holding v and the
+    # terminals {terms[i] : i in mask}.  It is v grown onto a neighbour's
+    # entry or, where v is a terminal or cuts it, the union of two entries
+    # of smaller masks at v, so no growth order changes it; the answer is
+    # the root's entry in the full table.
+    full = (1 << len(terms)) - 1
     dp: list[dict[int, int]] = [dict() for _ in range(full + 1)]
     for i, ti in enumerate(terms):
         dp[1 << i] = {ti: 1 << ti}
 
     def relax(table: dict[int, int]) -> None:
-        """Dijkstra-style closure: grow entries one allowed neighbour at a
-        time, popping sets in (size, sorted ids) order."""
-        heap = [(s.bit_count(), vertices_of(s), v, s) for v, s in table.items()]
-        heapq.heapify(heap)
-        while heap:
-            _, _, v, cur = heapq.heappop(heap)
-            if table[v] != cur:
-                continue
-            for w in vertices_of(g.adjacency_mask(v) & allowed):
-                cand = cur | 1 << w
-                old = table.get(w)
-                if old is None or precedes(cand, old):
-                    table[w] = cand
-                    heapq.heappush(heap, (cand.bit_count(), vertices_of(cand), w, cand))
+        """Grow every entry one allowed neighbour at a time, size by size: a
+        step adds one vertex, so once every entry of size s has grown, each
+        entry of size s + 1 is final."""
+        size, top = 1, max(map(int.bit_count, table.values()), default=0)
+        while size <= top:
+            for v, cur in list(table.items()):
+                if cur.bit_count() == size:
+                    for w in vertices_of(g.adjacency_mask(v) & allowed & ~cur):
+                        cand = cur | 1 << w
+                        old = table.get(w)
+                        if old is None or precedes(cand, old):
+                            table[w] = cand
+                            top = max(top, size + 1)
+            size += 1
 
     for mask in range(1, full + 1):
         low = mask & -mask
@@ -99,10 +101,7 @@ def steiner_exact(
             sub = (sub - 1) & mask
         relax(table)
 
-    best = None
-    for s in dp[full].values():
-        if best is None or precedes(s, best):
-            best = s
+    best = dp[full].get(root)
     return None if best is None else frozenset(vertices_of(best))
 
 

@@ -160,6 +160,18 @@ PINNED_STEINER = [
     (('random', 10001, 100, 0.02), (42, 66, 84), (), [6, 15, 24, 42, 66, 84, 90]),
     (('random', 10002, 100, 0.02), (38, 48, 80, 84), (40, 49, 62, 68, 86, 92),
      [0, 8, 25, 38, 43, 48, 69, 80, 84]),
+    (('random', 20003, 200, 0.01), (5, 27, 57, 192),
+     (6, 13, 15, 19, 29, 40, 76, 85, 96, 101, 138, 140, 147, 172, 174, 189, 193, 196, 198, 199),
+     [5, 18, 27, 52, 57, 79, 122, 165, 186, 192]),
+    (('random', 20004, 200, 0.01), (6, 25, 66),
+     (14, 22, 36, 43, 44, 50, 60, 61, 65, 79, 100, 102, 111, 128, 129, 143, 158, 164, 169, 179),
+     [6, 25, 48, 66, 91, 108, 152, 155, 157]),
+    # a merged entry here outsizes the entries grown before it and must
+    # still grow: a sweep that stops short of it answers with 10 vertices
+    (('random', 860278, 19, 0.05), (1, 4, 7, 12), (0,), [1, 3, 4, 7, 8, 11, 12, 17]),
+    # a tree whose forbidden vertices leave the terminals in parts of 25 and
+    # 35 vertices: the pair tables across the cut and the full table stay empty
+    (('random', 10077, 100, 0.0), (11, 13, 44), (15, 24, 29, 38, 56, 66, 67, 93, 96, 99), None),
 ]
 
 

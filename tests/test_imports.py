@@ -49,3 +49,10 @@ def test_the_check_sees_leftovers():
         "def f() -> Iterator[int]:\n    yield os.sep\n"
     )
     assert _unused_imports(tree) == {"itertools", "Any"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_check_is_an_assert(path):
+    # `python -O` strips assert statements, and every witness check must survive it
+    tree = ast.parse(path.read_text())
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []

@@ -121,3 +121,34 @@ def test_traced_nd_counts_each_layer(fresh, tmp_path, capsys):
     counts = tracer.take_counts()
     assert {name: counts[name] for name in ND_COUNTS} == ND_COUNTS
 
+
+# branch -k 4 on the EDGES graph, plain then connected
+BRANCH_COUNTS = {
+    "branching.branch_solve.calls": 2,
+    "branching.find_problematic.calls": 740,
+    "branching.steiner_exact.calls": 102,
+    "branching.leaf_verifies": 2,
+    "branching.leaf_accepts": 2,
+    "graph.vertices_of.calls": 7344,
+}
+
+
+def test_traced_branch_counts_each_layer(fresh, tmp_path, capsys):
+    # graph.vertices_of counts the Steiner DP's own work too, so a ranking
+    # key rebuilt for every grown set shows up here
+    tracer_module, modules = fresh
+    path = tmp_path / "g.gr"
+    path.write_text(modules["safeset.io"].format_graph(modules["safeset.graph"].Graph(12, EDGES)))
+    cli = modules["safeset.cli"]
+    tracer = tracer_module.Tracer()
+    tracer.install(modules)
+    try:
+        reports = []
+        for mode in ([], ["--connected"]):
+            assert cli.main(["solve", "--algo", "branch", "-k", "4", *mode, str(path)]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+    finally:
+        tracer.uninstall()
+    assert [(r["size"], r["witness"]) for r in reports] == [(4, [1, 2, 5, 6])] * 2
+    counts = tracer.take_counts()
+    assert {name: counts[name] for name in BRANCH_COUNTS} == BRANCH_COUNTS
