@@ -30,7 +30,7 @@ from .io import (
     vertex_set_from_text,
     write_sidecar,
 )
-from .nd import solve_nd, twin_partition
+from .nd import solve_nd
 from .oracle import (
     DEFAULT_SUBSET_CAP,
     SolveResult,
@@ -98,8 +98,8 @@ def cmd_solve(args) -> int:
         k = max(g.n, 1) if args.k is None else args.k
         res = branch_solve(g, k, connected=args.connected)
     elif args.algo == "nd":
-        nd_width = twin_partition(g).width
         res = solve_nd(g, connected=args.connected, limit=args.k)
+        nd_width = res.stats["width"]
     elif args.algo == "approx":
         if args.connected:
             raise InputError("the approximation covers the plain problem only")

@@ -17,7 +17,10 @@ unsafe for good and is dropped, whether the other is live or not; a safe
 pair of two dead components drops out.  In connected mode a dead selected
 component next to any other selected one can never join it.  At the root
 nothing is live, so the root family holds only safe selections and tells
-apart only whether one is empty.
+apart only whether one is empty.  A relabel and a forget rename each
+distinct column of a table once, and a union pools each distinct pair of
+columns once and applies the label set 0 rules itself; nothing is kept
+from one transition call to the next.
 
 Distinct selections collapse to the same summary, which keeps the families
 far smaller than the number of selections; each summary retains its least
@@ -82,22 +85,15 @@ _DEAD = ((0, 1, 1),)
 
 
 def _pooled(col: Column, items: Iterable[tuple], rules: tuple) -> Column:
-    """The column ``col`` with ``items`` pooled in, value by value, by ``rules``."""
-    d = {item[0]: item for item in col}
-    for item in items:
-        k = item[0]
-        old = d.get(k)
-        d[k] = item if old is None else (k, *[r(a, b) for r, a, b in zip(rules, old[1:], item[1:])])
-    return tuple(sorted(d.values()))
-
-
-def _renamed(col: Column, new: list, rules: tuple) -> Column:
-    """The column ``col`` with its label sets moved to the ``new`` ones and
-    pooled by ``rules`` where those coincide, else only re-sorted."""
-    items = [(k, *item[1:]) for k, item in zip(new, col)]
-    if len(set(new)) == len(new):
-        return tuple(sorted(items))
-    return _pooled((), items, rules)
+    """The column ``col`` with ``items`` pooled in: all sorted, and items
+    under one label set pooled value by value by ``rules``."""
+    out: list[tuple] = []
+    for item in sorted([*col, *items]):
+        if out and out[-1][0] == item[0]:
+            out[-1] = (item[0], *[r(a, b) for r, a, b in zip(rules, out[-1][1:], item[1:])])
+        else:
+            out.append(item)
+    return tuple(out)
 
 
 def _dedup(entries: Iterable[tuple[tuple, int] | None]) -> Table:
@@ -120,52 +116,76 @@ def _dedup(entries: Iterable[tuple[tuple, int] | None]) -> Table:
     return seen
 
 
+class _Memo(dict):
+    """A dict that fills a missing key with ``fn(key)``: one transition call
+    maps each distinct column, or pair of columns, once."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        self[key] = got = self.fn(key)
+        return got
+
+
+def _marked(inside: Column, connected: bool) -> Column | None:
+    """The inside column with label set 0 back at its marker (see
+    ``Table``), or None where connected mode drops the selection: a dead
+    selected component next to any other selected component can never join
+    it, and a label set holds one component exactly when its total equals
+    its minimum."""
+    if not inside or inside[0][0]:
+        return inside
+    if connected and (len(inside) > 1 or inside[0][1] != inside[0][2]):
+        return None
+    return _DEAD + inside[1:]
+
+
 def _projected(table: Table, moved: int, target: int, connected: bool) -> Table:
     """The table with every label set m that meets ``moved`` renamed to
     m & ~moved | target; summaries that coincide then collapse, and a
     summary no later step can make acceptable is dropped.
 
     Items that end up on one label set pool by their column's rules.
-    Label set 0 of the inside column becomes its marker (see ``Table``).
-    In connected mode, a dead selected component next to any other selected
-    component can never join it, so its selection is dropped instead; a
-    label set holds one component exactly when its total equals its
-    minimum.  An outside item on label set 0, and a pair with label set 0
-    on both sides and a gap >= 0, are dropped.  A pair with label set 0 on
-    its selected side and a negative gap stays unsafe for good, whatever
-    its unselected side: the selected components never grow again, and
-    the unselected one never shrinks.  So its selection is dropped.
+    Label set 0 of the inside column becomes its marker (``_marked``).  An
+    outside item on label set 0, and a pair with label set 0 on both sides
+    and a gap >= 0, are dropped.  A pair with label set 0 on its selected
+    side and a negative gap stays unsafe for good, whatever its unselected
+    side: the selected components never grow again, and the unselected one
+    never shrinks.  So its selection is dropped.  Each distinct column is
+    mapped once, and a column that drops its summary maps to None.
     """
 
     def to(m: int) -> int:
         return m & ~moved | target if m & moved else m
 
-    out: Table = {}
-    for key, witness in table.items():
-        inside, outside, pairs = key
-        if moved:
-            if any(item[0] & moved for item in inside):
-                inside = _renamed(inside, [to(item[0]) for item in inside], _RULES[0])
-            if any(item[0] & moved for item in outside):
-                outside = _renamed(outside, [to(item[0]) for item in outside], _RULES[1])
-            if any((p | q) & moved for (p, q), *_ in pairs):
-                pairs = _renamed(pairs, [(to(p), to(q)) for (p, q), *_ in pairs], _RULES[2])
-        if inside and not inside[0][0]:
-            if connected and (len(inside) > 1 or inside[0][1] != inside[0][2]):
-                continue
-            inside = _DEAD + inside[1:]
-        if outside and not outside[0][0]:
-            outside = outside[1:]
-        if pairs and not pairs[0][0][0]:
-            if any(item[3] < 0 for item in pairs if not item[0][0]):
-                continue
-            if pairs[0][0] == (0, 0):
-                pairs = pairs[1:]
-        key = (inside, outside, pairs)
-        old = out.get(key)
-        if old is None or precedes(witness, old):
-            out[key] = witness
-    return out
+    def inside_of(col: Column) -> Column | None:
+        if any(m & moved for m, _, _ in col):
+            col = _pooled((), [(to(m), t, x) for m, t, x in col], _RULES[0])
+        return _marked(col, connected)
+
+    def outside_of(col: Column) -> Column:
+        if any(m & moved for m, _, _ in col):
+            col = _pooled((), [(to(m), t, x) for m, t, x in col], _RULES[1])
+        return col[1:] if col and not col[0][0] else col
+
+    def pairs_of(col: Column) -> Column | None:
+        if any((p | q) & moved for (p, q), _, _, _ in col):
+            col = _pooled((), [((to(p), to(q)), a, b, d) for (p, q), a, b, d in col], _RULES[2])
+        if col and not col[0][0][0]:
+            if any(d < 0 for (p, _), _, _, d in col if not p):
+                return None
+            if col[0][0] == (0, 0):
+                col = col[1:]
+        return col
+
+    inside, outside, pairs = _Memo(inside_of), _Memo(outside_of), _Memo(pairs_of)
+    return _dedup(
+        ((i, outside[o], q), witness)
+        for (col, o, p), witness in table.items()
+        if (i := inside[col]) is not None and (q := pairs[p]) is not None
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -182,21 +202,32 @@ def dp_leaf(label: int, vertex: int = 0) -> Table:
     return _dedup([(skipped, 0), (taken, 1 << vertex)])
 
 
-def dp_union(left: Table, right: Table, cap: int | None = None) -> Table:
+def dp_union(
+    left: Table, right: Table, cap: int | None = None, connected: bool = False
+) -> Table:
     """Side-by-side placement: aggregates combine pointwise, nothing merges.
-    With ``cap`` set, selections of more than ``cap`` vertices are left out."""
+    Label set 0 of the inside column, which both sides may hold, goes back
+    to its marker, and in connected mode a dead selected component beside
+    any other selected one drops its selection (``_marked``).  Each distinct
+    pair of columns is pooled once.  With ``cap`` set, selections of more
+    than ``cap`` vertices are left out."""
 
-    def combined(a: tuple[Column, ...], b: tuple[Column, ...]) -> tuple:
-        return tuple(
-            _pooled(x, y, rules) if x and y else x or y for x, y, rules in zip(a, b, _RULES)
-        )
+    inside, outside, pairs = (_Memo(lambda xy, r=r: _pooled(*xy, r)) for r in _RULES)
+    rights = [(*key, wb, wb.bit_count()) for key, wb in right.items()]
 
-    return _dedup(
-        (combined(a, b), wa | wb)
-        for a, wa in left.items()
-        for b, wb in right.items()
-        if cap is None or wa.bit_count() + wb.bit_count() <= cap
-    )
+    def entries() -> Iterator[tuple[tuple, int]]:
+        for (ia, oa, pa), wa in left.items():
+            room = None if cap is None else cap - wa.bit_count()
+            for ib, ob, pb, wb, nb in rights:
+                if room is not None and nb > room:
+                    continue
+                # a column with an empty side needs no pooling, nor a lookup
+                i = _marked(inside[ia, ib] if ia and ib else ia or ib, connected)
+                if i is not None:
+                    o = outside[oa, ob] if oa and ob else oa or ob
+                    yield (i, o, pairs[pa, pb] if pa and pb else pa or pb), wa | wb
+
+    return _dedup(entries())
 
 
 def dp_relabel(source: int, target: int, child: Table) -> Table:
@@ -336,8 +367,8 @@ def _walk(
     until then: what stays alive is the tables still waiting for a parent,
     not all of them.  Labels die only at leaves and joins: a relabel maps
     live labels to live ones, and a union's children share its live set, so
-    there ``_projected`` moves no label and only puts label set 0, which the
-    union added up, back at its marker.  ``connected`` drops the selections
+    a union moves no label, and ``dp_union`` itself puts label set 0, which
+    it adds up, back at its marker.  ``connected`` drops the selections
     that can no longer become one component.  With ``cap`` set, every
     selection of more than ``cap`` vertices is dropped too; a selection
     grows only at leaves and unions.  Leaves come out of the post-order
@@ -357,8 +388,7 @@ def _walk(
             if dying := 1 << (node.label - 1) & ~live[node]:
                 table = _forgotten(table, dying, live[node], connected)
         elif isinstance(node, DisjointUnion):
-            table = dp_union(waiting.pop(node.left), waiting.pop(node.right), cap)
-            table = _projected(table, 0, 0, connected)
+            table = dp_union(waiting.pop(node.left), waiting.pop(node.right), cap, connected)
         elif isinstance(node, Relabel):
             table = dp_relabel(node.source, node.target, waiting.pop(node.child))
         else:

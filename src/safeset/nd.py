@@ -243,14 +243,18 @@ def solve_ip(
     return best
 
 
-def _component_best(sub: Graph, connected: bool, bound: int) -> int | None:
+def _component_best(
+    sub: Graph, connected: bool, bound: int, tp: TwinPartition | None = None
+) -> int | None:
     """Vertex mask of the best solution of the connected graph ``sub`` in
     guess order, or None, looking
     only at guesses whose floor is at most ``bound``, and only for sets of
     at most ``bound`` vertices: a larger solution loses anyway, one of equal
-    size may still win on its sorted ids."""
+    size may still win on its sorted ids.  ``tp`` is ``sub``'s twin
+    partition when the caller has it already."""
     verify = is_connected_safe_mask if connected else is_safe_mask
-    tp = twin_partition(sub)
+    if tp is None:
+        tp = twin_partition(sub)
     prefixes = None  # built at the first guess with a partial class
     best: int | None = None
     limit = bound + 1  # stays min(bound + 1, size of best)
@@ -282,7 +286,12 @@ def solve_nd(g: Graph, connected: bool = False, limit: int | None = None) -> Sol
     per component.  A guess with a partial class goes through a count
     search whose only test is the verifier on a concrete set.  With
     ``limit`` set, the walk skips every guess whose floor is larger, and a
-    count search stops at totals above it."""
-    return solve_by_component(
-        g, lambda sub, bound: _component_best(sub, connected, bound), "nd", connected, limit
-    )
+    count search stops at totals above it.  The twin partition of ``g`` is
+    built once: it serves the component that is ``g`` itself, and its width
+    is the result's ``stats["width"]``."""
+    tp = twin_partition(g)
+
+    def solve(sub: Graph, bound: int) -> int | None:
+        return _component_best(sub, connected, bound, tp if sub is g else None)
+
+    return solve_by_component(g, solve, "nd", connected, limit, {"width": tp.width})

@@ -78,7 +78,12 @@ def verified_result(
 
 
 def solve_by_component(
-    g: Graph, solve, algorithm: str, connected: bool, limit: int | None = None
+    g: Graph,
+    solve,
+    algorithm: str,
+    connected: bool,
+    limit: int | None = None,
+    stats: Mapping[str, int] | None = None,
 ) -> SolveResult:
     """Best (connected) safe set of ``g``, solved one component at a time.
 
@@ -91,7 +96,7 @@ def solve_by_component(
     the least by ``precedes`` wins, and the winner is verified.  Components
     come in ascending order of their least vertex, so once the best is one
     vertex below the next component's least vertex, no later witness can
-    precede it and the loop stops.
+    precede it and the loop stops.  The result carries ``stats``.
     """
     t0 = time.perf_counter()
     best: int | None = None
@@ -108,7 +113,8 @@ def solve_by_component(
             wmask = mask_of(ids[v] for v in vertices_of(got))
             if best is None or precedes(wmask, best):
                 best = wmask
-    return verified_result(g, None if best is None else vertices_of(best), algorithm, connected, t0)
+    witness = None if best is None else vertices_of(best)
+    return verified_result(g, witness, algorithm, connected, t0, stats)
 
 
 def subset_masks_by_size(n: int, lo: int = 1, hi: int | None = None) -> Iterator[int]:

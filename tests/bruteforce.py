@@ -15,7 +15,10 @@ must match.  The brute force below them -- treedepth, vertex cover, cw
 summaries and the paper's two solution-size refusal rules -- is built on
 the package's own ``components_mask``, which the set-based references above
 check.  ``ref_live_labels`` finds the labels a join above each tree node
-can still see by walking up the tree, label by label.
+can still see by walking up the tree, label by label, and ``ref_walk`` is
+the cw program with its projection and union made entry by entry and pair
+by pair, the union followed by a separate pass that puts label set 0 back
+at its marker, which the solver's column-at-a-time transitions must match.
 """
 
 from __future__ import annotations
@@ -23,8 +26,10 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from typing import Iterator
 
-from safeset.cexpr import CExpression, DisjointUnion, Join, Leaf, Relabel, iter_nodes
+from safeset.cexpr import CExpression, DisjointUnion, Join, Leaf, Node, Relabel, iter_nodes
+from safeset.cw import _DEAD, _RULES, Table, dp_join, dp_leaf
 from safeset.graph import (
     Graph,
     InputError,
@@ -32,6 +37,7 @@ from safeset.graph import (
     mask_of,
     max_degree,
     neighborhood_mask,
+    precedes,
     vertices_of,
 )
 from safeset.io import MAX_VERTICES, FormatError
@@ -355,6 +361,112 @@ def ref_live_labels(expr: CExpression) -> dict:
                     break
                 up = parent.get(up)
     return live
+
+
+def _ref_pooled(col, items, rules) -> tuple:
+    """The column ``col`` with ``items`` pooled in, value by value, by ``rules``."""
+    d = {item[0]: item for item in col}
+    for item in items:
+        k = item[0]
+        old = d.get(k)
+        d[k] = item if old is None else (k, *[r(a, b) for r, a, b in zip(rules, old[1:], item[1:])])
+    return tuple(sorted(d.values()))
+
+
+def _ref_renamed(col, new: list, rules) -> tuple:
+    """The column ``col`` with its label sets moved to the ``new`` ones and
+    pooled by ``rules`` where those coincide, else only re-sorted."""
+    items = [(k, *item[1:]) for k, item in zip(new, col)]
+    if len(set(new)) == len(new):
+        return tuple(sorted(items))
+    return _ref_pooled((), items, rules)
+
+
+def _ref_kept(out: Table, key: tuple, witness: int) -> None:
+    old = out.get(key)
+    if old is None or precedes(witness, old):
+        out[key] = witness
+
+
+def ref_projected(table: Table, moved: int, target: int, connected: bool) -> Table:
+    """``cw._projected`` made entry by entry: every label set m that meets
+    ``moved`` becomes m & ~moved | target, then the label set 0 rules run on
+    the entry's three columns, and equal summaries keep their least
+    witness."""
+
+    def to(m: int) -> int:
+        return m & ~moved | target if m & moved else m
+
+    out: Table = {}
+    for key, witness in table.items():
+        inside, outside, pairs = key
+        if any(item[0] & moved for item in inside):
+            inside = _ref_renamed(inside, [to(item[0]) for item in inside], _RULES[0])
+        if any(item[0] & moved for item in outside):
+            outside = _ref_renamed(outside, [to(item[0]) for item in outside], _RULES[1])
+        if any((p | q) & moved for (p, q), *_ in pairs):
+            pairs = _ref_renamed(pairs, [(to(p), to(q)) for (p, q), *_ in pairs], _RULES[2])
+        if inside and not inside[0][0]:
+            if connected and (len(inside) > 1 or inside[0][1] != inside[0][2]):
+                continue
+            inside = _DEAD + inside[1:]
+        if outside and not outside[0][0]:
+            outside = outside[1:]
+        if pairs and not pairs[0][0][0]:
+            if any(item[3] < 0 for item in pairs if not item[0][0]):
+                continue
+            if pairs[0][0] == (0, 0):
+                pairs = pairs[1:]
+        _ref_kept(out, (inside, outside, pairs), witness)
+    return out
+
+
+def ref_union(left: Table, right: Table, cap: int | None = None) -> Table:
+    """``cw.dp_union`` made pair by pair, without the label set 0 rules:
+    every two entries pool their columns, and a label set 0 item that both
+    sides hold adds up."""
+    out: Table = {}
+    for a, wa in left.items():
+        for b, wb in right.items():
+            if cap is None or wa.bit_count() + wb.bit_count() <= cap:
+                key = tuple(
+                    _ref_pooled(x, y, rules) if x and y else x or y
+                    for x, y, rules in zip(a, b, _RULES)
+                )
+                _ref_kept(out, key, wa | wb)
+    return out
+
+
+def ref_walk(
+    expr: CExpression, connected: bool, cap: int | None = None
+) -> Iterator[tuple[Node, Table]]:
+    """``cw._walk`` with ``ref_projected`` and ``ref_union``: each union's
+    table then goes through a projection that moves no label and only puts
+    label set 0 back at its marker, and every forget, also of the last live
+    label, is a projection of the dying labels onto nothing."""
+    live = ref_live_labels(expr)
+    tables: dict[Node, Table] = {}
+    vertex = 0
+    for node in iter_nodes(expr.root):
+        if isinstance(node, Leaf):
+            table = dp_leaf(node.label, vertex)
+            vertex += 1
+            if cap is not None and cap < 1:
+                table = {key: w for key, w in table.items() if not w}
+            if dying := 1 << (node.label - 1) & ~live[node]:
+                table = ref_projected(table, dying, 0, connected)
+        elif isinstance(node, DisjointUnion):
+            table = ref_union(tables[node.left], tables[node.right], cap)
+            table = ref_projected(table, 0, 0, connected)
+        elif isinstance(node, Relabel):
+            moved, target = 1 << (node.source - 1), 1 << (node.target - 1)
+            table = ref_projected(tables[node.child], moved, target, False)
+        else:
+            table = dp_join(node.first, node.second, tables[node.child])
+            if dying := (1 << (node.first - 1) | 1 << (node.second - 1)) & ~live[node]:
+                table = ref_projected(table, dying, 0, connected)
+        tables[node] = table
+        yield node, table
 
 
 def ref_summary(

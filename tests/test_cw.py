@@ -11,18 +11,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corpus import expression_corpus, random_expression
-from bruteforce import ref_least_safe_set, ref_live_labels, ref_summary
+from bruteforce import ref_least_safe_set, ref_live_labels, ref_summary, ref_walk
 from safeset.cexpr import (
     CExpression,
     Leaf,
     cycle_expression,
     eval_graph,
+    format_cexpression,
     iter_nodes,
     leaf_spans,
     parse_cexpression,
 )
 from safeset.cw import (
     _DEAD,
+    _forgotten,
     _live_labels,
     _walk,
     dp_evaluate,
@@ -227,6 +229,61 @@ def test_projection_drops_summaries_when_no_key_changes():
     assert dp_relabel(3, 1, {dead_pair: 0b1}) == {}
 
 
+# Two summaries with one inside column, label 1 selected, that differ in
+# their outside and pairs columns: the label 2 vertex next to it is alone
+# (gap 0) or has a neighbour of its own (gap -1).
+SHARED_INSIDE = ((1, 1, 1),)
+SHARED_A = (SHARED_INSIDE, ((2, 1, 1),), (((1, 2), 1, 1, 0),))
+SHARED_B = (SHARED_INSIDE, ((2, 2, 2),), (((1, 2), 1, 2, -1),))
+SHARED = {SHARED_A: 0b001, SHARED_B: 0b010}
+
+
+def test_relabel_maps_a_shared_column_once_per_summary():
+    # label 1 -> 3 moves only the shared column; 2 -> 3 only the others
+    assert dp_relabel(1, 3, SHARED) == {
+        (((4, 1, 1),), ((2, 1, 1),), (((4, 2), 1, 1, 0),)): 0b001,
+        (((4, 1, 1),), ((2, 2, 2),), (((4, 2), 1, 2, -1),)): 0b010,
+    }
+    assert dp_relabel(2, 3, SHARED) == {
+        (SHARED_INSIDE, ((4, 1, 1),), (((1, 4), 1, 1, 0),)): 0b001,
+        (SHARED_INSIDE, ((4, 2, 2),), (((1, 4), 1, 2, -1),)): 0b010,
+    }
+
+
+def test_forget_maps_a_shared_column_once_per_summary():
+    # label 2 dies while label 1 stays live: the unselected side leaves
+    # outside, and each pair keeps its own gap on label set 0
+    for connected in (False, True):
+        assert _forgotten(SHARED, 0b10, 0b01, connected) == {
+            (SHARED_INSIDE, (), (((1, 0), 1, 1, 0),)): 0b001,
+            (SHARED_INSIDE, (), (((1, 0), 1, 2, -1),)): 0b010,
+        }
+
+
+def test_union_pools_a_shared_column_once_per_pair():
+    right = {(((4, 1, 1),), ((1, 1, 1),), ()): 0b100, (((1, 1, 1),), (), ()): 0b1000}
+    assert dp_union(SHARED, right) == {
+        (((1, 1, 1), (4, 1, 1)), ((1, 1, 1), (2, 1, 1)), SHARED_A[2]): 0b101,
+        (((1, 2, 1),), ((2, 1, 1),), SHARED_A[2]): 0b1001,
+        (((1, 1, 1), (4, 1, 1)), ((1, 1, 1), (2, 2, 2)), SHARED_B[2]): 0b110,
+        (((1, 2, 1),), ((2, 2, 2),), SHARED_B[2]): 0b1010,
+    }
+
+
+def test_union_drops_a_dead_selection_beside_a_live_one_in_connected_mode():
+    dead = {(_DEAD, (), ()): 0b01}
+    for other, witness, plain in [
+        ((SHARED_INSIDE, (), ()), 0b10, _DEAD + SHARED_INSIDE),
+        ((_DEAD, (), ()), 0b10, _DEAD),
+        (((), ((1, 1, 1),), ()), 0, _DEAD),
+    ]:
+        union = dp_union(dead, {other: witness})
+        assert union == {(plain, other[1], ()): 0b01 | witness}
+        # nothing selected on the other side leaves one dead component
+        want = union if not other[0] else {}
+        assert dp_union(dead, {other: witness}, connected=True) == want
+
+
 def test_transitions_reject_equal_labels():
     with pytest.raises(InputError):
         dp_relabel(2, 2, dp_leaf(2))
@@ -328,6 +385,20 @@ def test_summaries_match_on_fixed_trees():
     # largest gap instead of the smallest
     assert_tables_definitional(random_expression(random.Random(64), label_count=3, max_leaves=8))
     assert_tables_definitional(random_expression(random.Random(2), label_count=4, max_leaves=7))
+
+
+@pytest.mark.parametrize("connected", [False, True])
+def test_walk_matches_the_entry_by_entry_reference(connected):
+    # the transitions map each distinct column, or pair of columns, once per
+    # call, and the union applies the label set 0 rules itself; the
+    # reference maps every entry and pools every pair of entries on its
+    # own, then runs the label set 0 rules over the union's table in a
+    # second pass.  Every node's table and witnesses must agree.
+    exprs = expression_corpus(200) + [cycle_expression(n) for n in range(5, 10)]
+    for idx, expr in enumerate(exprs):
+        for cap in (None, 0, 1, 2, 3, 4):
+            got = dict(_walk(expr, connected, cap))
+            assert got == dict(ref_walk(expr, connected, cap)), (idx, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -509,11 +580,14 @@ CYCLE12_STATS = {
 # Bounds on the tracemalloc peak of ``solve_cw`` on the 12-cycle's tree, in
 # bytes, plain and connected.  The walk keeps a table only until its parent
 # is built, each table is one dict, each summary three columns of whole
-# items, and every selection that can no longer win is dropped, which peaks
-# at about 0.57 and 0.10 MB.  Keeping those selections peaked at about 1.7
-# and 0.23 MB, seven parallel columns of (label set, value) items at about
-# 3.6 and 0.56 MB, tables as lists of records at about 4.0 and 0.4 MB, and
-# keeping every such table until the walk ended at about 8.3 and 1.3 MB.
+# items, every selection that can no longer win is dropped, and each
+# transition call maps each distinct column once, so summaries share their
+# columns, which peaks at about 0.52 and 0.09 MB.  Mapping every entry on
+# its own peaked at about 0.57 and 0.10 MB, keeping those selections at
+# about 1.7 and 0.23 MB, seven parallel columns of (label set, value) items
+# at about 3.6 and 0.56 MB, tables as lists of records at about 4.0 and
+# 0.4 MB, and keeping every such table until the walk ended at about 8.3
+# and 1.3 MB.
 CYCLE12_PEAK = {False: 900_000, True: 150_000}
 
 
@@ -618,6 +692,16 @@ def test_cw_tables_script_reports_the_solver_stats(connected):
         stats, peak = script.measure(n, connected)
         assert stats == solve_cw(cycle_expression(n), connected).stats
         assert peak > 0
+    # the seeded random rows: the same tree for a seed, a connected graph
+    # with one vertex per leaf, and the solver's stats
+    for seed in (0, 1):
+        expr = script.expression(9, seed)
+        assert format_cexpression(expr) == format_cexpression(script.expression(9, seed))
+        g, _ = eval_graph(expr)
+        assert g.n == 9 and is_connected_safe_set(g, set(g.vertices()))
+        stats, peak = script.measure(9, connected, seed)
+        assert stats == solve_cw(expr, connected).stats
+        assert peak > 0 and script.solve_seconds(9, connected, seed) > 0
 
 
 def test_solve_rejects_repeated_join():

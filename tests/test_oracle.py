@@ -220,8 +220,13 @@ def test_stats_are_a_read_only_copy_outside_equality():
     assert hash(res) == hash(dataclasses.replace(plain, elapsed=res.elapsed))
     assert verified_result(path_graph(3), None, "t", False, 0.0, counts).stats == counts
     g = cycle_graph(6)
-    for res in [safe_number_bf(g), solve_nd(g), branch_solve(g, 6), approx_safe_set(g)]:
+    for res in [safe_number_bf(g), branch_solve(g, 6), approx_safe_set(g)]:
         assert res.stats == {}
+    # nd reports the width of the twin partition it builds
+    assert solve_nd(g).stats == {"width": 6}
+    # the isolated vertices 2, 3 and 4 are one class of the graph's
+    # partition, though each is a component of its own
+    assert solve_nd(Graph(5, [(0, 1)])).stats == {"width": 2}
 
 
 def test_solve_by_component_passes_bound_and_maps_ids():

@@ -90,9 +90,10 @@ def test_traced_package_gives_the_same_answers(fresh, tmp_path, capsys):
     assert counts["cw.dp_union.calls"] == sum(isinstance(n, cexpr.DisjointUnion) for n in nodes)
 
 
-# two solves of K_{3,4}: cli reads the width, and solve_nd partitions again
+# two solves of K_{3,4}: one twin partition each, which gives the report's
+# width and serves the one component
 ND_COUNTS = {
-    "nd.twin_partition.calls": 4,
+    "nd.twin_partition.calls": 2,
     "nd.build_families.calls": 3,
     "nd.assemble_ip.calls": 6,
     "nd.solve_ip.calls": 6,
