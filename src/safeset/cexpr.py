@@ -5,6 +5,8 @@ labeled vertex, lay two graphs side by side, rename one label to another,
 or connect every vertex of one label with every vertex of another.  Dense
 but regular graphs (cliques, cographs, cycles) have small trees of this
 kind, and the solver in cw.py runs over the tree instead of the graph.
+One node object may sit at several places of a tree; each place builds a
+separate part of the graph, as if the subexpression were written out there.
 
 Text format: s-expressions ``(v i)``, ``(u A B)``, ``(r i j A)`` renaming
 label i to j, and ``(e i j A)`` connecting labels i and j, with an optional
@@ -22,7 +24,8 @@ from .graph import MAX_VERTICES, Graph, InputError
 from .io import FormatError
 
 # Node classes compare by identity: the same subexpression written twice
-# denotes two different parts of the built graph.
+# denotes two different parts of the built graph, and so does one node
+# object placed twice.
 
 
 @dataclass(frozen=True, eq=False)

@@ -59,12 +59,10 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def _report(
-    args, g: Graph, res: SolveResult, nd_width: int | None, label_count: int | None
-) -> dict:
+def _report(args, g: Graph, res: SolveResult, label_count: int | None) -> dict:
     stats = {"n": g.n, "m": g.m, "max_degree": max_degree(g)}
-    if nd_width is not None:
-        stats["nd"] = nd_width
+    if res.algorithm == "nd":
+        stats["nd"] = res.stats["width"]
     if label_count is not None:
         stats["c"] = label_count
     report = {
@@ -88,7 +86,6 @@ def cmd_solve(args) -> int:
     if args.expr is not None and args.algo != "cw":
         raise InputError("--expr applies to --algo cw only")
     g = load_graph(args.graph)
-    nd_width: int | None = None
     label_count: int | None = None
 
     if args.algo == "oracle":
@@ -99,7 +96,6 @@ def cmd_solve(args) -> int:
         res = branch_solve(g, k, connected=args.connected)
     elif args.algo == "nd":
         res = solve_nd(g, connected=args.connected, limit=args.k)
-        nd_width = res.stats["width"]
     elif args.algo == "approx":
         if args.connected:
             raise InputError("the approximation covers the plain problem only")
@@ -117,7 +113,7 @@ def cmd_solve(args) -> int:
             )
         res = solve_cw(expr, connected=args.connected, limit=args.k)
 
-    _emit(_report(args, g, res, nd_width, label_count))
+    _emit(_report(args, g, res, label_count))
     return 0 if res.feasible else 1
 
 

@@ -17,10 +17,11 @@ unsafe for good and is dropped, whether the other is live or not; a safe
 pair of two dead components drops out.  In connected mode a dead selected
 component next to any other selected one can never join it.  At the root
 nothing is live, so the root family holds only safe selections and tells
-apart only whether one is empty.  A relabel and a forget rename each
-distinct column of a table once, and a union pools each distinct pair of
-columns once and applies the label set 0 rules itself; nothing is kept
-from one transition call to the next.
+apart only whether one is empty.  A relabel onto a dead label finds
+neither of its labels in its child's table and is passed through.  A
+relabel and a forget rename each distinct column of a table once, and a
+union pools each distinct pair of columns once and applies the label set 0
+rules itself; nothing is kept from one transition call to the next.
 
 Distinct selections collapse to the same summary, which keeps the families
 far smaller than the number of selections; each summary retains its least
@@ -35,6 +36,7 @@ witnesses fit under that bound (``_walk``).
 from __future__ import annotations
 
 import time
+from functools import cache
 from operator import add
 from typing import Iterable, Iterator
 
@@ -47,7 +49,6 @@ from .cexpr import (
     Relabel,
     _build,
     check_expression,
-    iter_nodes,
 )
 from .graph import Graph, InputError, precedes, vertices_of
 from .oracle import SolveResult, verified_result
@@ -116,19 +117,6 @@ def _dedup(entries: Iterable[tuple[tuple, int] | None]) -> Table:
     return seen
 
 
-class _Memo(dict):
-    """A dict that fills a missing key with ``fn(key)``: one transition call
-    maps each distinct column, or pair of columns, once."""
-
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, key):
-        self[key] = got = self.fn(key)
-        return got
-
-
 def _marked(inside: Column, connected: bool) -> Column | None:
     """The inside column with label set 0 back at its marker (see
     ``Table``), or None where connected mode drops the selection: a dead
@@ -180,11 +168,11 @@ def _projected(table: Table, moved: int, target: int, connected: bool) -> Table:
                 col = col[1:]
         return col
 
-    inside, outside, pairs = _Memo(inside_of), _Memo(outside_of), _Memo(pairs_of)
+    inside, outside, pairs = cache(inside_of), cache(outside_of), cache(pairs_of)
     return _dedup(
-        ((i, outside[o], q), witness)
+        ((i, outside(o), q), witness)
         for (col, o, p), witness in table.items()
-        if (i := inside[col]) is not None and (q := pairs[p]) is not None
+        if (i := inside(col)) is not None and (q := pairs(p)) is not None
     )
 
 
@@ -212,7 +200,7 @@ def dp_union(
     pair of columns is pooled once.  With ``cap`` set, selections of more
     than ``cap`` vertices are left out."""
 
-    inside, outside, pairs = (_Memo(lambda xy, r=r: _pooled(*xy, r)) for r in _RULES)
+    inside, outside, pairs = (cache(lambda a, b, r=r: _pooled(a, b, r)) for r in _RULES)
     rights = [(*key, wb, wb.bit_count()) for key, wb in right.items()]
 
     def entries() -> Iterator[tuple[tuple, int]]:
@@ -222,10 +210,10 @@ def dp_union(
                 if room is not None and nb > room:
                     continue
                 # a column with an empty side needs no pooling, nor a lookup
-                i = _marked(inside[ia, ib] if ia and ib else ia or ib, connected)
+                i = _marked(inside(ia, ib) if ia and ib else ia or ib, connected)
                 if i is not None:
-                    o = outside[oa, ob] if oa and ob else oa or ob
-                    yield (i, o, pairs[pa, pb] if pa and pb else pa or pb), wa | wb
+                    o = outside(oa, ob) if oa and ob else oa or ob
+                    yield (i, o, pairs(pa, pb) if pa and pb else pa or pb), wa | wb
 
     return _dedup(entries())
 
@@ -312,26 +300,30 @@ def dp_join(first: int, second: int, child: Table) -> Table:
 # forgetting dead labels
 
 
-def _live_labels(order: list[Node]) -> dict[Node, int]:
-    """The labels, as a bitmask, that a join above each node can still see
-    in the node's output; ``order`` is the post-order walk, so it ends at
-    the root, which has none.
+def _live_labels(root: Node) -> list[tuple[Node, int]]:
+    """Every node in post-order, once per place, with the labels (a
+    bitmask) that a join above it can still see in its output; the root,
+    last, has none.
 
     A join adds its two labels for its child.  ``Relabel(s, t)`` gives its
     child s exactly when t is live above it, and leaves t and the other
     labels as they are.  A union passes its own set to both children.
     """
-    live = {order[-1]: 0}
-    for node in reversed(order):
-        mask = live[node]
+    order: list[tuple[Node, int]] = []
+    stack = [(root, 0)]
+    while stack:
+        node, mask = stack.pop()
+        order.append((node, mask))
         if isinstance(node, Join):
-            live[node.child] = mask | 1 << (node.first - 1) | 1 << (node.second - 1)
+            stack.append((node.child, mask | 1 << (node.first - 1) | 1 << (node.second - 1)))
         elif isinstance(node, Relabel):
             sbit = 1 << (node.source - 1)
-            live[node.child] = mask & ~sbit | (sbit if mask >> (node.target - 1) & 1 else 0)
+            kept = sbit if mask >> (node.target - 1) & 1 else 0
+            stack.append((node.child, mask & ~sbit | kept))
         elif isinstance(node, DisjointUnion):
-            live[node.left] = live[node.right] = mask
-    return live
+            stack += ((node.left, mask), (node.right, mask))
+    order.reverse()  # listed parent first, right child before left
+    return order
 
 
 def _forgotten(table: Table, dying: int, live: int, connected: bool) -> Table:
@@ -363,45 +355,48 @@ def _walk(
     """The summary table at every node, in post-order, projected onto the
     node's live labels (``_live_labels``).
 
-    Each table is read once, by its parent, so the walk keeps a table only
-    until then: what stays alive is the tables still waiting for a parent,
-    not all of them.  Labels die only at leaves and joins: a relabel maps
+    Each table waits on a stack until its parent pops it, so what stays
+    alive is the tables still waiting for a parent, and a node placed at
+    several places is evaluated at each.  Labels die only at leaves and joins: a relabel maps
     live labels to live ones, and a union's children share its live set, so
     a union moves no label, and ``dp_union`` itself puts label set 0, which
-    it adds up, back at its marker.  ``connected`` drops the selections
-    that can no longer become one component.  With ``cap`` set, every
-    selection of more than ``cap`` vertices is dropped too; a selection
-    grows only at leaves and unions.  Leaves come out of the post-order
-    walk left to right, so counting them numbers the vertices as
-    ``eval_graph`` does.
+    it adds up, back at its marker.  A relabel whose target is dead has a
+    dead source below it too, so its child's table holds neither label and
+    is passed through.  ``connected`` drops the selections that can no
+    longer become one component.  With ``cap`` set, every selection of more
+    than ``cap`` vertices is dropped too; a selection grows only at leaves
+    and unions.  Leaves come out of the post-order walk left to right, so
+    counting them numbers the vertices as ``eval_graph`` does.
     """
-    order = list(iter_nodes(expr.root))
-    live = _live_labels(order)
-    waiting: dict[Node, Table] = {}
+    stack: list[Table] = []
     vertex = 0
-    for node in order:
+    for node, live in _live_labels(expr.root):
         if isinstance(node, Leaf):
             table = dp_leaf(node.label, vertex)
             vertex += 1
             if cap is not None and cap < 1:
                 table = {key: w for key, w in table.items() if not w}
-            if dying := 1 << (node.label - 1) & ~live[node]:
-                table = _forgotten(table, dying, live[node], connected)
+            if dying := 1 << (node.label - 1) & ~live:
+                table = _forgotten(table, dying, live, connected)
         elif isinstance(node, DisjointUnion):
-            table = dp_union(waiting.pop(node.left), waiting.pop(node.right), cap, connected)
+            right = stack.pop()
+            table = dp_union(stack.pop(), right, cap, connected)
         elif isinstance(node, Relabel):
-            table = dp_relabel(node.source, node.target, waiting.pop(node.child))
+            table = stack.pop()
+            if live >> (node.target - 1) & 1:
+                table = dp_relabel(node.source, node.target, table)
         else:
-            table = dp_join(node.first, node.second, waiting.pop(node.child))
-            if dying := (1 << (node.first - 1) | 1 << (node.second - 1)) & ~live[node]:
-                table = _forgotten(table, dying, live[node], connected)
-        waiting[node] = table
+            table = dp_join(node.first, node.second, stack.pop())
+            if dying := (1 << (node.first - 1) | 1 << (node.second - 1)) & ~live:
+                table = _forgotten(table, dying, live, connected)
+        stack.append(table)
         yield node, table
 
 
 def dp_evaluate(expr: CExpression, connected: bool = False) -> dict[Node, Table]:
     """Run the program bottom-up; returns the summary table at every node
-    (``_walk``), in post-order."""
+    (``_walk``), in post-order; a node object placed at several places keeps
+    the table of its last one."""
     return dict(_walk(expr, connected))
 
 
@@ -412,9 +407,10 @@ def dp_evaluate(expr: CExpression, connected: bool = False) -> dict[Node, Table]
 def solve_cw(expr: CExpression, connected: bool = False, limit: int | None = None) -> SolveResult:
     """Minimum safe set of the expression's graph, via the tree program.
 
-    No label is live at the root, so ``_forgotten`` left only summaries of
-    safe selections there, in connected mode only of those that are one
-    component; the summary of the empty selection does not count.  The
+    No label is live at the root, so its table holds at most two
+    summaries: the empty selection's, with three empty columns, and the
+    marker summary ``(_DEAD, (), ())`` of the safe selections, in connected
+    mode of those that are one component, whose witness is the answer.  The
     walk drops every selection of more vertices than a cap: the size of
     ``approx_safe_set``'s set, a connected safe set, so no optimum is
     larger, or ``limit`` when that is smaller.  A minimum larger than
@@ -440,12 +436,9 @@ def solve_cw(expr: CExpression, connected: bool = False, limit: int | None = Non
         tables += 1
         entries_sum += len(table)
         entries_max = max(entries_max, len(table))
-    # the walk ends at the root; ``precedes`` is the rule each summary's
-    # witness is kept by, so the answer is the least minimum (connected) safe set
-    best = None
-    for key, w in table.items():
-        if key[0] and (best is None or precedes(w, best)):
-            best = w
+    # the walk ends at the root, and ``_dedup`` kept the marker summary's
+    # least witness, the least minimum (connected) safe set
+    best = table.get((_DEAD, (), ()))
     stats = {
         "cap": cap,
         "tables": tables,

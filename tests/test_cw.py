@@ -14,7 +14,10 @@ from corpus import expression_corpus, random_expression
 from bruteforce import ref_least_safe_set, ref_live_labels, ref_summary, ref_walk
 from safeset.cexpr import (
     CExpression,
+    DisjointUnion,
+    Join,
     Leaf,
+    Relabel,
     cycle_expression,
     eval_graph,
     format_cexpression,
@@ -348,7 +351,7 @@ def assert_tables_definitional(expr):
 def test_live_labels_match_walking_up(seed):
     rng = random.Random(seed)
     expr = random_expression(rng, label_count=rng.randint(2, 4), max_leaves=9)
-    assert _live_labels(list(iter_nodes(expr.root))) == ref_live_labels(expr)
+    assert dict(_live_labels(expr.root)) == ref_live_labels(expr)
 
 
 def test_cycle_parks_vertices_on_a_dead_label():
@@ -356,11 +359,43 @@ def test_cycle_parks_vertices_on_a_dead_label():
     # every leaf sits below a join of 2 and 4 and the closing join of 1
     # and 2
     expr = cycle_expression(5)
-    live = _live_labels(list(iter_nodes(expr.root)))
+    live = dict(_live_labels(expr.root))
     assert live[expr.root] == 0
     assert live[expr.root.child] == 0b0011
     assert all(not mask & 0b0100 for mask in live.values())
     assert {live[n] for n in iter_nodes(expr.root) if isinstance(n, Leaf)} == {0b1011}
+
+
+def label_sets(table):
+    """Every label set the table's summaries name, as one bitmask."""
+    found = 0
+    for inside, outside, pairs in table:
+        for m, _, _ in inside + outside:
+            found |= m
+        for (p, q), _, _, _ in pairs:
+            found |= p | q
+    return found
+
+
+def test_walk_files_only_live_labels():
+    # the walk passes a relabel onto a dead label through untouched, which
+    # holds only while no table names a label that is dead at its node;
+    # the root, with nothing live, then holds at most the empty selection
+    # and the marker of the safe ones, which ``solve_cw`` reads by key
+    exprs = expression_corpus(200) + [cycle_expression(n) for n in range(3, 12)]
+    roots = 0
+    for idx, expr in enumerate(exprs):
+        lives = _live_labels(expr.root)
+        for connected in (False, True):
+            for cap in (None, 0, 1, 2, 3, 4):
+                walked = list(_walk(expr, connected, cap))
+                assert [node for node, _ in lives] == [node for node, _ in walked]
+                for (_, live), (_, table) in zip(lives, walked):
+                    assert not label_sets(table) & ~live, (idx, connected, cap)
+                root = walked[-1][1]
+                assert set(root) <= {((), (), ()), (_DEAD, (), ())}, (idx, connected, cap)
+                roots += 1
+    assert roots == 2_508
 
 
 @settings(max_examples=60, deadline=None)
@@ -713,6 +748,21 @@ def test_solve_rejects_repeated_join():
 def test_solve_rejects_out_of_range_labels():
     with pytest.raises(InputError):
         solve_cw(CExpression(Leaf(2), 1))
+
+
+def test_solve_evaluates_a_shared_node_at_each_place():
+    # a node object placed twice denotes two parts of the graph, as
+    # ``eval_graph`` builds it: two isolated vertices from one leaf, and
+    # two edges from one join, each relabelled its own way before the
+    # root join links them into a path
+    leaf = Leaf(1)
+    edge = Join(1, 2, DisjointUnion(Leaf(1), Leaf(2)))
+    shared = Join(1, 2, DisjointUnion(Relabel(1, 3, edge), Relabel(2, 3, edge)))
+    for expr, n in ((CExpression(DisjointUnion(leaf, leaf), 1), 2), (CExpression(shared, 3), 4)):
+        g, _ = eval_graph(expr)
+        assert g.n == n
+        for connected in (False, True):
+            assert solve_cw(expr, connected).witness == ref_least_safe_set(g, connected)
 
 
 # a 4-cycle laid out so the two ends of a *non*-edge get the smallest ids:

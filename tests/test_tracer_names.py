@@ -88,6 +88,9 @@ def test_traced_package_gives_the_same_answers(fresh, tmp_path, capsys):
     nodes = list(cexpr.iter_nodes(expr.root))
     assert counts["cw.dp_join.calls"] == sum(isinstance(n, cexpr.Join) for n in nodes)
     assert counts["cw.dp_union.calls"] == sum(isinstance(n, cexpr.DisjointUnion) for n in nodes)
+    # only the four (r 4 2 ...) relabels move a label: each (r 2 3 ...)
+    # follows the forget that removed label 2, and is passed through
+    assert counts["cw.dp_relabel.calls"] == 4
 
 
 # two solves of K_{3,4}: one twin partition each, which gives the report's
