@@ -11,7 +11,8 @@ separate part of the graph, as if the subexpression were written out there.
 Text format: s-expressions ``(v i)``, ``(u A B)``, ``(r i j A)`` renaming
 label i to j, and ``(e i j A)`` connecting labels i and j, with an optional
 header line ``c <int>`` declaring the number of available labels.  ``#``
-starts a comment; whitespace is free-form.
+starts a comment; whitespace is free-form.  The reader is one function,
+``parse_cexpression``; ``check_expression`` holds trees to the same label rule.
 """
 
 from __future__ import annotations
@@ -106,19 +107,34 @@ def iter_nodes(node: Node) -> Iterator[Node]:
     yield from reversed(order)
 
 
-def leaf_spans(expr: CExpression) -> dict[Node, tuple[int, int]]:
-    """Vertex id range [start, end) owned by each node, leftmost leaf = 0."""
-    spans: dict[Node, tuple[int, int]] = {}
+def leaf_spans(expr: CExpression) -> list[tuple[Node, int, int]]:
+    """(node, start, end) for each place in the tree, in ``iter_nodes`` order:
+    the vertex ids [start, end) it builds, leftmost leaf = 0."""
+    spans: list[tuple[Node, int, int]] = []
+    # first vertex of each finished subtree not yet under a union, as in _build
+    starts: list[int] = []
     leaves = 0
     for node in iter_nodes(expr.root):
         if isinstance(node, Leaf):
-            spans[node] = (leaves, leaves + 1)
+            starts.append(leaves)
             leaves += 1
         elif isinstance(node, DisjointUnion):
-            spans[node] = (spans[node.left][0], spans[node.right][1])
-        else:
-            spans[node] = spans[node.child]
+            starts.pop()  # the union starts where its left child does
+        spans.append((node, starts[-1], leaves))
     return spans
+
+
+def _label_error(label: int, count: int | None) -> str | None:
+    """Why ``label`` is invalid under ``count`` labels (if any), or None."""
+    if label < 1:
+        return f"labels are positive, got {label}"
+    # a label is one bit of every summary mask the tree solver builds, and
+    # no graph needs more labels than vertices, so labels share the cap
+    if label > MAX_VERTICES:
+        return f"label {label} exceeds {MAX_VERTICES}"
+    if count is not None and label > count:
+        return f"label {label} exceeds the declared count {count}"
+    return None
 
 
 def check_expression(expr: CExpression) -> None:
@@ -131,12 +147,8 @@ def check_expression(expr: CExpression) -> None:
             kind = "relabel" if isinstance(node, Relabel) else "join"
             raise InputError(f"{kind} needs two distinct labels")
         for lab in used:
-            if lab > MAX_VERTICES:
-                raise InputError(f"label {lab} exceeds {MAX_VERTICES}")
-            if not (1 <= lab <= expr.label_count):
-                raise InputError(
-                    f"label {lab} outside the declared range 1..{expr.label_count}"
-                )
+            if (reason := _label_error(lab, expr.label_count)) is not None:
+                raise InputError(reason)
 
 
 # ---------------------------------------------------------------------------
@@ -157,119 +169,82 @@ def _tokenize(text: str) -> list[tuple[str, int, int]]:
     ]
 
 
-class _TokenStream:
-    def __init__(self, tokens: list[tuple[str, int, int]]):
-        self.tokens = tokens
-        self.idx = 0
-
-    def peek(self) -> tuple[str, int, int] | None:
-        return self.tokens[self.idx] if self.idx < len(self.tokens) else None
-
-    def next(self, expect: str | None = None) -> tuple[str, int, int]:
-        tok = self.peek()
-        if tok is None:
-            last = self.tokens[-1] if self.tokens else ("", 1, 1)
-            raise FormatError(f"line {last[1]}, col {last[2]}: unexpected end of input")
-        self.idx += 1
-        if expect is not None and tok[0] != expect:
-            raise FormatError(
-                f"line {tok[1]}, col {tok[2]}: expected {expect!r}, got {tok[0]!r}"
-            )
-        return tok
-
-    def next_int(self, what: str) -> tuple[int, int, int]:
-        tok = self.next()
-        try:
-            value = int(tok[0])
-        except ValueError:
-            raise FormatError(
-                f"line {tok[1]}, col {tok[2]}: expected {what}, got {tok[0]!r}"
-            ) from None
-        return value, tok[1], tok[2]
-
-
-def _parse_label(stream: _TokenStream, declared: int | None) -> tuple[int, int, int]:
-    value, line, col = stream.next_int("a label")
-    if value < 1:
-        raise FormatError(f"line {line}, col {col}: labels are positive, got {value}")
-    # a label is one bit of every summary mask the tree solver builds, and
-    # no graph needs more labels than vertices, so labels share the cap
-    if value > MAX_VERTICES:
-        raise FormatError(f"line {line}, col {col}: label {value} exceeds {MAX_VERTICES}")
-    if declared is not None and value > declared:
-        raise FormatError(
-            f"line {line}, col {col}: label {value} exceeds the declared count {declared}"
-        )
-    return value, line, col
-
-
-# operator word -> (node class, number of child nodes); every node class
-# takes its labels, then its children, then its position
-_OPERATORS = {"v": (Leaf, 0), "u": (DisjointUnion, 2), "r": (Relabel, 1), "e": (Join, 1)}
-
-
-def _parse_node(stream: _TokenStream, declared: int | None) -> Node:
-    """One parenthesised node with everything below it, its labels checked
-    against the ``declared`` count when there is one.
-
-    Open nodes wait on an explicit stack as (kind, position, labels,
-    children parsed so far), so nesting depth is not limited by recursion.
-    """
-    stack: list[tuple[str, tuple[int, int], tuple[int, ...], list[Node]]] = []
-    while True:
-        stream.next("(")
-        kind, line, col = stream.next()
-        if kind == "v":
-            labels: tuple[int, ...] = (_parse_label(stream, declared)[0],)
-        elif kind == "u":
-            labels = ()
-        elif kind in ("r", "e"):
-            i, iline, icol = _parse_label(stream, declared)
-            j, _, _ = _parse_label(stream, declared)
-            if i == j:
-                raise FormatError(
-                    f"line {iline}, col {icol}: '{kind}' needs two distinct labels"
-                )
-            labels = (i, j)
-        else:
-            raise FormatError(
-                f"line {line}, col {col}: unknown operator {kind!r} (expected v, u, r, e)"
-            )
-        stack.append((kind, (line, col), labels, []))
-        # close every node whose children are all parsed
-        while len(stack[-1][3]) == _OPERATORS[stack[-1][0]][1]:
-            kind, pos, labels, children = stack.pop()
-            stream.next(")")
-            node = _OPERATORS[kind][0](*labels, *children, pos)
-            if not stack:
-                return node
-            stack[-1][3].append(node)
+# operator word -> (node class, number of labels, number of children); every
+# node class takes its labels, then its children, then its position
+_OPERATORS = {
+    "v": (Leaf, 1, 0), "u": (DisjointUnion, 0, 2), "r": (Relabel, 2, 1), "e": (Join, 2, 1)
+}
 
 
 def parse_cexpression(text: str) -> CExpression:
     """Parse the s-expression format; see the module docstring.
 
-    Without a ``c`` header the label budget is the largest label mentioned.
+    Without a ``c`` header the label budget is the largest label read.
+    Open nodes wait on an explicit stack as (class, arguments wanted,
+    position, arguments read), so depth is not limited by recursion.
     """
-    stream = _TokenStream(_tokenize(text))
-    if not stream.tokens:
+    tokens = _tokenize(text)
+    if not tokens:
         raise FormatError("line 1, col 1: empty input")
+    idx = 0
+
+    def take(expect: str | None = None) -> tuple[str, int, int]:
+        nonlocal idx
+        if idx == len(tokens):
+            _, line, col = tokens[-1]
+            raise FormatError(f"line {line}, col {col}: unexpected end of input")
+        tok = tokens[idx]
+        idx += 1
+        if expect is not None and tok[0] != expect:
+            raise FormatError(f"line {tok[1]}, col {tok[2]}: expected {expect!r}, got {tok[0]!r}")
+        return tok
+
+    def take_int(what: str) -> tuple[int, int, int]:
+        word, line, col = take()
+        try:
+            return int(word), line, col
+        except ValueError:
+            raise FormatError(f"line {line}, col {col}: expected {what}, got {word!r}") from None
+
     declared: int | None = None
-    first = stream.peek()
-    if first is not None and first[0] == "c":
-        stream.next()
-        declared, line, col = stream.next_int("the label count")
+    if tokens[0][0] == "c":
+        idx = 1
+        declared, line, col = take_int("the label count")
         if declared < 1:
             raise FormatError(f"line {line}, col {col}: label count must be positive")
-    root = _parse_node(stream, declared)
-    trailing = stream.peek()
-    if trailing is not None:
-        raise FormatError(
-            f"line {trailing[1]}, col {trailing[2]}: trailing input after the expression"
-        )
-    if declared is None:
-        declared = max(lab for node in iter_nodes(root) for lab in _labels_of(node))
-    return CExpression(root, declared)
+    largest = 0
+    stack: list[tuple[type, int, tuple[int, int], list]] = []
+    while True:
+        take("(")
+        word, line, col = take()
+        if word not in _OPERATORS:
+            raise FormatError(
+                f"line {line}, col {col}: unknown operator {word!r} (expected v, u, r, e)"
+            )
+        cls, n_labels, n_children = _OPERATORS[word]
+        args: list = []  # the labels, then the children
+        for _ in range(n_labels):
+            label, lline, lcol = take_int("a label")
+            if (reason := _label_error(label, declared)) is not None:
+                raise FormatError(f"line {lline}, col {lcol}: {reason}")
+            args.append(label)
+            largest = max(largest, label)
+        if n_labels == 2 and args[0] == args[1]:
+            _, lline, lcol = tokens[idx - 2]
+            raise FormatError(f"line {lline}, col {lcol}: {word!r} needs two distinct labels")
+        stack.append((cls, n_labels + n_children, (line, col), args))
+        # close every node whose arguments are all read
+        while len(stack[-1][3]) == stack[-1][1]:
+            cls, _, pos, args = stack.pop()
+            take(")")
+            node = cls(*args, pos)
+            if stack:
+                stack[-1][3].append(node)
+            elif idx < len(tokens):
+                _, line, col = tokens[idx]
+                raise FormatError(f"line {line}, col {col}: trailing input after the expression")
+            else:
+                return CExpression(node, largest if declared is None else declared)
 
 
 def format_cexpression(expr: CExpression) -> str:

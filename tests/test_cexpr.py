@@ -1,6 +1,7 @@
 """Parsing, evaluation, and edge-accounting of construction trees."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -151,6 +152,35 @@ def test_parse_rejects_malformed_input(text):
         parse_cexpression(text)
 
 
+# one input for each message the parser gives
+PARSE_MESSAGES = [
+    ("  # only a comment\n", "line 1, col 1: empty input"),
+    ("(u (v 1)\n", "line 1, col 8: unexpected end of input"),
+    ("v 1", "line 1, col 1: expected '(', got 'v'"),
+    ("(v 1 2)", "line 1, col 6: expected ')', got '2'"),
+    ("(v a)", "line 1, col 4: expected a label, got 'a'"),
+    ("c x\n(v 1)", "line 1, col 3: expected the label count, got 'x'"),
+    ("(v 0)", "line 1, col 4: labels are positive, got 0"),
+    (
+        f"(r 1 {MAX_VERTICES + 1} (v 1))",
+        f"line 1, col 6: label {MAX_VERTICES + 1} exceeds {MAX_VERTICES}",
+    ),
+    ("c 2\n(e 1 3 (v 1))", "line 2, col 6: label 3 exceeds the declared count 2"),
+    ("(r 1 1 (v 1))", "line 1, col 4: 'r' needs two distinct labels"),
+    ("(u (v 2)\n (e 2 2 (v 1)))", "line 2, col 5: 'e' needs two distinct labels"),
+    ("(x 1)", "line 1, col 2: unknown operator 'x' (expected v, u, r, e)"),
+    ("c -2\n(v 1)", "line 1, col 3: label count must be positive"),
+    ("(v 1)\n(v 2)", "line 2, col 1: trailing input after the expression"),
+]
+
+
+@pytest.mark.parametrize("text, message", PARSE_MESSAGES)
+def test_parse_messages_are_exact(text, message):
+    with pytest.raises(FormatError) as info:
+        parse_cexpression(text)
+    assert str(info.value) == message
+
+
 def test_parse_accepts_largest_label():
     expr = parse_cexpression(f"(r {MAX_VERTICES} 1 (v {MAX_VERTICES}))")
     assert expr.label_count == MAX_VERTICES
@@ -161,9 +191,15 @@ def test_parse_accepts_largest_label():
 @given(EXPR_TEXTS)
 def test_parse_fuzz_returns_or_raises_input_errors(text):
     try:
-        parse_cexpression(text)
-    except (FormatError, InputError):
-        pass
+        expr = parse_cexpression(text)
+    except FormatError as err:
+        # every message names a line of the text (line 1 of an empty one)
+        where = re.match(r"line (\d+), col \d+: ", str(err))
+        assert where is not None
+        assert 1 <= int(where[1]) <= max(1, len(text.splitlines()))
+        return
+    rendered = format_cexpression(expr)
+    assert format_cexpression(parse_cexpression(rendered)) == rendered
 
 
 def test_parse_errors_carry_positions():
@@ -260,11 +296,18 @@ def test_format_round_trip_of_deep_cycle():
 def test_leaf_spans_cover_contiguous_ranges():
     expr = parse_cexpression(PATH4_TEXT)
     spans = leaf_spans(expr)
-    assert spans[expr.root] == (0, 4)
-    leaf_starts = sorted(s for node, (s, e) in spans.items() if isinstance(node, Leaf))
+    assert [node for node, _, _ in spans] == list(iter_nodes(expr.root))
+    assert spans[-1] == (expr.root, 0, 4)
+    leaf_starts = sorted(s for node, s, e in spans if isinstance(node, Leaf))
     assert leaf_starts == [0, 1, 2, 3]
-    for node, (s, e) in spans.items():
+    for node, s, e in spans:
         assert 0 <= s < e <= 4
+
+
+def test_leaf_spans_give_a_shared_node_one_span_per_place():
+    leaf = Leaf(1)
+    spans = leaf_spans(CExpression(DisjointUnion(leaf, leaf), 1))
+    assert [(s, e) for _, s, e in spans] == [(0, 1), (1, 2), (0, 2)]
 
 
 def test_iter_nodes_is_post_order():
@@ -282,8 +325,10 @@ def test_iter_nodes_is_post_order():
 
 
 def test_check_expression_rejects_out_of_range_label():
-    with pytest.raises(InputError, match="outside the declared range"):
+    with pytest.raises(InputError, match="^label 2 exceeds the declared count 1$"):
         check_expression(CExpression(Leaf(2), 1))
+    with pytest.raises(InputError, match="^labels are positive, got 0$"):
+        check_expression(CExpression(Relabel(0, 1, Leaf(1)), 1))
 
 
 def test_check_expression_caps_labels_like_the_parser():

@@ -306,8 +306,7 @@ def assert_tables_definitional(expr):
     spans = leaf_spans(expr)
     for connected in (False, True):
         tables = dp_evaluate(expr, connected)
-        for node in iter_nodes(expr.root):
-            base, end = spans[node]
+        for node, base, end in spans:
             size = end - base
             sub = CExpression(node, expr.label_count)
             g, labels = eval_graph(sub)

@@ -156,3 +156,17 @@ def test_traced_branch_counts_each_layer(fresh, tmp_path, capsys):
     assert [(r["size"], r["witness"]) for r in reports] == [(4, [1, 2, 5, 6])] * 2
     counts = tracer.take_counts()
     assert {name: counts[name] for name in BRANCH_COUNTS} == BRANCH_COUNTS
+
+
+def test_headerless_parse_walks_no_tree(fresh):
+    # without a header the label count is the largest label read while
+    # parsing; no walk over the finished tree is made for it
+    tracer_module, modules = fresh
+    tracer = tracer_module.Tracer()
+    tracer.install(modules)
+    try:
+        expr = modules["safeset.cexpr"].parse_cexpression("(r 1 5 (v 1))")
+    finally:
+        tracer.uninstall()
+    assert expr.label_count == 5
+    assert tracer.take_counts()["cexpr.iter_nodes.calls"] == 0
